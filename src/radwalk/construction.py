@@ -39,6 +39,7 @@ from . import rng as _rng
 from .errors import CoprimalityError, ExhaustionError, ParameterError
 from .rng import wilson_interval
 from .sequences import StepSequence
+from .walk import INT64_STEP_SUM, rotated_paths
 
 
 @dataclass(frozen=True)
@@ -171,8 +172,6 @@ def check_good_set(prefix: GoodSetPrefix, horizon: int | None = None) -> GoodSet
 
 
 def _disk_targets(radius: int) -> list[tuple[int, int]]:
-    if radius == 0:
-        return [(0, 0)]
     r2 = radius * radius
     out = []
     for x in range(-radius, radius + 1):
@@ -219,9 +218,7 @@ class N0Estimate:
             "radius": self.radius,
             "confidence": self.confidence,
             "trials": self.trials,
-            "master_seed": list(self.master_seed)
-            if isinstance(self.master_seed, tuple)
-            else self.master_seed,
+            "master_seed": _rng.seed_to_json(self.master_seed),
             "grid": list(self.grid),
             "target_count": self.target_count,
             "evaluated_targets": self.evaluated_targets,
@@ -233,6 +230,20 @@ class N0Estimate:
             "reason": self.reason,
         }
 
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "N0Estimate":
+        """Inverse of :meth:`to_json_dict`."""
+        per = data["per_target_lb"]
+        return cls(
+            **{k: data[k] for k in ("status", "n0", "radius", "confidence", "trials",
+                                    "target_count", "evaluated_targets", "worst_lb", "reason")},
+            pair=BezoutPair(*data["pair"]),
+            master_seed=_rng.seed_from_json(data["master_seed"]),
+            grid=tuple(data["grid"]),
+            worst_target=tuple(data["worst_target"]) if data["worst_target"] else None,
+            per_target_lb=None if per is None else tuple((tuple(t), lb) for t, lb in per),
+        )
+
 
 def _doubling_grid(start: int, cap: int) -> list[int]:
     grid = []
@@ -242,6 +253,28 @@ def _doubling_grid(start: int, cap: int) -> list[int]:
         h *= 2
     grid.append(cap)
     return grid
+
+
+def _first_visits(u: np.ndarray, v: np.ndarray, targets, radius: int, never: int):
+    """``first[r, j]``: the first 1-based index ``k`` at which ``(u, v)[r, k-1]``
+    are the rotated coordinates of ``targets[j]``, or ``never``.
+
+    The targets lie in the box ``|u|, |v| <= 2*radius``; only the points of
+    a path inside it are sorted, keyed by ``u * mult + v``, injective there.
+    """
+    box = 2 * radius
+    mult = 2 * box + 1
+    keys = np.array([(x + y) * mult + (x - y) for x, y in targets], dtype=np.int64)
+    near = (np.abs(u) <= box) & (np.abs(v) <= box)
+    first = np.full((len(u), len(targets)), never, dtype=np.int64)
+    for r in range(len(u)):
+        idx = np.flatnonzero(near[r])
+        if idx.size:
+            uniq, first_idx = np.unique(u[r, idx] * mult + v[r, idx], return_index=True)
+            pos = np.minimum(np.searchsorted(uniq, keys), len(uniq) - 1)
+            hit = uniq[pos] == keys
+            first[r, hit] = idx[first_idx[pos[hit]]] + 1
+    return first
 
 
 def estimate_N0(
@@ -272,24 +305,23 @@ def estimate_N0(
         raise ParameterError("radius must be >= 0")
     if horizon_start < 1 or horizon_cap < horizon_start:
         raise ParameterError("need 1 <= horizon_start <= horizon_cap")
+    stream = _rng.TrialStream(master_seed)
     grid = _doubling_grid(horizon_start, horizon_cap)
+    common = dict(
+        pair=pair, radius=radius, confidence=confidence, trials=trials,
+        master_seed=master_seed, grid=tuple(grid),
+    )
     # Analytic size guard first: the disk holds ~pi*r^2 lattice points, so do
     # not even enumerate it when it cannot fit the budget.
     if math.pi * radius * radius > 2 * target_budget:
-        target_count = -1
+        count = math.ceil(math.pi * radius**2)
     else:
-        target_count = len(_disk_targets(radius))
-    if target_count < 0 or target_count > target_budget:
-        count = target_count if target_count >= 0 else math.ceil(math.pi * radius**2)
+        count = len(_disk_targets(radius))
+    if count > target_budget:
         return N0Estimate(
             status="inconclusive",
             n0=horizon_cap,
-            pair=pair,
-            radius=radius,
-            confidence=confidence,
-            trials=trials,
-            master_seed=master_seed,
-            grid=tuple(grid),
+            **common,
             target_count=count,
             evaluated_targets=0,
             worst_lb=0.0,
@@ -301,36 +333,20 @@ def estimate_N0(
 
     targets = _disk_targets(radius)
     period = pair.period
-    pattern = np.array(pair.pattern(), dtype=np.int64)
-    steps = np.tile(pattern, horizon_cap)
+    if sum(pair.pattern()) * horizon_cap > INT64_STEP_SUM:
+        raise ParameterError("horizon cap too large for 64-bit positions; lower horizon_cap")
+    steps = np.tile(np.array(pair.pattern(), dtype=np.int64), horizon_cap)
     nsteps = period * horizon_cap
-    enc_mult = 4 * (radius + int(steps.sum()) + 1)
-    if int(steps.sum()) * enc_mult >= (1 << 62):
-        raise ParameterError(
-            "horizon cap too large for the 64-bit position encoding; "
-            "lower horizon_cap"
-        )
-    enc_targets = np.array(sorted(t[0] * enc_mult + t[1] for t in targets), dtype=np.int64)
-    order = sorted(range(len(targets)), key=lambda i: targets[i][0] * enc_mult + targets[i][1])
-    targets_sorted = [targets[i] for i in order]
     grid_arr = np.array(grid, dtype=np.int64)
 
     def run_chunk(chunk: range) -> np.ndarray:
         # successes[t, g]: trials in this chunk hitting target t by grid[g] periods
-        successes = np.zeros((len(targets_sorted), len(grid)), dtype=np.int64)
-        for trial in chunk:
-            codes = _rng.direction_codes(master_seed, trial, nsteps)
-            dx = steps * ((codes == 0).astype(np.int64) - (codes == 1).astype(np.int64))
-            dy = steps * ((codes == 2).astype(np.int64) - (codes == 3).astype(np.int64))
-            xs = np.cumsum(dx)[period - 1 :: period]
-            ys = np.cumsum(dy)[period - 1 :: period]
-            enc = xs * enc_mult + ys
-            uniq, first_idx = np.unique(enc, return_index=True)
-            pos = np.searchsorted(uniq, enc_targets)
-            pos_clam = np.minimum(pos, len(uniq) - 1)
-            found = uniq[pos_clam] == enc_targets
-            first_period = np.where(found, first_idx[pos_clam] + 1, nsteps + 1)
-            successes += first_period[:, None] <= grid_arr[None, :]
+        successes = np.zeros((len(targets), len(grid)), dtype=np.int64)
+        reader = stream.reader()
+        for _, u, v in rotated_paths(steps, chunk, lambda t: reader.codes(t, nsteps)):
+            ends = np.s_[:, period - 1 :: period]  # positions after whole periods
+            first = _first_visits(u[ends], v[ends], targets, radius, nsteps + 1)
+            successes += (first[:, :, None] <= grid_arr).sum(axis=0)
         return successes
 
     successes = _rng.map_trial_chunks(
@@ -340,36 +356,24 @@ def estimate_N0(
     def lb(s: int) -> float:
         return wilson_interval(int(s), trials, confidence).low
 
-    chosen: int | None = None
-    for g, horizon in enumerate(grid):
-        worst_s = int(successes[:, g].min())
-        if lb(worst_s) >= 0.5:
-            chosen = horizon
-            chosen_g = g
-            break
-
-    final_g = chosen_g if chosen is not None else len(grid) - 1
+    chosen_g = next((g for g in range(len(grid)) if lb(successes[:, g].min()) >= 0.5), None)
+    final_g = len(grid) - 1 if chosen_g is None else chosen_g
     worst_idx = int(np.argmin(successes[:, final_g]))
     per_target = None
-    if len(targets_sorted) <= per_target_report_cap:
+    if len(targets) <= per_target_report_cap:
         per_target = tuple(
-            (t, lb(int(successes[i, final_g]))) for i, t in enumerate(targets_sorted)
+            (t, lb(int(successes[i, final_g]))) for i, t in enumerate(targets)
         )
     return N0Estimate(
-        status="certified" if chosen is not None else "inconclusive",
-        n0=chosen if chosen is not None else horizon_cap,
-        pair=pair,
-        radius=radius,
-        confidence=confidence,
-        trials=trials,
-        master_seed=master_seed,
-        grid=tuple(grid),
-        target_count=len(targets_sorted),
-        evaluated_targets=len(targets_sorted),
+        status="inconclusive" if chosen_g is None else "certified",
+        n0=grid[final_g],
+        **common,
+        target_count=len(targets),
+        evaluated_targets=len(targets),
         worst_lb=lb(int(successes[worst_idx, final_g])),
-        worst_target=targets_sorted[worst_idx],
+        worst_target=targets[worst_idx],
         per_target_lb=per_target,
-        reason=None if chosen is not None else "horizon cap reached before certification",
+        reason="horizon cap reached before certification" if chosen_g is None else None,
     )
 
 
@@ -451,9 +455,7 @@ class ConstructionPlan:
         return {
             "rounds": [r.to_json_dict() for r in self.rounds],
             "status": self.status,
-            "master_seed": list(self.master_seed)
-            if isinstance(self.master_seed, tuple)
-            else self.master_seed,
+            "master_seed": _rng.seed_to_json(self.master_seed),
             "confidence": self.confidence,
             "trials": self.trials,
             "radius_mode": self.radius_mode,
@@ -464,51 +466,20 @@ class ConstructionPlan:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ConstructionPlan":
-        rounds = []
-        for r in data["rounds"]:
-            b1, b2, c1, c2 = r["pair"]
-            est = r.get("estimate")
-            rounds.append(
-                RoundPlan(
-                    index=r["index"],
-                    pair=BezoutPair(b1, b2, c1, c2),
-                    n0=r["n0"],
-                    n_start=r["n_start"],
-                    n_end=r["n_end"],
-                    radius=r["radius"],
-                    alpha=r["alpha"],
-                    estimate=None
-                    if est is None
-                    else N0Estimate(
-                        status=est["status"],
-                        n0=est["n0"],
-                        pair=BezoutPair(*est["pair"]),
-                        radius=est["radius"],
-                        confidence=est["confidence"],
-                        trials=est["trials"],
-                        master_seed=tuple(est["master_seed"])
-                        if isinstance(est["master_seed"], list)
-                        else est["master_seed"],
-                        grid=tuple(est["grid"]),
-                        target_count=est["target_count"],
-                        evaluated_targets=est["evaluated_targets"],
-                        worst_lb=est["worst_lb"],
-                        worst_target=tuple(est["worst_target"])
-                        if est["worst_target"]
-                        else None,
-                        per_target_lb=None
-                        if est["per_target_lb"] is None
-                        else tuple((tuple(t), lb) for t, lb in est["per_target_lb"]),
-                        reason=est["reason"],
-                    ),
-                )
+        rounds = tuple(
+            RoundPlan(
+                **{k: r[k] for k in ("index", "n0", "n_start", "n_end", "radius", "alpha")},
+                pair=BezoutPair(*r["pair"]),
+                estimate=None
+                if r.get("estimate") is None
+                else N0Estimate.from_json_dict(r["estimate"]),
             )
+            for r in data["rounds"]
+        )
         return cls(
-            rounds=tuple(rounds),
+            rounds=rounds,
             status=data["status"],
-            master_seed=tuple(data["master_seed"])
-            if isinstance(data["master_seed"], list)
-            else data["master_seed"],
+            master_seed=_rng.seed_from_json(data["master_seed"]),
             confidence=data["confidence"],
             trials=data["trials"],
             radius_mode=data["radius_mode"],
@@ -519,24 +490,25 @@ class ConstructionPlan:
         return cls.from_json_dict(json.loads(text))
 
 
+def _plan_steps(rounds) -> np.ndarray:
+    patterns = [np.tile(np.array(r.pair.pattern(), dtype=np.int64), r.n0) for r in rounds]
+    return np.concatenate(patterns)
+
+
 def _realized_radius(plan_rounds: list[RoundPlan], n_k: int, master_seed, trials: int) -> int:
     """Largest observed |S_{n_k}| over simulated prefixes (the trajectory-based
     alternative to the coarse alpha*n bound)."""
     if n_k == 0:
         return 0
-    values = np.concatenate(
-        [np.tile(np.array(rp.pair.pattern(), dtype=np.int64), rp.n0) for rp in plan_rounds]
-    )
+    values = _plan_steps(plan_rounds)
     assert len(values) == n_k
+    # substream tag 102: realized-radius probes for round len(plan_rounds)
+    reader = _rng.TrialStream((master_seed, 102, len(plan_rounds))).reader()
     worst = 0
-    for t in range(trials):
-        # substream tag 102: realized-radius probes for round len(plan_rounds)
-        codes = _rng.direction_codes((master_seed, 102, len(plan_rounds)), t, n_k)
-        dx = values * ((codes == 0).astype(np.int64) - (codes == 1).astype(np.int64))
-        dy = values * ((codes == 2).astype(np.int64) - (codes == 3).astype(np.int64))
-        x = int(dx.sum())
-        y = int(dy.sum())
-        worst = max(worst, math.isqrt(x * x + y * y) + 1)
+    for _, u, v in rotated_paths(values, range(trials), lambda t: reader.codes(t, n_k)):
+        for su, sv in zip(u[:, -1].tolist(), v[:, -1].tolist()):
+            # x^2 + y^2 = (u^2 + v^2) / 2
+            worst = max(worst, math.isqrt((su * su + sv * sv) // 2) + 1)
     return worst
 
 
@@ -647,9 +619,7 @@ class PlanEvaluation:
     def to_json_dict(self) -> dict:
         return {
             "trials": self.trials,
-            "master_seed": list(self.master_seed)
-            if isinstance(self.master_seed, tuple)
-            else self.master_seed,
+            "master_seed": _rng.seed_to_json(self.master_seed),
             "level": self.level,
             "per_round": [
                 {
@@ -679,25 +649,20 @@ def evaluate_plan(
         raise ParameterError("trials must be >= 1")
     if not plan.rounds:
         raise ParameterError("plan has no rounds to evaluate")
-    values = np.concatenate(
-        [np.tile(np.array(rp.pair.pattern(), dtype=np.int64), rp.n0) for rp in plan.rounds]
-    )
+    values = _plan_steps(plan.rounds)
     n_end = plan.n_end
     assert len(values) == n_end
     bounds = [(rp.n_start, rp.n_end) for rp in plan.rounds]
 
+    stream = _rng.TrialStream(master_seed)
+
     def run_chunk(chunk: range) -> np.ndarray:
         hits = np.zeros(len(bounds), dtype=np.int64)
-        for t in chunk:
-            codes = _rng.direction_codes(master_seed, t, n_end)
-            dx = values * ((codes == 0).astype(np.int64) - (codes == 1).astype(np.int64))
-            dy = values * ((codes == 2).astype(np.int64) - (codes == 3).astype(np.int64))
-            xs = np.cumsum(dx)
-            ys = np.cumsum(dy)
-            zero = (xs == 0) & (ys == 0)
+        reader = stream.reader()
+        for _, u, v in rotated_paths(values, chunk, lambda t: reader.codes(t, n_end)):
+            zero = (u == 0) & (v == 0)
             for i, (lo, hi) in enumerate(bounds):
-                if bool(zero[lo:hi].any()):
-                    hits[i] += 1
+                hits[i] += int(zero[:, lo:hi].any(axis=1).sum())
         return hits
 
     totals = _rng.map_trial_chunks(trials, run_chunk, lambda parts: sum(parts), workers=workers)

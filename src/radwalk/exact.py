@@ -71,17 +71,7 @@ class ExactPmf1D:
     steps: tuple[Number, ...]
 
     def mass(self, value) -> Fraction:
-        v = Fraction(value)
-        lo, hi = 0, len(self.values)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if Fraction(self.values[mid]) < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self.values) and Fraction(self.values[lo]) == v:
-            return Fraction(self.weights[lo], self.total)
-        return Fraction(0)
+        return self.as_dict().get(Fraction(value), Fraction(0))
 
     @property
     def masses(self) -> tuple[Fraction, ...]:
@@ -113,11 +103,7 @@ class ExactPmf2D:
     steps: tuple[Number, ...]
 
     def mass(self, point) -> Fraction:
-        key = (Fraction(point[0]), Fraction(point[1]))
-        for p, w in zip(self.points, self.weights):
-            if (Fraction(p[0]), Fraction(p[1])) == key:
-                return Fraction(w, self.total)
-        return Fraction(0)
+        return self.as_dict().get((Fraction(point[0]), Fraction(point[1])), Fraction(0))
 
     def as_dict(self) -> dict[tuple[Number, Number], Fraction]:
         return {p: Fraction(w, self.total) for p, w in zip(self.points, self.weights)}
@@ -251,18 +237,7 @@ def mod_probability(
             if v % m == residue:
                 acc += Fraction(w, law.total)
         return acc
-    vec = [0] * m
-    vec[0] = 1
-    for s in ints:
-        sm = s % m
-        new = [0] * m
-        for r in range(m):
-            wt = vec[r]
-            if wt:
-                new[(r + sm) % m] += wt
-                new[(r - sm) % m] += wt
-        vec = new
-    return Fraction(vec[residue], 1 << len(ints))
+    return mod_probability_profile(ints, m)[residue]
 
 
 def mod_probability_profile(

@@ -7,6 +7,15 @@ sequence keyed by the master seed with the 256-bit counter started at block
 draws are a pure function of ``(master_seed, i)``, independent of batching,
 thread count, and execution order.  Aggregates over trials are exact integer
 sums, so parallel and serial runs produce identical results.
+
+Direction codes are the draws ``Generator.integers(0, 4)`` of that stream.
+For a range of 4, numpy uses Lemire's multiply-shift draw, which rejects a
+32-bit word ``w`` only when the low 32 bits of ``4*w`` fall below
+``2**32 mod 4``.  That is 0, so it never rejects, and the code is
+``(4*w) >> 32``, the top two bits of ``w``.  The words are the halves of the
+64-bit Philox outputs, low half first, so :class:`CodeReader` decodes ``n``
+codes as ``random_raw(ceil(n/2)).view(uint32)[:n] >> 30`` (on a
+little-endian host): the codes :func:`direction_codes` draws.
 """
 
 from __future__ import annotations
@@ -29,9 +38,30 @@ NUM_DIRECTIONS = 4
 _T = TypeVar("_T")
 
 
+def _valid_seed(seed) -> bool:
+    if isinstance(seed, tuple):
+        return bool(seed) and all(_valid_seed(part) for part in seed)
+    return isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0
+
+
 def _philox_key(master_seed) -> np.ndarray:
-    # SeedSequence accepts ints or tuples of ints as entropy.
+    """The Philox key of a master seed: a non-negative int or a tuple of
+    seeds (substreams nest a seed inside a tuple with purpose tags)."""
+    if not _valid_seed(master_seed):
+        raise ParameterError(
+            f"master seed must be a non-negative int or a tuple of them, got {master_seed!r}"
+        )
     return np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
+
+
+def seed_to_json(seed):
+    """A master seed in JSON form: tuples become lists."""
+    return [seed_to_json(part) for part in seed] if isinstance(seed, tuple) else seed
+
+
+def seed_from_json(value):
+    """Inverse of :func:`seed_to_json`."""
+    return tuple(seed_from_json(part) for part in value) if isinstance(value, list) else value
 
 
 def trial_generator(master_seed, trial: int) -> np.random.Generator:
@@ -53,6 +83,53 @@ def direction_codes(master_seed, trial: int, n: int) -> np.ndarray:
         raise ParameterError("horizon must be >= 0")
     gen = trial_generator(master_seed, trial)
     return gen.integers(0, NUM_DIRECTIONS, size=n, dtype=np.int64)
+
+
+class TrialStream:
+    """The per-trial streams of one master seed, with the key derived once.
+
+    A :class:`CodeReader` is not thread-safe: each chunk of trials takes its
+    own from :meth:`reader`.
+    """
+
+    def __init__(self, master_seed):
+        self.key = [int(k) for k in _philox_key(master_seed)]
+
+    def reader(self) -> "CodeReader":
+        return CodeReader(self.key)
+
+
+class CodeReader:
+    """One Philox that moves to trial ``i`` by resetting its state to the one
+    :func:`trial_generator` starts in: counter ``(0, i, 0, 0)``, no buffered
+    output."""
+
+    def __init__(self, key: list[int]):
+        self._counter = [0, 0, 0, 0]
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": self._counter, "key": key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self._bitgen = np.random.Philox(key=np.array(key, dtype=np.uint64))
+
+    def seek(self, trial: int) -> None:
+        if trial < 0:
+            raise ParameterError("trial index must be >= 0")
+        self._counter[1] = trial
+        self._bitgen.state = self._state
+
+    def read(self, n: int) -> np.ndarray:
+        """The next ``n`` codes (uint32); an odd ``n`` leaves a half word unread."""
+        return self._bitgen.random_raw(-(-n // 2)).view(np.uint32)[:n] >> 30
+
+    def codes(self, trial: int, n: int) -> np.ndarray:
+        """``direction_codes(master_seed, trial, n)``, as uint32."""
+        self.seek(trial)
+        return self.read(n)
 
 
 @dataclass(frozen=True)
@@ -84,7 +161,11 @@ def wilson_interval(successes: int, trials: int, level: float = 0.95) -> Confide
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
     half = (z / denom) * ((phat * (1.0 - phat) / trials + z * z / (4.0 * trials * trials)) ** 0.5)
-    return ConfidenceInterval(max(0.0, center - half), min(1.0, center + half), "wilson", level)
+    # The bounds are exactly 0 at no successes and 1 at all successes; the
+    # float formula leaves rounding residue of ~1e-17 there.
+    low = 0.0 if successes == 0 else max(0.0, center - half)
+    high = 1.0 if successes == trials else min(1.0, center + half)
+    return ConfidenceInterval(low, high, "wilson", level)
 
 
 def chunk_ranges(trials: int, chunk_size: int = 256) -> list[range]:

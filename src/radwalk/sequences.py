@@ -534,18 +534,6 @@ def default_scaled_growth(k: int, i: int) -> int:
     return 1 << (k * k + i - 1)
 
 
-@dataclass(frozen=True)
-class BlockSpec:
-    """Layout of sub-block (k, i): its length and trailing run, in one mode."""
-
-    k: int
-    i: int
-    e: int
-    length: int  # materialized (exact mode: 2**(2**e), guarded by the budget)
-    tail: int  # 3*k*k copies of k-1 after the main run, absent in the last sub-block
-    mode: str  # "exact" | "scaled"
-
-
 def _exact_length(k: int, i: int, exponent_bit_budget: int) -> int:
     e = k * k + i - 1
     exponent = 1 << e

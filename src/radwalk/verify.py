@@ -31,6 +31,7 @@ from . import exact as _exact
 from . import rng as _rng
 from .errors import ParameterError, PreconditionError
 from .rng import ConfidenceInterval, wilson_interval
+from .walk import rotated_paths
 
 #: Value assigned to the log potential at the origin.
 ORIGIN_POTENTIAL = -5.0
@@ -354,41 +355,16 @@ class HittingTimeResult:
             "estimate": self.estimate,
             "ci": self.ci.to_json_dict(),
             "exact": None if self.exact is None else str(self.exact),
-            "master_seed": list(self.master_seed)
-            if isinstance(self.master_seed, tuple)
-            else self.master_seed,
+            "master_seed": _rng.seed_to_json(self.master_seed),
             "rng_id": self.rng_id,
             "seed_rule": self.seed_rule,
         }
 
 
-def _exact_hitting_dp(start: tuple[int, int], horizon: int) -> Fraction:
-    """Exact P(hit the origin within ``horizon`` unit steps) by absorbing DP."""
-    state: dict[tuple[int, int], Fraction] = {start: Fraction(1)}
-    absorbed = Fraction(0)
-    if start == (0, 0):
-        return Fraction(1)
-    for _ in range(horizon):
-        new: dict[tuple[int, int], Fraction] = {}
-        for (x, y), p in state.items():
-            q = p / 4
-            for nx, ny in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-                key = (nx, ny)
-                new[key] = new.get(key, Fraction(0)) + q
-        absorbed += new.pop((0, 0), Fraction(0))
-        state = new
-    return absorbed
-
-
 def _ring_points(r: float) -> list[tuple[int, int]]:
     """Lattice points with norm in [r, r+1), sorted for deterministic indexing."""
-    out = []
-    hi = int(math.floor(r + 1))
-    for x in range(-hi, hi + 1):
-        for y in range(-hi, hi + 1):
-            if r * r <= x * x + y * y < (r + 1) * (r + 1):
-                out.append((x, y))
-    return sorted(out)
+    side = range(-int(math.floor(r + 1)), int(math.floor(r + 1)) + 1)
+    return [(x, y) for x in side for y in side if r * r <= x * x + y * y < (r + 1) ** 2]
 
 
 def hitting_time_experiment(
@@ -409,7 +385,8 @@ def hitting_time_experiment(
     default; ``start_mode="ring"`` instead draws, per trial, a uniform lattice
     point with norm in [r, r+1) (one extra draw ahead of the direction
     stream).  For axis starts with r <= ``exact_radius_cap`` the exact value
-    is also computed by dynamic programming and returned for cross-checking.
+    is also computed by :func:`radwalk.exact.hit_probability_2d` and returned
+    for cross-checking.
     """
     if r < 0:
         raise ParameterError("r must be >= 0")
@@ -419,49 +396,42 @@ def hitting_time_experiment(
         raise ParameterError("trials must be >= 1")
     if start_mode not in ("axis", "ring"):
         raise ParameterError("start_mode must be 'axis' or 'ring'")
+    stream = _rng.TrialStream(master_seed)
     horizon = int(math.floor(float(r) ** 3))
     start_units = int(math.ceil(r))
     start = (start_units * step, 0)
     ring = _ring_points(float(r)) if start_mode == "ring" else None
-    exact: Fraction | None = None
-    if start_mode == "axis" and r <= exact_radius_cap:
-        exact = _exact_hitting_dp((start_units, 0), horizon)
-    if (start_mode == "axis" and start_units == 0) or (ring == [(0, 0)]):
-        # already at the origin; every trial succeeds at time 0
-        return HittingTimeResult(
-            r=float(r),
-            step=step,
-            start=start,
-            horizon=horizon,
-            trials=trials,
-            successes=trials,
-            estimate=1.0,
-            ci=wilson_interval(trials, trials, level),
-            exact=Fraction(1) if exact is None else exact,
-            master_seed=master_seed,
-        )
+    # a walk that starts at the origin succeeds at time 0
+    at_origin = (start_mode == "axis" and start_units == 0) or ring == [(0, 0)]
+    exact: Fraction | None = Fraction(1) if at_origin else None
+    if start_mode == "axis" and r <= exact_radius_cap and not at_origin:
+        # hitting the origin from (s, 0) is, by symmetry, hitting (s, 0) from the origin
+        exact = _exact.hit_probability_2d([1] * horizon, (start_units, 0), horizon)
+    unit_steps = np.ones(horizon, dtype=np.int64)
 
     def run_chunk(chunk: range) -> int:
+        reader = stream.reader()
+        starts = {}
+
+        def codes_of(t: int) -> np.ndarray:
+            if ring is None:
+                return reader.codes(t, horizon)
+            gen = _rng.trial_generator(master_seed, t)
+            starts[t] = ring[int(gen.integers(0, len(ring)))]
+            return gen.integers(0, _rng.NUM_DIRECTIONS, size=horizon, dtype=np.int64)
+
         hits = 0
-        for t in chunk:
-            if horizon == 0:
-                continue
+        for batch, u, v in rotated_paths(unit_steps, chunk, codes_of):
             if ring is None:
                 x0, y0 = start_units, 0
-                codes = _rng.direction_codes(master_seed, t, horizon)
             else:
-                gen = _rng.trial_generator(master_seed, t)
-                x0, y0 = ring[int(gen.integers(0, len(ring)))]
-                codes = gen.integers(0, _rng.NUM_DIRECTIONS, size=horizon, dtype=np.int64)
-            dx = (codes == 0).astype(np.int64) - (codes == 1).astype(np.int64)
-            dy = (codes == 2).astype(np.int64) - (codes == 3).astype(np.int64)
-            xs = x0 + np.cumsum(dx)
-            ys = y0 + np.cumsum(dy)
-            if bool(np.any((xs == 0) & (ys == 0))):
-                hits += 1
+                points = np.array([starts.pop(t) for t in batch])
+                x0, y0 = points[:, :1], points[:, 1:]  # one row per trial
+            # the walk from (x0, y0) is at the origin when u = -(x0+y0), v = -(x0-y0)
+            hits += int(((u == -(x0 + y0)) & (v == -(x0 - y0))).any(axis=1).sum())
         return hits
 
-    successes = _rng.map_trial_chunks(trials, run_chunk, sum, workers=workers)
+    successes = trials if at_origin else _rng.map_trial_chunks(trials, run_chunk, sum, workers)
     return HittingTimeResult(
         r=float(r),
         step=step,

@@ -13,6 +13,11 @@ sign of the moving coordinate; the map is a bijection.
 Every trial of every Monte Carlo routine owns an independent substream
 derived from the master seed (see :mod:`radwalk.rng`), so estimates do not
 depend on batching or worker count.
+
+All vectorized walks, here and in :mod:`radwalk.construction` and
+:mod:`radwalk.verify`, run through one kernel, :func:`rotated_paths`, in the
+rotated coordinates ``u = x + y`` and ``v = x - y``: each step moves both by
+``+-a_n``.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -153,9 +158,7 @@ class WalkSummary:
             "horizon": self.horizon,
             "final": {"n": self.final.n, "x": str(self.final.x), "y": str(self.final.y)},
             "horizontal_steps": self.horizontal_steps,
-            "master_seed": list(self.master_seed)
-            if isinstance(self.master_seed, tuple)
-            else self.master_seed,
+            "master_seed": _rng.seed_to_json(self.master_seed),
             "trial": self.trial,
             "rng_id": self.rng_id,
             "seed_rule": self.seed_rule,
@@ -190,34 +193,91 @@ class TrajectoryRecorder:
             writer.writerow([str(c) for c in row])
 
 
-def _prepare_steps(seq: StepSequence, n: int) -> list:
+#: Largest step sum the int64 kernels accept, so that u and v stay in range.
+INT64_STEP_SUM = 1 << 62
+
+#: Trials x steps of one batch of walks in :func:`rotated_paths`: walks with
+#: short horizons run as (rows x n) arrays of at most this many steps.
+BATCH_STEPS = 1 << 16
+
+
+def _step_array(seq: StepSequence, n: int) -> np.ndarray:
+    """Steps a_1..a_n: int64 when all are ints summing to at most
+    :data:`INT64_STEP_SUM`, else an object array of the exact values.
+
+    The constant, integer-gamma floor-power and explicit-list families are
+    built in closed form, without a call per index.
+    """
     if n < 0:
         raise ParameterError("horizon must be >= 0")
     if seq.length is not None and n > seq.length:
-        raise ParameterError(
-            f"horizon {n} exceeds the sequence length {seq.length}"
-        )
-    return [seq.value(i) for i in range(1, n + 1)]
+        raise ParameterError(f"horizon {n} exceeds the sequence length {seq.length}")
+    params = seq.params
+    if seq.kind == "constant":
+        c = params["value"]
+        if isinstance(c, int) and c * n <= INT64_STEP_SUM:
+            return np.full(n, c, dtype=np.int64)
+        return np.full(n, c, dtype=object)
+    if seq.kind == "floor-power" and params["gamma"].denominator == 1:
+        # n * n**q bounds the sum; past it, the exact check below decides
+        q = params["gamma"].numerator
+        if n ** (q + 1) <= INT64_STEP_SUM:
+            return np.arange(1, n + 1, dtype=np.int64) ** q
+    if seq.kind == "explicit-list":
+        steps = params["values"][:n]
+    else:
+        steps = [seq.value(i) for i in range(1, n + 1)]
+    if all(isinstance(a, int) for a in steps) and sum(steps) <= INT64_STEP_SUM:
+        return np.array(steps, dtype=np.int64)
+    return np.array(steps, dtype=object)
 
 
-def _int64_safe(steps: Sequence) -> bool:
-    if not all(isinstance(s, int) for s in steps):
-        return False
-    return sum(steps) <= (1 << 62)
+def rotated_paths(
+    steps: np.ndarray, trials: range, codes_of: Callable[[int], np.ndarray]
+) -> Iterator[tuple[range, np.ndarray, np.ndarray]]:
+    """The walk kernel: yields ``(batch, u, v)`` for consecutive batches of
+    ``trials``, ``u[r, k]`` and ``v[r, k]`` being ``x + y`` and ``x - y``
+    after step ``k + 1`` of trial ``batch[r]``.
+
+    ``codes_of(trial)`` gives a trial's direction codes; ``steps`` is int64
+    with a sum <= :data:`INT64_STEP_SUM`, or exact objects.  Code
+    ``c = 2*b1 + b0`` moves ``u`` by ``a * (1 - 2*b0)`` and ``v`` by
+    ``a * (1 - 2*(b0 ^ b1))``: +e1 by ``(a, a)``, -e1 by ``(-a, -a)``, +e2 by
+    ``(a, -a)``, -e2 by ``(-a, a)``.  A batch holds at most
+    :data:`BATCH_STEPS` steps or one trial; ``u`` and ``v`` are overwritten
+    by the next batch.
+    """
+    n = len(steps)
+    rows = max(1, min(len(trials), BATCH_STEPS // max(n, 1)))
+    # Buffers are allocated once per call: a fresh array per batch costs
+    # page faults that, on long walks, take as long as the arithmetic.
+    codes = np.empty((rows, n), dtype=np.uint8)
+    u = np.empty((rows, n), dtype=steps.dtype)
+    v = np.empty((rows, n), dtype=steps.dtype)
+    for lo in range(trials.start, trials.stop, rows):
+        batch = range(lo, min(lo + rows, trials.stop))
+        c, bu, bv = codes[: len(batch)], u[: len(batch)], v[: len(batch)]
+        for r, t in enumerate(batch):
+            c[r] = codes_of(t)
+        # 1 - 2*bit as uint8 is 1 or 255, that is +1 or -1 as int8
+        neg = c & 1
+        np.multiply(steps, (1 - 2 * neg).view(np.int8), out=bu)
+        np.multiply(steps, (1 - 2 * (neg ^ (c >> 1))).view(np.int8), out=bv)
+        yield batch, np.cumsum(bu, axis=1, out=bu), np.cumsum(bv, axis=1, out=bv)
 
 
 def _stream_codes(master_seed, trial: int, n: int, chunk: int = 1 << 15):
-    """Direction codes for one trial, yielded in chunks of one numpy draw each.
+    """Direction codes for one trial, yielded in chunks of one read each.
 
-    Chunked draws concatenate to the same stream as a single draw, so this
-    matches :func:`radwalk.rng.direction_codes` exactly.
+    Chunks are even, so no 64-bit output is split across two of them and the
+    chunks concatenate to :func:`radwalk.rng.direction_codes` exactly.
     """
-    gen = _rng.trial_generator(master_seed, trial)
-    done = 0
-    while done < n:
-        take = min(chunk, n - done)
-        yield gen.integers(0, _rng.NUM_DIRECTIONS, size=take, dtype=np.int64)
-        done += take
+    if chunk < 2 or chunk % 2:
+        raise ParameterError("chunk must be even and positive")
+    reader = _rng.TrialStream(master_seed).reader()
+    reader.seek(trial)
+    for done in range(0, n, chunk):
+        yield reader.read(min(chunk, n - done))
 
 
 def simulate(
@@ -234,50 +294,37 @@ def simulate(
     Position arithmetic is exact; the policy decides whether positions beyond
     the configured width raise (default) or promote to arbitrary precision.
     """
-    steps = _prepare_steps(seq, n)
     bound = policy.bound
     check = bound is not None and not policy.promote
     # The fast path is safe only when no position can leave the width at all
     # (|S_n| is bounded by the step sum), else stream and check step by step.
-    fast = (
-        visitor is None
-        and check
-        and _int64_safe(steps)
-        and sum(steps) <= bound
-    )
-    if fast:
+    steps = _step_array(seq, n)
+    if visitor is None and check and steps.dtype == np.int64 and int(steps.sum()) <= bound:
         # One vectorized pass; identical codes to the streaming path.
-        codes = _rng.direction_codes(master_seed, trial, n)
-        if n == 0:
-            return WalkSummary(WalkState(0, 0, 0), 0, 0, master_seed, trial)
-        arr = np.array(steps, dtype=np.int64)
-        dx = arr * ((codes == 0).astype(np.int64) - (codes == 1).astype(np.int64))
-        dy = arr * ((codes == 2).astype(np.int64) - (codes == 3).astype(np.int64))
-        x = int(dx.sum())
-        y = int(dy.sum())
-        kap = int((codes <= 1).sum())
-        return WalkSummary(WalkState(n, x, y), n, kap, master_seed, trial)
+        codes = _rng.TrialStream(master_seed).reader().codes(trial, n)
+        _, u, v = next(rotated_paths(steps, range(1), lambda t: codes))
+        su, sv = (int(u[0, -1]), int(v[0, -1])) if n else (0, 0)
+        final = WalkState(n, (su + sv) // 2, (su - sv) // 2)
+        return WalkSummary(final, n, int((codes < 2).sum()), master_seed, trial)
 
+    steps = steps.tolist()
     x: int | Fraction = 0
     y: int | Fraction = 0
     kap = 0
-    i = 0
-    for block in _stream_codes(master_seed, trial, n):
-        for code in block:
-            i += 1
-            step = Step2D(int(code))
-            a = steps[i - 1]
-            dxv, dyv = step.vector
-            x = x + a * dxv
-            y = y + a * dyv
-            kap += step.kappa
-            if check and (abs(x) > bound or abs(y) > bound):
-                raise PositionOverflowError(
-                    f"position left the {policy.width_bits}-bit range at step {i}",
-                    step=i,
-                )
-            if visitor is not None:
-                visitor(WalkState(i, x, y), step, a)
+    codes = (int(c) for block in _stream_codes(master_seed, trial, n) for c in block)
+    for i, (code, a) in enumerate(zip(codes, steps), 1):
+        step = Step2D(code)
+        dxv, dyv = step.vector
+        x = x + a * dxv
+        y = y + a * dyv
+        kap += step.kappa
+        if check and (abs(x) > bound or abs(y) > bound):
+            raise PositionOverflowError(
+                f"position left the {policy.width_bits}-bit range at step {i}",
+                step=i,
+            )
+        if visitor is not None:
+            visitor(WalkState(i, x, y), step, a)
     return WalkSummary(WalkState(n, x, y), n, kap, master_seed, trial)
 
 
@@ -359,9 +406,7 @@ class MonteCarloEstimate:
             "successes": self.successes,
             "estimate": self.estimate,
             "ci": self.ci.to_json_dict(),
-            "master_seed": list(self.master_seed)
-            if isinstance(self.master_seed, tuple)
-            else self.master_seed,
+            "master_seed": _rng.seed_to_json(self.master_seed),
             "params": {k: str(v) if isinstance(v, Fraction) else v for k, v in self.params.items()},
             "rng_id": self.rng_id,
             "seed_rule": self.seed_rule,
@@ -381,41 +426,15 @@ def monte_carlo_return(
     """Estimate the probability of visiting ``target`` at some step 1..n."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    steps = _prepare_steps(seq, n)
-    tx, ty = target
-    use_numpy = _int64_safe(steps) and isinstance(tx, int) and isinstance(ty, int)
-    arr = np.array(steps, dtype=np.int64) if use_numpy else None
+    stream = _rng.TrialStream(master_seed)
+    steps = _step_array(seq, n)
+    tu, tv = target[0] + target[1], target[0] - target[1]
 
     def run_chunk(chunk: range) -> int:
+        reader = stream.reader()
         hits = 0
-        for t in chunk:
-            if n == 0:
-                continue
-            if use_numpy:
-                codes = _rng.direction_codes(master_seed, t, n)
-                dx = arr * ((codes == 0).astype(np.int64) - (codes == 1).astype(np.int64))
-                dy = arr * ((codes == 2).astype(np.int64) - (codes == 3).astype(np.int64))
-                xs = np.cumsum(dx)
-                ys = np.cumsum(dy)
-                if bool(np.any((xs == tx) & (ys == ty))):
-                    hits += 1
-            else:
-                found = {"hit": False}
-
-                def visitor(state, step, size):
-                    if state.x == tx and state.y == ty:
-                        found["hit"] = True
-
-                simulate(
-                    seq,
-                    n,
-                    master_seed,
-                    visitor,
-                    trial=t,
-                    policy=PositionPolicy(width_bits=None),
-                )
-                if found["hit"]:
-                    hits += 1
+        for _, u, v in rotated_paths(steps, chunk, lambda t: reader.codes(t, n)):
+            hits += int(((u == tu) & (v == tv)).any(axis=1).sum())
         return hits
 
     successes = _rng.map_trial_chunks(trials, run_chunk, sum, workers=workers)

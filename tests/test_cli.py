@@ -1,6 +1,10 @@
 """Command-line front end: parsing, dispatch, exit codes, report stability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +77,30 @@ class TestExitCodes:
 
     def test_execution_error_on_bad_params(self, capsys):
         assert run_cli(["mc-return", "--seq", CONST1, "--n", "2", "--trials", "0"]) == 1
+
+    @pytest.mark.parametrize("seed_source", ["flag", "config"])
+    def test_bad_seed_fails_by_name(self, tmp_path, seed_source):
+        # a negative flag value, or a float from a config file
+        argv = ["mc-return", "--seq", CONST1, "--n", "2", "--trials", "5"]
+        if seed_source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            path = tmp_path / "run.json"
+            path.write_text(
+                json.dumps({"command": "mc-return", "args": {"seed": 1.5}}), encoding="utf-8"
+            )
+            argv += ["--config", str(path)]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "radwalk.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=60,
+        )
+        assert proc.returncode == cli.EXIT_ERROR
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("radwalk: error: master seed must be")
 
     def test_execution_error_on_horizon_mismatch(self):
         seq = '{"family":"explicit-list","params":{"values":[1,2]}}'

@@ -1,0 +1,88 @@
+"""Random streams: the raw Philox decode, master-seed validation, Wilson ends."""
+
+import numpy as np
+import pytest
+
+from radwalk import rng as rw
+from radwalk import verify as vf
+from radwalk import walk as wk
+from radwalk import sequences as sq
+from radwalk.errors import ParameterError
+
+SEEDS = (0, 2025, (7, 101, 3), ((2025, 101, 0), 102, 1))
+HORIZONS = (0, 1, 2, 3, 255, 257, 32767, 32769, 100001)
+TRIALS = (0, 1, 5, 1 << 40)
+
+
+class TestDecodeGuard:
+    """The raw decode must stay equal to ``Generator.integers(0, 4)``; a numpy
+    release that changes how that draw consumes its words fails here."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_decode_matches_generator_integers(self, seed):
+        reader = rw.TrialStream(seed).reader()
+        for trial in TRIALS:
+            for n in HORIZONS:
+                want = rw.trial_generator(seed, trial).integers(0, 4, size=n, dtype=np.int64)
+                assert np.array_equal(reader.codes(trial, n), want), (trial, n)
+
+    def test_direction_codes_is_the_reference_draw(self):
+        for seed in SEEDS:
+            gen = rw.trial_generator(seed, 9)
+            want = gen.integers(0, rw.NUM_DIRECTIONS, size=1001, dtype=np.int64)
+            got = rw.direction_codes(seed, 9, 1001)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_stream_chunks_concatenate(self, seed):
+        for chunk in (2, 4096, 1 << 15):
+            for n in (1, 257, 32769, 100001):
+                parts = list(wk._stream_codes(seed, 3, n, chunk))
+                assert all(len(p) == chunk for p in parts[:-1])
+                assert np.array_equal(np.concatenate(parts), rw.direction_codes(seed, 3, n))
+
+    def test_odd_stream_chunk_rejected(self):
+        with pytest.raises(ParameterError):
+            next(wk._stream_codes(0, 0, 10, 3))
+
+
+class TestMasterSeed:
+    @pytest.mark.parametrize(
+        "bad", [-1, 1.5, "7", None, True, [1, 2], (), (1, -2), (3, (2, -1)), (1, 2.0)]
+    )
+    def test_bad_seed_fails_by_name(self, bad):
+        with pytest.raises(ParameterError, match="master seed"):
+            rw.TrialStream(bad)
+        with pytest.raises(ParameterError, match="master seed"):
+            rw.trial_generator(bad, 0)
+
+    def test_good_seeds_accepted(self):
+        for seed in (0, 2**70, np.int64(5), (1, 2), ((1, 2), 101, 0)):
+            rw.TrialStream(seed)
+
+    def test_entry_points_validate_before_any_shortcut(self):
+        const1 = sq.make_sequence("constant", value=1)
+        with pytest.raises(ParameterError, match="master seed"):
+            wk.monte_carlo_return(const1, 0, 5, -1)
+        with pytest.raises(ParameterError, match="master seed"):
+            wk.simulate(const1, 0, -1)
+        with pytest.raises(ParameterError, match="master seed"):
+            wk.simulate(const1, 0, -1, visitor=lambda *a: None)
+        # r = 0 starts at the origin and needs no walk at all
+        with pytest.raises(ParameterError, match="master seed"):
+            vf.hitting_time_experiment(0, trials=3, master_seed=1.5)
+
+
+class TestWilsonEnds:
+    @pytest.mark.parametrize("level", [0.95, 0.99])
+    def test_exact_zero_and_one(self, level):
+        for n in range(1, 5000):
+            assert rw.wilson_interval(0, n, level).low == 0.0, n
+            assert rw.wilson_interval(n, n, level).high == 1.0, n
+
+    @pytest.mark.parametrize("level", [0.95, 0.99])
+    def test_interior_contains_estimate(self, level):
+        for n in (1, 2, 13, 16, 24, 500, 512):
+            for s in range(n + 1):
+                ci = rw.wilson_interval(s, n, level)
+                assert 0.0 <= ci.low <= s / n <= ci.high <= 1.0

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from radwalk import exact, rng as rw, sequences as sq, walk as wk
+from radwalk import construction as cn, exact, rng as rw, sequences as sq, verify as vf, walk as wk
 from radwalk.errors import ConsistencyError, ParameterError, PositionOverflowError
 
 CONST1 = sq.make_sequence("constant", value=1)
@@ -237,11 +239,131 @@ class TestMonteCarloReturn:
         sigma = (float(p) * (1 - float(p)) / trials) ** 0.5
         assert abs(est.estimate - float(p)) <= 4 * sigma + 1e-12
 
+    def test_exact_steps_match_int64_steps(self):
+        # object-array walks (fractional or huge steps) see the same codes
+        halves = sq.make_sequence("constant", value=Fraction(1, 2))
+        huge = sq.make_sequence("constant", value=1 << 61)
+        for trials, seed in ((300, 5), (257, 6)):
+            want = wk.monte_carlo_return(CONST1, 6, trials, seed, (1, 1)).successes
+            got = wk.monte_carlo_return(halves, 6, trials, seed, (Fraction(1, 2), Fraction(1, 2)))
+            assert got.successes == want
+            got = wk.monte_carlo_return(huge, 6, trials, seed, (1 << 61, 1 << 61))
+            assert got.successes == want
+
     def test_python_fallback_for_fractional_steps(self):
         seq = sq.make_sequence("explicit-list", values=[Fraction(1, 2), Fraction(1, 2)])
         est = wk.monte_carlo_return(seq, 2, 400, 3, (0, 0))
         exact_p = exact.hit_probability_2d([Fraction(1, 2)] * 2, (0, 0), 2)
         assert abs(est.estimate - float(exact_p)) < 0.1
+
+
+class TestStepArray:
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            CONST1,
+            sq.make_sequence("constant", value=7),
+            sq.make_sequence("floor-power", gamma=1),
+            sq.make_sequence("floor-power", gamma=3),
+            sq.make_sequence("floor-power", gamma=Fraction(3, 2)),
+            sq.make_sequence("explicit-list", values=[3, 1, 4, 1, 5, 9, 2, 6] * 30),
+        ],
+    )
+    def test_closed_forms_match_values(self, seq):
+        for n in (0, 1, 2, 239):
+            arr = wk._step_array(seq, n)
+            assert arr.dtype == np.int64
+            assert arr.tolist() == [seq.value(i) for i in range(1, n + 1)]
+
+    def test_int64_bound_is_exact(self):
+        def dtype(seq, n):
+            arr = wk._step_array(seq, n)
+            assert arr.tolist() == [seq.value(i) for i in range(1, n + 1)]
+            return arr.dtype
+
+        limit = wk.INT64_STEP_SUM
+        assert dtype(sq.make_sequence("constant", value=limit // 4), 4) == np.int64
+        assert dtype(sq.make_sequence("constant", value=limit // 4 + 1), 4) == object
+        # 1 + 2**61 fits, 1 + 2**62 does not; one step of 1**q always does
+        assert dtype(sq.make_sequence("floor-power", gamma=61), 2) == np.int64
+        assert dtype(sq.make_sequence("floor-power", gamma=62), 2) == object
+        assert dtype(sq.make_sequence("floor-power", gamma=500), 1) == np.int64
+        # past the closed form's bound n**(q+1), the exact sum still decides
+        assert dtype(sq.make_sequence("floor-power", gamma=20), 8) == np.int64
+        assert dtype(sq.make_sequence("explicit-list", values=[limit, 1]), 1) == np.int64
+        assert dtype(sq.make_sequence("explicit-list", values=[limit, 1]), 2) == object
+
+    def test_fractional_steps_stay_exact(self):
+        half = sq.make_sequence("constant", value=Fraction(1, 2))
+        assert wk._step_array(half, 3).tolist() == [Fraction(1, 2)] * 3
+        root = sq.make_sequence("real-power", alpha=Fraction(1, 2))
+        assert wk._step_array(root, 3).tolist() == [root.value(i) for i in (1, 2, 3)]
+
+    def test_horizon_checked(self):
+        with pytest.raises(ParameterError):
+            wk._step_array(CONST1, -1)
+        with pytest.raises(ParameterError):
+            wk._step_array(sq.make_sequence("explicit-list", values=[1, 2]), 3)
+
+
+class TestRotatedKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=40),
+        st.integers(min_value=0, max_value=1000),
+        st.integers(min_value=0, max_value=3),
+        st.booleans(),
+    )
+    def test_rotated_coordinates_recompose_positions(self, values, seed, trial, drop_last):
+        # odd and even horizons: the last word of an odd horizon is half used
+        n = len(values) - 1 if drop_last and len(values) > 1 else len(values)
+        seq = sq.make_sequence("explicit-list", values=values)
+        _, rec = wk.simulate_recording(seq, n, seed, trial=trial)
+        reader = rw.TrialStream(seed).reader()
+        steps = np.array(values[:n], dtype=np.int64)
+        one = range(trial, trial + 1)
+        batches = list(wk.rotated_paths(steps, one, lambda t: reader.codes(t, n)))
+        assert len(batches) == 1
+        batch, u, v = batches[0]
+        assert batch == range(trial, trial + 1)
+        got = [((a + b) // 2, (a - b) // 2) for a, b in zip(u[0].tolist(), v[0].tolist())]
+        assert got == [rec.position_at(k) for k in range(1, n + 1)]
+
+    def test_batches_cover_trials_in_order(self, monkeypatch):
+        monkeypatch.setattr(wk, "BATCH_STEPS", 40)
+        steps = np.ones(8, dtype=np.int64)
+        reader = rw.TrialStream(3).reader()
+        seen = []
+        for batch, u, v in wk.rotated_paths(steps, range(2, 13), lambda t: reader.codes(t, 8)):
+            assert u.shape == v.shape == (len(batch), 8)
+            assert len(batch) <= 5
+            seen += list(batch)
+        assert seen == list(range(2, 13))
+
+    @pytest.mark.parametrize("trials", [1, 255, 256, 257, 513])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batched_equals_unbatched(self, monkeypatch, trials, workers):
+        floor1 = sq.make_sequence("floor-power", gamma=1)
+        pair = cn.positive_bezout(2, 3)
+
+        def outputs():
+            return (
+                wk.monte_carlo_return(CONST1, 6, trials, 31, (0, 0), workers=workers).successes,
+                wk.monte_carlo_return(floor1, 7, trials, 32, (1, 0), workers=workers).successes,
+                vf.hitting_time_experiment(
+                    2, trials=trials, master_seed=33, workers=workers
+                ).successes,
+                vf.hitting_time_experiment(
+                    2, trials=trials, master_seed=34, workers=workers, start_mode="ring"
+                ).successes,
+                cn.estimate_N0(
+                    pair, 1, trials=trials, master_seed=35, horizon_cap=32, workers=workers
+                ).to_json_dict(),
+            )
+
+        batched = outputs()
+        monkeypatch.setattr(wk, "BATCH_STEPS", 1)  # one trial per batch
+        assert outputs() == batched
 
 
 class TestDivisibility:

@@ -55,18 +55,18 @@ class RunConfig:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(p) for p in text.split(",") if p.strip() != ""]
+        return [int(p) for p in str(text).split(",") if p.strip() != ""]
     except ValueError as exc:
         raise ParameterError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
 def _number_list(text: str) -> list:
     out = []
-    for p in text.split(","):
+    for p in str(text).split(","):  # argparse turns a bare "--" value into a list
         p = p.strip()
         if not p:
             continue
-        f = Fraction(p)
+        f = _sequences._fraction_param(p, "list entry")
         out.append(f.numerator if f.denominator == 1 else f)
     if not out:
         raise ParameterError("expected a nonempty comma-separated list")
@@ -74,10 +74,10 @@ def _number_list(text: str) -> list:
 
 
 def _point(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
+    parts = _int_list(text)
+    if len(parts) != 2 or text.count(",") != 1:
         raise ParameterError(f"expected a point 'x,y', got {text!r}")
-    return int(parts[0]), int(parts[1])
+    return parts[0], parts[1]
 
 
 def _sequence_from_args(args: dict) -> _sequences.StepSequence:
@@ -390,7 +390,7 @@ def _handle_exact(command: str, a: dict):
         return EXIT_OK, rec, [rec], list(rec)
     if command == "exact.interval":
         sup, x = _exact.max_interval_probability(
-            _number_list(a["d"]), Fraction(a["half_width"])
+            _number_list(a["d"]), _sequences._fraction_param(a["half_width"], "half-width")
         )
         rec = {"sup": str(sup), "sup_float": float(sup), "argmax_x": str(x),
                "half_width": a["half_width"]}
@@ -432,7 +432,7 @@ def _handle_sequence(command: str, a: dict):
     if command == "sequence.doubling":
         gap = a.get("gap_bound")
         cert = _sequences.extract_doubling_subsequence(
-            seq, a["n"], None if gap in (None, "") else Fraction(gap)
+            seq, a["n"], None if gap in (None, "") else _sequences._fraction_param(gap, "gap bound")
         )
         rec = {
             "indices": list(cert.indices),
@@ -443,7 +443,7 @@ def _handle_sequence(command: str, a: dict):
         rows = [{"position": i + 1, "index": idx} for i, idx in enumerate(cert.indices)]
         return EXIT_OK, rec, rows, ["position", "index"]
     if command == "sequence.monotone":
-        rep = _sequences.check_rs_monotone(seq, Fraction(a["r"]), Fraction(a["s"]), a["n_max"])
+        rep = _sequences.check_rs_monotone(seq, a["r"], a["s"], a["n_max"])
         rec = {
             "r": str(rep.r), "s": str(rep.s), "horizon": rep.horizon,
             "ok": rep.ok, "clean_from": rep.clean_from,
@@ -533,7 +533,9 @@ def _handle_verify(command: str, a: dict):
                "max_agreement_gap": rep.max_agreement_gap, "passed": rep.passed}
         return (EXIT_OK if rep.passed else EXIT_VERIFY_FAILED), rec, [row], list(row)
     if command == "verify.elo":
-        cmp_ = _verify.verify_elo(_number_list(a["d"]), Fraction(a["half_width"]))
+        cmp_ = _verify.verify_elo(
+            _number_list(a["d"]), _sequences._fraction_param(a["half_width"], "half-width")
+        )
         rec = cmp_.to_json_dict()
         row = {"exact": str(cmp_.exact), "bound": cmp_.bound, "passed": cmp_.passed}
         return (EXIT_OK if cmp_.passed else EXIT_VERIFY_FAILED), rec, [row], list(row)

@@ -1,4 +1,4 @@
-"""Exact distributions of signed step sums, by integer-weight convolution.
+"""Exact distributions of signed step sums, from packed integer convolution.
 
 Everything in this module is exact: a distribution is stored as integer
 weights over its support together with the total weight (a power of two), and
@@ -9,10 +9,12 @@ rest of the package.
 Two kinds of laws are covered:
 
 * ``pmf_1d(d)``: the law of ``d[0]*e_0 + ... + d[k-1]*e_{k-1}`` where the
-  ``e_i`` are independent uniform signs.
+  ``e_i`` are independent uniform signs, convolved as one big integer that
+  packs the weights into fixed-width bit slots.
 * ``pmf_2d(a)``: the law of a planar walk after ``len(a)`` steps, where step
   ``i`` moves by ``a[i]`` in one of the four axis directions with equal
-  probability.
+  probability: the product of two signed-sum laws in the rotated
+  coordinates ``x+y`` and ``x-y``.
 
 Derived quantities used by the verification module (mod-m probabilities,
 sliding-interval suprema, maximal point masses, first-passage probabilities)
@@ -25,6 +27,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import ParameterError, PreconditionError, SupportBudgetError
 
@@ -134,35 +138,38 @@ def _scaled_int_steps(d: Sequence, what: str, budget: int, square: bool = False)
     return fracs, ints, scale, span
 
 
+def _signed_sum_weights(ints: Sequence[int], span: int) -> tuple[list[int], list[int]]:
+    """Support values and weights of the signed sum of the integer steps.
+
+    The law is the polynomial ``prod(1 + z**s)``, slot ``j`` holding the
+    value ``2j - span``, evaluated at ``z = 2**(64*limbs)`` as one packed
+    integer: a weight is at most ``2**len(ints)``, so the slots never carry,
+    and each slot decodes as whole 64-bit limbs.
+    """
+    limbs = len(ints) // 64 + 1
+    packed = 1
+    for s in ints:
+        packed += packed << (64 * limbs * s)
+    raw = packed.to_bytes(8 * limbs * (span + 1), "little")
+    slots = np.frombuffer(raw, dtype="<u8").reshape(span + 1, limbs)
+    j = np.flatnonzero(slots.any(axis=1))
+    weights = slots[j, -1].astype(object)
+    for i in range(limbs - 2, -1, -1):
+        weights = (weights << 64) | slots[j, i].astype(object)
+    return (2 * j - span).tolist(), weights.tolist()
+
+
 def pmf_1d(d: Sequence, *, support_budget: int = DEFAULT_SUPPORT_BUDGET) -> ExactPmf1D:
     """Exact law of the signed sum of the positive steps ``d``.
 
-    Computed by iterated convolution over a dense integer lattice; the result
-    carries exact rational masses with denominator ``2**len(d)``.
+    Computed as one packed big-integer convolution over the integer lattice
+    of the scaled steps; the result carries exact rational masses with
+    denominator ``2**len(d)``.
     """
     fracs, ints, scale, span = _scaled_int_steps(d, "d", support_budget)
-    width = 2 * span + 1
-    w = [0] * width
-    w[span] = 1
-    lo = hi = span  # occupied index window
-    for s in ints:
-        new = [0] * width
-        for i in range(lo, hi + 1):
-            v = w[i]
-            if v:
-                new[i - s] += v
-                new[i + s] += v
-        w = new
-        lo -= s
-        hi += s
-    values = []
-    weights = []
-    for i, v in enumerate(w):
-        if v:
-            values.append(_present(Fraction(i - span, scale)))
-            weights.append(v)
+    values, weights = _signed_sum_weights(ints, span)
     return ExactPmf1D(
-        values=tuple(values),
+        values=tuple(values if scale == 1 else (_present(Fraction(v, scale)) for v in values)),
         weights=tuple(weights),
         total=1 << len(ints),
         steps=tuple(_present(f) for f in fracs),
@@ -170,22 +177,27 @@ def pmf_1d(d: Sequence, *, support_budget: int = DEFAULT_SUPPORT_BUDGET) -> Exac
 
 
 def pmf_2d(a: Sequence, *, support_budget: int = DEFAULT_SUPPORT_BUDGET) -> ExactPmf2D:
-    """Exact law of the planar walk with step sizes ``a``."""
-    fracs, ints, scale, _span = _scaled_int_steps(a, "a", support_budget, square=True)
-    cur: dict[tuple[int, int], int] = {(0, 0): 1}
-    for s in ints:
-        new: dict[tuple[int, int], int] = {}
-        for (x, y), wt in cur.items():
-            for nx, ny in ((x + s, y), (x - s, y), (x, y + s), (x, y - s)):
-                key = (nx, ny)
-                new[key] = new.get(key, 0) + wt
-        cur = new
-    points = sorted(cur)
+    """Exact law of the planar walk with step sizes ``a``.
+
+    In the rotated coordinates ``u = x+y``, ``v = x-y`` every step moves by
+    ``±a[i]`` in both, with independent uniform signs, so ``u`` and ``v`` are
+    independent copies of the signed sum and ``w(x, y) = w1(x+y) * w1(x-y)``.
+    """
+    fracs, ints, scale, span = _scaled_int_steps(a, "a", support_budget, square=True)
+    values, weights = _signed_sum_weights(ints, span)
+    u = np.array(values)
+    # u and v share the parity of span, so every pair is a lattice point
+    xs = ((u[:, None] + u[None, :]) // 2).ravel()
+    ys = ((u[:, None] - u[None, :]) // 2).ravel()
+    order = np.lexsort((ys, xs))
+    w = np.array(weights, dtype=object)
+    xs, ys = xs[order].tolist(), ys[order].tolist()
+    if scale != 1:
+        xs = [_present(Fraction(x, scale)) for x in xs]
+        ys = [_present(Fraction(y, scale)) for y in ys]
     return ExactPmf2D(
-        points=tuple(
-            (_present(Fraction(x, scale)), _present(Fraction(y, scale))) for x, y in points
-        ),
-        weights=tuple(cur[p] for p in points),
+        points=tuple(zip(xs, ys)),
+        weights=tuple(np.multiply.outer(w, w).ravel()[order].tolist()),
         total=1 << (2 * len(ints)),
         steps=tuple(_present(f) for f in fracs),
     )
@@ -292,13 +304,6 @@ def max_interval_probability(
     scale = _common_scale(fracs + [D])
     ints = [int(f * scale) for f in fracs]
     Ds = int(D * scale)
-    span = sum(ints)
-    if 2 * span + 1 > support_budget:
-        raise SupportBudgetError(
-            f"exact support needs {2 * span + 1} points, exceeding the budget of {support_budget}",
-            required=2 * span + 1,
-            budget=support_budget,
-        )
     law = pmf_1d(ints, support_budget=support_budget)
     vals = [int(v) for v in law.values]
     weights = law.weights

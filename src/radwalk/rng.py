@@ -102,7 +102,8 @@ class TrialStream:
 class CodeReader:
     """One Philox that moves to trial ``i`` by resetting its state to the one
     :func:`trial_generator` starts in: counter ``(0, i, 0, 0)``, no buffered
-    output."""
+    output.  After :meth:`seek`, ``generator`` draws what that trial's
+    :func:`trial_generator` would."""
 
     def __init__(self, key: list[int]):
         self._counter = [0, 0, 0, 0]
@@ -115,6 +116,7 @@ class CodeReader:
             "uinteger": 0,
         }
         self._bitgen = np.random.Philox(key=np.array(key, dtype=np.uint64))
+        self.generator = np.random.Generator(self._bitgen)
 
     def seek(self, trial: int) -> None:
         if trial < 0:

@@ -126,9 +126,9 @@ def _encode_params(params: dict) -> dict:
     return {k: _encode_value(v) for k, v in params.items()}
 
 
-def _decode_number(v) -> Number:
+def _decode_number(v, name: str = "value") -> Number:
     if isinstance(v, str):
-        f = Fraction(v)
+        f = _fraction_param(v, name)
         return f.numerator if f.denominator == 1 else f
     if isinstance(v, int):
         return v
@@ -191,7 +191,7 @@ def make_sequence(family: str, **params) -> StepSequence:
             raise ParameterError("explicit-list requires a nonempty values list")
         vals: list[Number] = []
         for i, v in enumerate(raw):
-            f = Fraction(v)
+            f = _fraction_param(v, f"values[{i}]")
             if f <= 0:
                 raise ParameterError(f"values[{i}] must be > 0, got {v}")
             vals.append(f.numerator if f.denominator == 1 else f)
@@ -250,10 +250,10 @@ def sequence_from_config(config: dict) -> StepSequence:
             params["value"] = _decode_number(params["value"])
     elif family == "floor-power":
         if "gamma" in params:
-            params["gamma"] = _decode_number(params["gamma"])
+            params["gamma"] = _decode_number(params["gamma"], "gamma")
     elif family == "real-power":
         if "alpha" in params:
-            params["alpha"] = _decode_number(params["alpha"])
+            params["alpha"] = _decode_number(params["alpha"], "alpha")
     elif family == "explicit-list":
         params["values"] = [_decode_number(v) for v in params.get("values", [])]
     return make_sequence(family, **params)
@@ -445,7 +445,7 @@ class MonotonicityReport:
 
 def check_rs_monotone(seq: StepSequence, r, s, n_max: int) -> MonotonicityReport:
     """Check ``a_n <= s * a_m`` for all 1 <= n <= n_max and m >= r*n in range."""
-    rf, sf = Fraction(r), Fraction(s)
+    rf, sf = _fraction_param(r, "r"), _fraction_param(s, "s")
     if rf < 1 or sf < 1:
         raise ParameterError("r and s must both be >= 1")
     if n_max < 2:

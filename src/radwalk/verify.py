@@ -80,13 +80,16 @@ class DeltaReport:
         return self.agreement <= DRIFT_AGREEMENT_TOL
 
 
-def _neighbor_product(x: int, y: int) -> int:
-    # 2*(x')^2 + 2*(y')^2 - 1 over the four neighbors; all nonzero since
-    # |x|+|y| >= 2 keeps every neighbor away from the origin.
-    out = 1
+def _closed_form(x: int, y: int) -> tuple[int, int, bool]:
+    """``(num, den)`` with exp(4*Delta) = 1 - num/den at |x|+|y| >= 2, and
+    whether the product of the four neighbor arguments 2x'^2 + 2y'^2 - 1 (all
+    nonzero there) equals den - num, the integer identity behind the form."""
+    product = 1
     for nx, ny in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-        out *= 2 * nx * nx + 2 * ny * ny - 1
-    return out
+        product *= 2 * nx * nx + 2 * ny * ny - 1
+    num = 64 * (x * x - y * y) ** 2
+    den = (2 * x * x + 2 * y * y - 1) ** 4
+    return num, den, product == den - num
 
 
 def supermartingale_delta(x: int, y: int) -> DeltaReport:
@@ -106,12 +109,8 @@ def supermartingale_delta(x: int, y: int) -> DeltaReport:
         identity = True
         classification = "origin-neighbor"
     else:
-        E = 2 * x * x + 2 * y * y - 1
-        num = 64 * (x * x - y * y) ** 2
-        den = E**4
+        num, den, identity = _closed_form(x, y)
         exp4 = 1 - Fraction(num, den)
-        # the closed form restates the integer factorization of the product
-        identity = _neighbor_product(x, y) == den - num
         # log1p on the exact ratio keeps precision when exp4 is near 1
         delta_closed = math.log1p(-float(Fraction(num, den))) / 4.0
         classification = "generic"
@@ -161,62 +160,51 @@ def verify_supermartingale(radius: int, *, tol: float = DRIFT_AGREEMENT_TOL) -> 
     """
     if radius < 1:
         raise ParameterError("radius must be >= 1")
-    # Cache the potential on the grid; each value feeds five direct deltas.
-    size = 2 * radius + 3
-    off = radius + 1
-    F = np.empty((size, size), dtype=np.float64)
-    for ix in range(size):
-        x = ix - off
-        for iy in range(size):
-            y = iy - off
-            F[ix, iy] = ORIGIN_POTENTIAL if (x == 0 and y == 0) else math.log(
-                x * x + y * y - 0.5
-            )
-    points = 0
-    max_delta = -math.inf
-    max_delta_point = (0, 0)
-    max_gap = 0.0
-    nonpositive = True
-    identity_failures = 0
+    # Every table is built on the quadrant 0 <= |x|, |y| and read on the grid
+    # through index arrays of |x| and |y|, which keeps the grid arrays few.
+    k = np.arange(radius + 2)
+    q = np.add.outer(k * k, k * k)
+    logs = np.zeros(q[-1, -1] + 1)
+    for v in np.flatnonzero(np.bincount(q.ravel())).tolist():
+        logs[v] = math.log(v - 0.5) if v else ORIGIN_POTENTIAL
+    outer = np.abs(np.arange(-radius - 1, radius + 2))
+    F = logs[q][np.ix_(outer, outer)]
+    # Direct route on the inner grid |x|, |y| <= radius, summed in the scalar order.
+    direct = (F[2:, 1:-1] + F[:-2, 1:-1] + F[1:-1, 2:] + F[1:-1, :-2]) / 4.0 - F[1:-1, 1:-1]
+    # The closed form depends only on the orbit of (|x|, |y|) under the axis
+    # symmetries: evaluate it once per orbit a >= b >= 0, store it at both.
+    closed = np.zeros((radius + 1, radius + 1))
+    broken = np.zeros((radius + 1, radius + 1), dtype=bool)
+    # the origin's neighbours (a + b = 1) see the origin's special value
+    closed[1, 0] = closed[0, 1] = (math.log(126.0) - 5.0) / 4.0
+    nonpositive = bool(closed[1, 0] <= 0.0)
     equality_ok = True
-    for x in range(-radius, radius + 1):
-        for y in range(-radius, radius + 1):
-            s = abs(x) + abs(y)
-            if s < 1 or s > radius:
-                continue
-            points += 1
-            ix, iy = x + off, y + off
-            delta_direct = (
-                F[ix + 1, iy] + F[ix - 1, iy] + F[ix, iy + 1] + F[ix, iy - 1]
-            ) / 4.0 - F[ix, iy]
-            if s == 1:
-                delta_closed = (math.log(126.0) - 5.0) / 4.0
-                if not delta_closed <= 0.0:
-                    nonpositive = False
-                if x * x == y * y:  # cannot happen at s == 1; guard consistency
-                    equality_ok = False
-            else:
-                E = 2 * x * x + 2 * y * y - 1
-                num = 64 * (x * x - y * y) ** 2
-                den = E**4
-                if _neighbor_product(x, y) != den - num:
-                    identity_failures += 1
-                if num < 0:  # exact nonpositivity: exp(4 Delta) = 1 - num/den <= 1
-                    nonpositive = False
-                if (num == 0) != (x * x == y * y):
-                    equality_ok = False
-                delta_closed = math.log1p(-num / den) / 4.0
-            gap = _relative_gap(delta_direct, delta_closed)
-            max_gap = max(max_gap, gap)
-            if delta_closed > max_delta:
-                max_delta = delta_closed
-                max_delta_point = (x, y)
+    for a in range(1, radius + 1):
+        for b in range(a == 1, min(a, radius - a) + 1):
+            num, den, identity = _closed_form(a, b)
+            broken[a, b] = broken[b, a] = not identity
+            nonpositive &= num >= 0  # exact: exp(4 Delta) = 1 - num/den <= 1
+            equality_ok &= (num == 0) == (a == b)
+            closed[a, b] = closed[b, a] = math.log1p(-num / den) / 4.0
+    grid = np.ix_(outer[1:-1], outer[1:-1])
+    inside = np.isin(np.add.outer(k[:-1], k[:-1]), range(1, radius + 1))[grid]
+    identity_failures = int(np.count_nonzero(broken[grid] & inside))
+    # Points in row-major (x, then y) order; argmax keeps the first maximum.
+    delta_direct = direct[inside]
+    del F, direct  # the grid arrays dominate the memory
+    delta_closed = closed[grid][inside]
+    scale = np.maximum(np.abs(delta_direct), np.abs(delta_closed))
+    gaps = np.abs(delta_direct - delta_closed)
+    gaps /= np.maximum(scale, 1.0, out=scale)
+    max_gap = max(0.0, gaps.max())
+    best = int(np.argmax(delta_closed))
+    x, y = divmod(int(np.flatnonzero(inside)[best]), 2 * radius + 1)
     passed = nonpositive and identity_failures == 0 and max_gap <= tol and equality_ok
     return DriftGridReport(
         radius=radius,
-        points=points,
-        max_delta=max_delta,
-        max_delta_point=max_delta_point,
+        points=len(delta_closed),
+        max_delta=float(delta_closed[best]),
+        max_delta_point=(x - radius, y - radius),
         max_agreement_gap=max_gap,
         nonpositive=nonpositive,
         identity_failures=identity_failures,
@@ -306,7 +294,7 @@ def verify_mod_lemma(
     Requires m to be at least the largest of the distinct step values (the
     anti-concentration statement needs the modulus to dominate the steps).
     """
-    steps = [int(v) for v in d]
+    steps = _exact._int_steps_only(d)
     distinct = sorted(set(steps))
     k = len(distinct)
     if m < max(distinct):
@@ -416,7 +404,8 @@ def hitting_time_experiment(
         def codes_of(t: int) -> np.ndarray:
             if ring is None:
                 return reader.codes(t, horizon)
-            gen = _rng.trial_generator(master_seed, t)
+            reader.seek(t)  # the trial_generator(master_seed, t) draws, on the chunk's Philox
+            gen = reader.generator
             starts[t] = ring[int(gen.integers(0, len(ring)))]
             return gen.integers(0, _rng.NUM_DIRECTIONS, size=horizon, dtype=np.int64)
 

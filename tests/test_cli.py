@@ -1,5 +1,7 @@
 """Command-line front end: parsing, dispatch, exit codes, report stability."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from radwalk import cli
 from radwalk.errors import ParameterError
@@ -101,6 +105,25 @@ class TestExitCodes:
         assert proc.returncode == cli.EXIT_ERROR
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("radwalk: error: master seed must be")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exact", "pmf1d", "--d", "1,abc"],
+            ["exact", "pmf2d", "--a", "1/0"],
+            ["exact", "interval", "--d", "2,3", "--half-width", "x"],
+            ["exact", "hit", "--a", "1,1", "--target", "1,y", "--horizon", "2"],
+            ["verify", "elo", "--d", "2,3", "--half-width", "1/0"],
+            ["verify", "modlemma", "--d", "3/2,2", "--m", "4"],
+            ["sequence", "make", "--seq", '{"family":"floor-power","params":{"gamma":"1/0"}}'],
+            ["sequence", "make", "--seq", '{"family":"constant","params":{"value":"abc"}}'],
+            ["sequence", "monotone", "--seq", CONST1, "--n-max", "4", "--r", "r"],
+            ["sequence", "doubling", "--seq", CONST1, "--n", "4", "--gap-bound", "1/0"],
+        ],
+    )
+    def test_bad_numbers_fail_by_name(self, argv, capsys):
+        assert run_cli(argv) == cli.EXIT_ERROR
+        assert capsys.readouterr().err.startswith("radwalk: error: ")
 
     def test_execution_error_on_horizon_mismatch(self):
         seq = '{"family":"explicit-list","params":{"values":[1,2]}}'
@@ -205,3 +228,40 @@ class TestHelpTree:
                 cli.build_parser().parse_args(argv)
             assert exc.value.code == 0
             assert "--out" in capsys.readouterr().out
+
+
+NUMBER_FLAG_COMMANDS = [
+    ["exact", "pmf1d", "--d=@"],
+    ["exact", "pmf2d", "--a=@"],
+    ["exact", "mod", "--d=@", "--m", "5"],
+    ["exact", "interval", "--d=@", "--half-width", "1"],
+    ["exact", "interval", "--d", "2,3", "--half-width=@"],
+    ["exact", "hit", "--a=@", "--horizon", "1"],
+    ["exact", "hit", "--a", "1,1", "--target=@", "--horizon", "2"],
+    ["verify", "elo", "--d=@", "--half-width", "1"],
+    ["verify", "elo", "--d", "2,3", "--half-width=@"],
+    ["verify", "modlemma", "--d=@", "--m", "7"],
+    ["sequence", "monotone", "--seq", CONST1, "--n-max", "8", "--r=@", "--s=@"],
+    ["sequence", "doubling", "--seq", CONST1, "--n", "8", "--gap-bound=@"],
+    ["sequence", "make", "--n", "1", "--seq", '{"family": "floor-power", "params": {"gamma": "@"}}'],
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(NUMBER_FLAG_COMMANDS),
+    text=st.text(alphabet="0123456789/,.- xe", max_size=8).filter(
+        lambda t: "e" not in t or len(t) <= 4  # exponents up to 10**99
+    ),
+)
+@example(command=NUMBER_FLAG_COMMANDS[0], text="1,abc")
+@example(command=NUMBER_FLAG_COMMANDS[-1], text="1/0")
+def test_number_flags_never_raise(command, text):
+    """Any string in a number flag (at each @) ends in an exit code, never a traceback."""
+    argv = [part.replace("@", text) for part in command]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_ERROR, cli.EXIT_VERIFY_FAILED, cli.EXIT_INCONCLUSIVE)
+    if code == cli.EXIT_ERROR:
+        assert err.getvalue().startswith("radwalk: error: ")

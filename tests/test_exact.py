@@ -1,6 +1,7 @@
 """Exact-distribution oracles: examples, invariants, and enumeration cross-checks."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,88 @@ class TestPmf2D:
     def test_budget(self):
         with pytest.raises(SupportBudgetError):
             exact.pmf_2d([50, 50], support_budget=100)
+
+
+class TestPackedRoutes:
+    """The packed pmf_1d and the rotated pmf_2d against oracles that share no
+    code with them: binomial weights and brute-force enumeration."""
+
+    @pytest.mark.parametrize("k", [7, 8, 9, 15, 16, 17, 63, 64, 65, 130])
+    def test_unit_steps_are_binomial(self, k):
+        # the weights cross byte and 64-bit slot boundaries as k grows
+        law = exact.pmf_1d([1] * k)
+        assert law.values == tuple(range(-k, k + 1, 2))
+        assert law.weights == tuple(math.comb(k, j) for j in range(k + 1))
+        assert law.total == 2**k
+
+    @pytest.mark.parametrize("k", [63, 64, 65, 130])
+    def test_unit_steps_planar_return(self, k):
+        # P(S_k = 0) on the unit walk is C(k, k/2)^2 / 4^k for even k
+        law = exact.pmf_2d([1] * k, support_budget=(2 * k + 1) ** 2)
+        expected = Fraction(math.comb(k, k // 2) ** 2, 4**k) if k % 2 == 0 else 0
+        assert law.mass((0, 0)) == expected
+        assert sum(law.weights) == law.total
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=1, max_value=9),
+                st.fractions(min_value=Fraction(1, 6), max_value=5, max_denominator=6),
+            ).filter(lambda f: f > 0),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_pmf1d_matches_enumeration(self, d):
+        law = exact.pmf_1d(d)
+        assert law.as_dict() == enumerate_signed_sum(d)
+        assert list(law.values) == sorted(law.values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=1, max_value=6),
+                st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4),
+            ).filter(lambda f: f > 0),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_pmf2d_matches_enumeration(self, a):
+        law = exact.pmf_2d(a)
+        assert law.as_dict() == enumerate_walk(a)
+        assert list(law.points) == sorted(law.points)
+        assert all(w > 0 for w in law.weights)
+
+    def test_integer_steps_keep_int_coordinates(self):
+        law = exact.pmf_2d([2, Fraction(4, 2)])
+        assert all(type(c) is int for p in law.points for c in p)
+        law = exact.pmf_2d([Fraction(1, 2), 1])
+        assert (Fraction(3, 2), 0) in law.as_dict()
+        assert (0, Fraction(1, 2)) in law.points
+
+    @pytest.mark.parametrize(
+        "steps, width", [([1, 2, 3], 13), ([Fraction(1, 2), Fraction(1, 3)], 11), ([5], 11)]
+    )
+    def test_budget_fires_at_the_same_sizes(self, steps, width):
+        # the support is 2*span + 1 points on the lattice of the scaled steps
+        assert exact.pmf_1d(steps, support_budget=width).total == 2 ** len(steps)
+        with pytest.raises(SupportBudgetError) as exc:
+            exact.pmf_1d(steps, support_budget=width - 1)
+        assert (exc.value.required, exc.value.budget) == (width, width - 1)
+        assert exact.pmf_2d(steps, support_budget=width**2).total == 4 ** len(steps)
+        with pytest.raises(SupportBudgetError) as exc:
+            exact.pmf_2d(steps, support_budget=width**2 - 1)
+        assert (exc.value.required, exc.value.budget) == (width**2, width**2 - 1)
+
+    def test_interval_budget_counts_the_half_width_lattice(self):
+        # steps 1, 2 on the lattice of D = 1/2: scaled 2 and 4, 13 points
+        assert exact.max_interval_probability([1, 2], HALF, support_budget=13)[0] == Fraction(1, 4)
+        with pytest.raises(SupportBudgetError) as exc:
+            exact.max_interval_probability([1, 2], HALF, support_budget=12)
+        assert (exc.value.required, exc.value.budget) == (13, 12)
 
 
 class TestModProbability:

@@ -3,9 +3,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from radwalk import exact, verify as vf
+from radwalk import exact, rng, verify as vf
 from radwalk.errors import ParameterError, PreconditionError
 
 
@@ -65,6 +66,54 @@ class TestDriftGrid:
     def test_radius_validated(self):
         with pytest.raises(ParameterError):
             vf.verify_supermartingale(0)
+
+
+def scan_drift_grid(radius: int) -> vf.DriftGridReport:
+    """Reference for verify_supermartingale: supermartingale_delta at every
+    point of the grid, in row-major order, with no shared shortcuts."""
+    points, max_delta, max_point, max_gap = 0, -math.inf, None, 0.0
+    nonpositive, failures, equality = True, 0, True
+    for x in range(-radius, radius + 1):
+        for y in range(-radius, radius + 1):
+            if not 1 <= abs(x) + abs(y) <= radius:
+                continue
+            rep = vf.supermartingale_delta(x, y)
+            points += 1
+            max_gap = max(max_gap, rep.agreement)
+            if rep.delta_closed > max_delta:
+                max_delta, max_point = rep.delta_closed, (x, y)
+            nonpositive = nonpositive and rep.exp4_closed <= 1
+            failures += not rep.identity_exact
+            equality = equality and (rep.exp4_closed == 1) == (abs(x) == abs(y))
+    return vf.DriftGridReport(
+        radius=radius,
+        points=points,
+        max_delta=max_delta,
+        max_delta_point=max_point,
+        max_agreement_gap=max_gap,
+        nonpositive=nonpositive,
+        identity_failures=failures,
+        equality_diagonal_only=equality,
+        passed=nonpositive
+        and failures == 0
+        and max_gap <= vf.DRIFT_AGREEMENT_TOL
+        and equality,
+    )
+
+
+class TestDriftGridReference:
+    @pytest.mark.parametrize("radius", range(1, 41))
+    def test_equals_pointwise_scan(self, radius):
+        # every field, floats by ==
+        assert vf.verify_supermartingale(radius) == scan_drift_grid(radius)
+
+    def test_pinned_radius_200(self):
+        rep = vf.verify_supermartingale(200)
+        assert rep.points == 80400
+        assert rep.max_delta == 0.0
+        assert rep.max_delta_point == (-100, -100)
+        assert rep.max_agreement_gap == 3.1508266538754517e-15
+        assert rep.passed
 
 
 class TestEloBound:
@@ -160,6 +209,27 @@ class TestHittingTime:
         assert a.successes == b.successes
         assert a.exact is None  # exact cross-check is axis-start only
         assert 0.0 <= a.estimate <= 1.0
+
+    @pytest.mark.parametrize("seed", [0, 11, (3, 4), ((1, 2), 5)])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ring_starts_follow_trial_generator(self, seed, workers):
+        # reference: each trial draws its start, then its codes, from
+        # trial_generator(seed, t); the walk is stepped with a plain cumsum
+        moves = np.array([(1, 0), (-1, 0), (0, 1), (0, -1)])
+        for r in (1.5, 2, 3):
+            ring = vf._ring_points(float(r))
+            horizon = int(math.floor(r**3))
+            hits = 0
+            for t in range(300):
+                gen = rng.trial_generator(seed, t)
+                start = np.array(ring[int(gen.integers(0, len(ring)))])
+                codes = gen.integers(0, 4, size=horizon, dtype=np.int64)
+                path = start + np.cumsum(moves[codes], axis=0)
+                hits += bool((path == 0).all(axis=1).any())
+            res = vf.hitting_time_experiment(
+                r, trials=300, master_seed=seed, workers=workers, start_mode="ring"
+            )
+            assert res.successes == hits
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):

@@ -277,6 +277,28 @@ def _defaults_for(command: str) -> dict:
     return out
 
 
+def _file_value(key: str, kw: dict, value):
+    """A config-file value as its flag would give it: a string goes through the
+    flag's ``type``, any other JSON value must already have that type, and
+    ``null`` stands only for a flag whose default is None."""
+    kind = bool if kw.get("action") == "store_true" else kw.get("type", str)
+    wrong = ParameterError(f"config value {key!r}: expected {kind.__name__}, got {value!r}")
+    if isinstance(value, str) and kind in (int, float):
+        try:
+            value = kind(value)
+        except ValueError:
+            raise wrong from None
+    # master seeds are checked, and named, where the stream key is derived
+    if key == "seed" or (value is None and kw.get("default", 0) is None):
+        return value
+    ok = {int: int, float: (int, float), bool: bool, str: (str, int, float)}[kind]
+    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, ok):
+        raise wrong
+    if value not in kw.get("choices", [value]):
+        raise ParameterError(f"config value {key!r} must be one of {kw['choices']}")
+    return value
+
+
 def parse_config(argv: list[str]) -> RunConfig:
     """Parse flags (and an optional config file) into a validated RunConfig."""
     parser = build_parser()
@@ -287,9 +309,7 @@ def parse_config(argv: list[str]) -> RunConfig:
     required = {k[11:] for k, v in ns.items() if k.startswith("__required_") and v}
     explicit = {k: v for k, v in ns.items() if not k.startswith("__required_")}
     args = _defaults_for(command)
-    known = set(_defaults_for(command)) | {
-        _dest(f) for f, _ in _COMMANDS[command] + _GLOBAL_FLAGS
-    }
+    flags = {_dest(f): kw for f, kw in _COMMANDS[command] + _GLOBAL_FLAGS}
     config_path = explicit.pop("config", None) or args.get("config")
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
@@ -299,10 +319,10 @@ def parse_config(argv: list[str]) -> RunConfig:
             raise ParameterError(
                 f"config file is for {file_cfg.command!r}, not {command!r}"
             )
-        unknown = set(file_cfg.args) - known
+        unknown = set(file_cfg.args) - set(flags)
         if unknown:
             raise ParameterError(f"unknown keys in config file: {sorted(unknown)}")
-        args.update(file_cfg.args)
+        args.update({k: _file_value(k, flags[k], v) for k, v in file_cfg.args.items()})
     args.update(explicit)
     args.pop("config", None)
     missing = sorted(k for k in required if args.get(k) is None)

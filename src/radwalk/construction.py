@@ -27,6 +27,7 @@ which is the honest outcome.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -427,15 +428,13 @@ class ConstructionPlan:
 
     def sequence(self) -> StepSequence:
         rounds = self.rounds
+        ends = [rp.n_end for rp in rounds]
 
         def evaluate(n: int) -> int:
-            for rp in rounds:
-                if n <= rp.n_end:
-                    offset = n - rp.n_start - 1
-                    return rp.pair.pattern()[offset % rp.pair.period]
-            raise ParameterError(
-                f"index {n} is beyond the constructed prefix (length {self.n_end})"
-            )
+            # StepSequence.value keeps n within 1..n_end
+            rp = rounds[bisect.bisect_left(ends, n)]
+            offset = (n - rp.n_start - 1) % rp.pair.period
+            return rp.pair.b1 if offset < rp.pair.c1 else rp.pair.b2
 
         def runs():
             for rp in rounds:

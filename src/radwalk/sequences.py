@@ -382,13 +382,15 @@ def extract_doubling_subsequence(
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
-    vals = [Fraction(seq.value(i)) for i in range(1, n + 1)]
-    for i, v in enumerate(vals):
-        if v < 1:
-            raise PreconditionError(f"a_{i + 1} = {v} < 1; extraction requires a_m >= 1")
-    measured = max(
-        (abs(vals[i + 1] - vals[i]) for i in range(n - 1)), default=Fraction(0)
-    )
+    vals = seq.prefix(n)
+    # The scan compares s * a_j as integers, s being the lcm of the
+    # denominators of the values and, once C is known, of C.
+    den = math.lcm(*(a.denominator for a in vals))
+    ints = [a.numerator * (den // a.denominator) for a in vals]
+    for i, w in enumerate(ints):
+        if w < den:
+            raise PreconditionError(f"a_{i + 1} = {vals[i]} < 1; extraction requires a_m >= 1")
+    measured = Fraction(max((abs(b - a) for a, b in zip(ints, ints[1:])), default=0), den)
     if gap_bound is None:
         C = measured
     else:
@@ -399,25 +401,21 @@ def extract_doubling_subsequence(
             raise PreconditionError(
                 f"prefix has a consecutive gap {measured} exceeding the supplied bound {C}"
             )
+    up = C.denominator // math.gcd(den, C.denominator)
+    ints = [w * up for w in ints] if up > 1 else ints
+    two_c = 2 * C.numerator * (den * up // C.denominator)
+    # One descending pass picks, below each pick, the largest j with a_j in
+    # (cur/2 - C, cur/2], that is with 2*s*a_j in (s*cur - 2*s*C, s*cur].
     picked = [n]
-    cur = vals[n - 1]
-    while True:
-        lo = cur / 2 - C
-        hi = cur / 2
-        nxt = None
-        for j in range(picked[-1] - 1, 0, -1):  # largest candidate below the current index
-            if lo < vals[j - 1] <= hi:
-                nxt = j
-                break
-        if nxt is None:
-            break
-        picked.append(nxt)
-        cur = vals[nxt - 1]
+    for j in range(n - 1, 0, -1):
+        cur = ints[picked[-1] - 1]
+        if cur - two_c < 2 * ints[j - 1] <= cur:
+            picked.append(j)
     indices = tuple(reversed(picked))
     return DoublingCertificate(
         indices=indices,
         gap_bound=C,
-        ratio=_log2_ratio(len(indices), vals[n - 1]),
+        ratio=_log2_ratio(len(indices), Fraction(vals[n - 1])),
     )
 
 

@@ -14,15 +14,18 @@ Every trial of every Monte Carlo routine owns an independent substream
 derived from the master seed (see :mod:`radwalk.rng`), so estimates do not
 depend on batching or worker count.
 
-All vectorized walks, here and in :mod:`radwalk.construction` and
-:mod:`radwalk.verify`, run through one kernel, :func:`rotated_paths`, in the
-rotated coordinates ``u = x + y`` and ``v = x - y``: each step moves both by
-``+-a_n``.
+All walks, here and in :mod:`radwalk.construction` and :mod:`radwalk.verify`,
+run through one kernel, :func:`rotated_paths`, in the rotated coordinates
+``u = x + y`` and ``v = x - y``: each step moves both by ``+-a_n``.
+:func:`simulate` streams one walk through it a chunk of codes at a time and
+calls its visitor once per chunk with a :class:`WalkBlock` of consecutive
+steps: their exact positions, step sizes and direction codes.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
@@ -69,16 +72,12 @@ class Step2D:
 
 def decompose_step(direction) -> tuple[int, int]:
     """(kappa, eps) of a direction given as a Step2D, code, or unit vector."""
-    if isinstance(direction, Step2D):
-        return direction.kappa, direction.eps
-    if isinstance(direction, int):
-        return Step2D(direction).kappa, Step2D(direction).eps
-    vec = tuple(direction)
-    try:
-        code = DIRECTION_VECTORS.index(vec)
-    except ValueError:
-        raise ParameterError(f"not a unit axis direction: {direction!r}") from None
-    return Step2D(code).kappa, Step2D(code).eps
+    if not isinstance(direction, (Step2D, int)):
+        if tuple(direction) not in DIRECTION_VECTORS:
+            raise ParameterError(f"not a unit axis direction: {direction!r}")
+        direction = DIRECTION_VECTORS.index(tuple(direction))
+    step = direction if isinstance(direction, Step2D) else Step2D(direction)
+    return step.kappa, step.eps
 
 
 def sample_step(generator: np.random.Generator) -> Step2D:
@@ -123,9 +122,7 @@ class TargetVisitStats:
 
     @property
     def min_distance(self) -> float | None:
-        if self.min_sq_distance is None:
-            return None
-        return float(self.min_sq_distance) ** 0.5
+        return None if self.min_sq_distance is None else float(self.min_sq_distance) ** 0.5
 
 
 @dataclass(frozen=True)
@@ -165,22 +162,33 @@ class WalkSummary:
         }
 
 
+@dataclass(frozen=True)
+class WalkBlock:
+    """Steps ``start, start + 1, ...`` of a streamed walk, as a :func:`simulate` visitor
+    gets them: exact positions, step sizes and codes, as int64 or object arrays."""
+
+    start: int
+    x: np.ndarray
+    y: np.ndarray
+    steps: np.ndarray
+    codes: np.ndarray
+
+
 class TrajectoryRecorder:
     """Visitor that records (n, x, y, a_n, kappa, eps) rows for export."""
 
     def __init__(self):
         self.rows: list[tuple] = []
 
-    def __call__(self, state: WalkState, step: Step2D, size) -> None:
-        self.rows.append((state.n, state.x, state.y, size, step.kappa, step.eps))
+    def __call__(self, block: WalkBlock) -> None:
+        c = block.codes.astype(np.int8)
+        cols = (block.x, block.y, block.steps, 1 - (c >> 1), 1 - 2 * (c & 1))  # kappa, eps
+        self.rows.extend(zip(range(block.start, block.start + len(c)), *(a.tolist() for a in cols)))
 
     def position_at(self, n: int):
         """Exact position after step n (n=0 is the origin)."""
-        if n == 0:
-            return (0, 0)
-        if 1 <= n <= len(self.rows):
-            r = self.rows[n - 1]
-            return (r[1], r[2])
+        if 0 <= n <= len(self.rows):
+            return self.rows[n - 1][1:3] if n else (0, 0)
         raise ParameterError(f"trajectory covers steps 1..{len(self.rows)}, not {n}")
 
     def __len__(self) -> int:
@@ -189,12 +197,14 @@ class TrajectoryRecorder:
     def export_csv(self, fh) -> None:
         writer = csv.writer(fh)
         writer.writerow(["n", "x", "y", "a_n", "kappa", "eps"])
-        for row in self.rows:
-            writer.writerow([str(c) for c in row])
+        writer.writerows(self.rows)
 
 
 #: Largest step sum the int64 kernels accept, so that u and v stay in range.
 INT64_STEP_SUM = 1 << 62
+
+#: Codes per read of a streamed walk in :func:`simulate` (even, see :func:`_stream_codes`).
+STREAM_CHUNK = 1 << 15
 
 #: Trials x steps of one batch of walks in :func:`rotated_paths`: walks with
 #: short horizons run as (rows x n) arrays of at most this many steps.
@@ -205,8 +215,8 @@ def _step_array(seq: StepSequence, n: int) -> np.ndarray:
     """Steps a_1..a_n: int64 when all are ints summing to at most
     :data:`INT64_STEP_SUM`, else an object array of the exact values.
 
-    The constant, integer-gamma floor-power and explicit-list families are
-    built in closed form, without a call per index.
+    The constant, integer-gamma floor-power, explicit-list and plan families
+    are built in closed form, without a call per index.
     """
     if n < 0:
         raise ParameterError("horizon must be >= 0")
@@ -215,18 +225,19 @@ def _step_array(seq: StepSequence, n: int) -> np.ndarray:
     params = seq.params
     if seq.kind == "constant":
         c = params["value"]
-        if isinstance(c, int) and c * n <= INT64_STEP_SUM:
-            return np.full(n, c, dtype=np.int64)
-        return np.full(n, c, dtype=object)
+        fits = isinstance(c, int) and c * n <= INT64_STEP_SUM
+        return np.full(n, c, dtype=np.int64 if fits else object)
     if seq.kind == "floor-power" and params["gamma"].denominator == 1:
         # n * n**q bounds the sum; past it, the exact check below decides
         q = params["gamma"].numerator
         if n ** (q + 1) <= INT64_STEP_SUM:
             return np.arange(1, n + 1, dtype=np.int64) ** q
-    if seq.kind == "explicit-list":
-        steps = params["values"][:n]
-    else:
-        steps = [seq.value(i) for i in range(1, n + 1)]
+    if seq.kind == "from-construction-plan":
+        from .construction import ConstructionPlan, _plan_steps  # it imports this module
+        rounds = ConstructionPlan.from_json_dict(params["plan"]).rounds
+        if rounds and max(max(r.pair.b1, r.pair.b2) for r in rounds) * n <= INT64_STEP_SUM:
+            return _plan_steps(rounds)[:n]
+    steps = params["values"][:n] if seq.kind == "explicit-list" else seq.prefix(n)
     if all(isinstance(a, int) for a in steps) and sum(steps) <= INT64_STEP_SUM:
         return np.array(steps, dtype=np.int64)
     return np.array(steps, dtype=object)
@@ -266,7 +277,7 @@ def rotated_paths(
         yield batch, np.cumsum(bu, axis=1, out=bu), np.cumsum(bv, axis=1, out=bv)
 
 
-def _stream_codes(master_seed, trial: int, n: int, chunk: int = 1 << 15):
+def _stream_codes(master_seed, trial: int, n: int, chunk: int):
     """Direction codes for one trial, yielded in chunks of one read each.
 
     Chunks are even, so no 64-bit output is split across two of them and the
@@ -284,48 +295,57 @@ def simulate(
     seq: StepSequence,
     n: int,
     master_seed,
-    visitor: Callable[[WalkState, Step2D, object], None] | None = None,
+    visitor: Callable[[WalkBlock], None] | None = None,
     *,
     trial: int = 0,
     policy: PositionPolicy = DEFAULT_POLICY,
 ) -> WalkSummary:
-    """Walk ``n`` exact steps, streaming each state to ``visitor`` if given.
+    """Walk ``n`` exact steps, one read of :data:`STREAM_CHUNK` codes at a time,
+    and call ``visitor`` once per block with a :class:`WalkBlock`: the 1-based
+    index of its first step and, per step, the position after it, its size
+    and its code.  The blocks cover steps 1..n in order; none is empty.
 
     Position arithmetic is exact; the policy decides whether positions beyond
     the configured width raise (default) or promote to arbitrary precision.
+    When step ``i`` leaves the width, the visitor has seen exactly steps
+    1..i-1 and :class:`PositionOverflowError` is raised with ``step=i``.
     """
-    bound = policy.bound
-    check = bound is not None and not policy.promote
-    # The fast path is safe only when no position can leave the width at all
-    # (|S_n| is bounded by the step sum), else stream and check step by step.
     steps = _step_array(seq, n)
-    if visitor is None and check and steps.dtype == np.int64 and int(steps.sum()) <= bound:
-        # One vectorized pass; identical codes to the streaming path.
-        codes = _rng.TrialStream(master_seed).reader().codes(trial, n)
-        _, u, v = next(rotated_paths(steps, range(1), lambda t: codes))
-        su, sv = (int(u[0, -1]), int(v[0, -1])) if n else (0, 0)
-        final = WalkState(n, (su + sv) // 2, (su - sv) // 2)
-        return WalkSummary(final, n, int((codes < 2).sum()), master_seed, trial)
-
-    steps = steps.tolist()
-    x: int | Fraction = 0
-    y: int | Fraction = 0
-    kap = 0
-    codes = (int(c) for block in _stream_codes(master_seed, trial, n) for c in block)
-    for i, (code, a) in enumerate(zip(codes, steps), 1):
-        step = Step2D(code)
-        dxv, dyv = step.vector
-        x = x + a * dxv
-        y = y + a * dyv
-        kap += step.kappa
-        if check and (abs(x) > bound or abs(y) > bound):
+    # Fractional steps walk as integers scaled by the lcm of their
+    # denominators; positions are Fractions from the first of them on.
+    exact = steps.tolist() if steps.dtype == object else []
+    first = next((k for k, a in enumerate(exact) if not isinstance(a, int)), n)
+    scale, walked = math.lcm(*(a.denominator for a in exact)), steps
+    if first < n:
+        scaled = [int(a * scale) for a in exact]
+        walked = np.array(scaled, dtype=np.int64 if sum(scaled) <= INT64_STEP_SUM else object)
+    unscale = np.frompyfunc(lambda p: Fraction(int(p), scale), 1, 1)
+    limit = None if policy.bound is None or policy.promote else policy.bound * scale
+    limit = limit if limit is not None and int(walked.sum()) > limit else None  # |S_k| <= sum
+    u_end = v_end = horizontal = 0
+    blocks = zip(_stream_codes(master_seed, trial, n, STREAM_CHUNK), range(0, n, STREAM_CHUNK))
+    for codes, lo in blocks:
+        _, u, v = next(rotated_paths(walked[lo : lo + len(codes)], range(1), lambda t: codes))
+        u, v = u[0] + u_end, v[0] + v_end
+        u_end, v_end = u[-1:].item(), v[-1:].item()
+        horizontal += int((codes < 2).sum())
+        x = (u >> 1) + (v >> 1) + (u & 1)  # (u + v) / 2, as u + v may not fit in int64
+        y = x - v
+        out = np.flatnonzero((np.abs(x) > limit) | (np.abs(y) > limit)) if limit is not None else []
+        stop = int(out[0]) if len(out) else len(codes)
+        if visitor is not None and stop:
+            x, y, ints = x[:stop], y[:stop], min(max(first - lo, 0), stop)
+            if first < n:  # ints before the first fractional step, Fractions from it on
+                x, y = (np.concatenate([c[:ints] // scale, unscale(c[ints:])]) for c in (x, y))
+            visitor(WalkBlock(lo + 1, x, y, steps[lo : lo + stop], codes[:stop]))
+        if len(out):
+            at = lo + stop + 1
             raise PositionOverflowError(
-                f"position left the {policy.width_bits}-bit range at step {i}",
-                step=i,
+                f"position left the {policy.width_bits}-bit range at step {at}", step=at
             )
-        if visitor is not None:
-            visitor(WalkState(i, x, y), step, a)
-    return WalkSummary(WalkState(n, x, y), n, kap, master_seed, trial)
+    x_end = (u_end + v_end) // 2
+    final = [Fraction(c, scale) if first < n else c for c in (x_end, x_end - v_end)]
+    return WalkSummary(WalkState(n, *final), n, horizontal, master_seed, trial)
 
 
 def simulate_recording(
@@ -337,8 +357,7 @@ def simulate_recording(
     policy: PositionPolicy = DEFAULT_POLICY,
 ) -> tuple[WalkSummary, TrajectoryRecorder]:
     rec = TrajectoryRecorder()
-    summary = simulate(seq, n, master_seed, rec, trial=trial, policy=policy)
-    return summary, rec
+    return simulate(seq, n, master_seed, rec, trial=trial, policy=policy), rec
 
 
 def visit_statistics(
@@ -352,34 +371,28 @@ def visit_statistics(
 ) -> VisitStatistics:
     """Exact per-target visit counts along one simulated path (visits at n >= 1)."""
     tlist = [(t[0], t[1]) for t in targets]
-    acc = {
-        t: {"count": 0, "first": None, "last": None, "minsq": None} for t in tlist
-    }
+    # per target: count, first hit, last hit, least squared distance
+    acc = {t: [0, None, None, None] for t in tlist}
 
-    def visitor(state: WalkState, step: Step2D, size) -> None:
-        for t, a in acc.items():
-            dx = state.x - t[0]
-            dy = state.y - t[1]
+    def visitor(block: WalkBlock) -> None:
+        x, y = block.x, block.y
+        for (tx, ty), a in acc.items():
+            # int64 squares cannot wrap while every offset is below 2**31
+            small = x.dtype == np.int64 and type(tx) is int and type(ty) is int and max(
+                int(x.max()) - tx, tx - int(x.min()), int(y.max()) - ty, ty - int(y.min())
+            ) < 1 << 31
+            dx, dy = (x - tx, y - ty) if small else (x.astype(object) - tx, y.astype(object) - ty)
             sq = dx * dx + dy * dy
-            if a["minsq"] is None or sq < a["minsq"]:
-                a["minsq"] = sq
-            if sq == 0:
-                a["count"] += 1
-                a["last"] = state.n
-                if a["first"] is None:
-                    a["first"] = state.n
+            # the first least value, as a scan with a strict < keeps it
+            low = sq.min().item() if small else min(sq.tolist())
+            hits = np.flatnonzero(sq == 0)
+            a[3] = low if a[3] is None or low < a[3] else a[3]
+            if len(hits):
+                a[0], a[2] = a[0] + len(hits), block.start + int(hits[-1])
+                a[1] = block.start + int(hits[0]) if a[1] is None else a[1]
 
     simulate(seq, n, master_seed, visitor, trial=trial, policy=policy)
-    per = tuple(
-        TargetVisitStats(
-            target=t,
-            count=acc[t]["count"],
-            first_hit=acc[t]["first"],
-            last_hit=acc[t]["last"],
-            min_sq_distance=acc[t]["minsq"],
-        )
-        for t in tlist
-    )
+    per = tuple(TargetVisitStats(t, *acc[t]) for t in tlist)
     return VisitStatistics(horizon=n, per_target=per)
 
 
@@ -438,14 +451,9 @@ def monte_carlo_return(
         return hits
 
     successes = _rng.map_trial_chunks(trials, run_chunk, sum, workers=workers)
-    return MonteCarloEstimate(
-        trials=trials,
-        successes=successes,
-        estimate=successes / trials,
-        ci=wilson_interval(successes, trials, level),
-        master_seed=master_seed,
-        params={"horizon": n, "target": list(target), "sequence": seq.to_config()},
-    )
+    ci = wilson_interval(successes, trials, level)
+    params = {"horizon": n, "target": list(target), "sequence": seq.to_config()}
+    return MonteCarloEstimate(trials, successes, successes / trials, ci, master_seed, params)
 
 
 @dataclass(frozen=True)
@@ -464,8 +472,7 @@ def divisibility_at_blocks(
 ) -> list[BlockDivisibility]:
     """For each run-length block j, whether b_j divides both coordinates at
     the step just before the block starts."""
-    expected = run_length_decompose(seq, decomposition.prefix_length)
-    if expected != decomposition:
+    if run_length_decompose(seq, decomposition.prefix_length) != decomposition:
         raise ConsistencyError(
             "decomposition does not match the sequence prefix it claims to describe"
         )
@@ -479,13 +486,5 @@ def divisibility_at_blocks(
         x, y = trajectory.position_at(start - 1)
         if isinstance(x, Fraction) or isinstance(y, Fraction):
             raise ConsistencyError("divisibility checks require integer positions")
-        out.append(
-            BlockDivisibility(
-                block=j,
-                value=b,
-                time=start - 1,
-                x_divisible=(x % b == 0),
-                y_divisible=(y % b == 0),
-            )
-        )
+        out.append(BlockDivisibility(j, b, start - 1, x % b == 0, y % b == 0))
     return out

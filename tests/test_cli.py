@@ -72,6 +72,38 @@ class TestParseConfig:
         with pytest.raises(ParameterError):
             cli.parse_config(["exact", "mod", "--d", "1,2"])
 
+    @pytest.mark.parametrize(
+        "args,named",
+        [
+            ({"d": "1,2,3", "m": "x"}, "'m'"),  # a string where an int is expected
+            ({"d": "1,2,3", "m": [4]}, "'m'"),
+            ({"d": "1,2,3", "m": None}, "'m'"),
+            ({"d": [1, 2, 3], "m": 4}, "'d'"),
+            ({"d": "1,2,3", "m": 4, "residue": 1.5}, "'residue'"),
+            ({"d": "1,2,3", "m": 4, "method": "fast"}, "'method'"),
+            ({"d": "1,2,3", "m": True}, "'m'"),
+        ],
+    )
+    def test_config_file_values_fail_by_name(self, tmp_path, capsys, args, named):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"command": "exact.mod", "args": args}), encoding="utf-8")
+        assert run_cli(["exact", "mod", "--config", str(path)]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("radwalk: error: config value " + named)
+
+    def test_config_file_values_as_flags_give_them(self, tmp_path):
+        path = tmp_path / "run.json"
+        args = {"seq": CONST1, "n": "4", "trials": 50, "level": 1, "target": "0,0"}
+        path.write_text(json.dumps({"command": "mc-return", "args": args}), encoding="utf-8")
+        cfg = cli.parse_config(["mc-return", "--config", str(path)])
+        assert cfg.args["n"] == 4 and cfg.args["level"] == 1
+        path.write_text(
+            json.dumps({"command": "sequence.doubling", "args": {"gap_bound": None}}),
+            encoding="utf-8",
+        )
+        cfg = cli.parse_config(["sequence", "doubling", "--config", str(path), "--n", "3"])
+        assert cfg.args["gap_bound"] is None
+
 
 class TestExitCodes:
     def test_success(self, capsys):

@@ -216,6 +216,84 @@ class TestDoublingExtraction:
         assert all(i < j for i, j in zip(cert.indices, cert.indices[1:]))
 
 
+def reference_doubling(seq, n, gap_bound=None):
+    """The Fraction scan that the integer scan of extract_doubling_subsequence
+    replaced: the certificate, or the exception it raises."""
+    try:
+        if n < 1:
+            raise ParameterError("n must be >= 1")
+        vals = [Fraction(seq.value(i)) for i in range(1, n + 1)]
+        for i, v in enumerate(vals):
+            if v < 1:
+                raise PreconditionError(f"a_{i + 1} = {v} < 1; extraction requires a_m >= 1")
+        measured = max((abs(vals[i + 1] - vals[i]) for i in range(n - 1)), default=Fraction(0))
+        if gap_bound is None:
+            C = measured
+        else:
+            C = Fraction(gap_bound)
+            if C < 0:
+                raise ParameterError("gap bound C must be >= 0")
+            if measured > C:
+                raise PreconditionError(
+                    f"prefix has a consecutive gap {measured} exceeding the supplied bound {C}"
+                )
+        picked = [n]
+        cur = vals[n - 1]
+        while True:
+            lo, hi = cur / 2 - C, cur / 2
+            nxt = next((j for j in range(picked[-1] - 1, 0, -1) if lo < vals[j - 1] <= hi), None)
+            if nxt is None:
+                break
+            picked.append(nxt)
+            cur = vals[nxt - 1]
+        indices = tuple(reversed(picked))
+        return sq.DoublingCertificate(indices, C, sq._log2_ratio(len(indices), vals[n - 1]))
+    except (ParameterError, PreconditionError) as exc:
+        return exc
+
+
+def doubling_outcome(seq, n, gap_bound=None):
+    try:
+        return sq.extract_doubling_subsequence(seq, n, gap_bound)
+    except (ParameterError, PreconditionError) as exc:
+        return exc
+
+
+class TestDoublingAgainstFractionScan:
+    VALUES = st.one_of(
+        st.integers(min_value=1, max_value=400),
+        st.fractions(min_value=Fraction(1, 2), max_value=200, max_denominator=9),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(VALUES, min_size=1, max_size=50),
+        st.booleans(),
+        st.sampled_from([None, Fraction(7, 3), 100, 0, Fraction(1, 6)]),
+    )
+    def test_same_certificate_or_error(self, values, sort, gap_bound):
+        if sort:  # non-decreasing prefixes double most often
+            values = sorted(values)
+        seq = sq.make_sequence("explicit-list", values=values)
+        for n in (len(values), (len(values) + 1) // 2):
+            want = reference_doubling(seq, n, gap_bound)
+            got = doubling_outcome(seq, n, gap_bound)
+            assert type(got) is type(want) and repr(got) == repr(want)
+            assert str(got) == str(want)
+
+    @pytest.mark.parametrize("gamma", [Fraction(1, 2), 1, Fraction(3, 2), 2])
+    @pytest.mark.parametrize("gap_bound", [None, Fraction(7, 3), 100])
+    def test_floor_and_real_powers(self, gamma, gap_bound):
+        for seq in (
+            sq.make_sequence("floor-power", gamma=gamma),
+            sq.make_sequence("real-power", alpha=min(Fraction(gamma), 1), precision_bits=8),
+        ):
+            for n in (1, 7, 64, 300):
+                want = reference_doubling(seq, n, gap_bound)
+                got = doubling_outcome(seq, n, gap_bound)
+                assert type(got) is type(want) and repr(got) == repr(want)
+
+
 class TestRsMonotone:
     def test_monotone_sequence_clean(self):
         s = sq.make_sequence("floor-power", gamma=1)

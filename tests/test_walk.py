@@ -1,5 +1,6 @@
 """Walk simulation: exactness, seeding contracts, statistics, Monte Carlo."""
 
+import hashlib
 import io
 from fractions import Fraction
 
@@ -299,6 +300,21 @@ class TestStepArray:
         root = sq.make_sequence("real-power", alpha=Fraction(1, 2))
         assert wk._step_array(root, 3).tolist() == [root.value(i) for i in (1, 2, 3)]
 
+    def test_plan_steps_match_values(self):
+        p23, p35 = cn.positive_bezout(2, 3), cn.positive_bezout(3, 5)
+        r0 = cn.RoundPlan(0, p23, 7, 0, 7 * p23.period, 0, 3)
+        r1 = cn.RoundPlan(1, p35, 5, r0.n_end, r0.n_end + 5 * p35.period, 4, 5)
+        for rounds in ((r0,), (r0, r1)):
+            seq = cn.ConstructionPlan(rounds, "inconclusive", 0, 0.95, 16, "coarse").sequence()
+            for n in (0, 1, 4, r0.n_end - 1, r0.n_end + 3, seq.length):
+                if n > seq.length:
+                    continue
+                arr = wk._step_array(seq, n)
+                assert arr.dtype == np.int64
+                assert arr.tolist() == [seq.value(i) for i in range(1, n + 1)]
+        pattern = p23.pattern() * 7 + p35.pattern() * 5
+        assert [seq.value(i) for i in range(1, seq.length + 1)] == pattern
+
     def test_horizon_checked(self):
         with pytest.raises(ParameterError):
             wk._step_array(CONST1, -1)
@@ -424,3 +440,205 @@ class TestExports:
         assert doc["master_seed"] == 42
         assert doc["rng_id"] == rw.RNG_ID
         assert doc["seed_rule"] == rw.SEED_RULE_ID
+
+
+# ---------------------------------------------------------------------------
+# Blockwise streamed walks against the per-step walk they replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_walk(seq, n, master_seed, *, trial=0, policy=wk.DEFAULT_POLICY):
+    """The per-step walk: ``(summary, states)`` with one ``(n, x, y, a_n,
+    kappa, eps)`` row per step, or ``(error, states)`` when the width check
+    fails, ``states`` then holding the steps before the failing one."""
+    bound = policy.bound
+    check = bound is not None and not policy.promote
+    steps = wk._step_array(seq, n).tolist()
+    codes = rw.direction_codes(master_seed, trial, n).tolist()
+    x = y = 0
+    kap = 0
+    states = []
+    for i, (code, a) in enumerate(zip(codes, steps), 1):
+        step = wk.Step2D(code)
+        dxv, dyv = step.vector
+        x = x + a * dxv
+        y = y + a * dyv
+        kap += step.kappa
+        if check and (abs(x) > bound or abs(y) > bound):
+            return PositionOverflowError("overflow", step=i), states
+        states.append((i, x, y, a, step.kappa, step.eps))
+    return wk.WalkSummary(wk.WalkState(n, x, y), n, kap, master_seed, trial), states
+
+
+def reference_visits(states, targets):
+    out = []
+    for t in targets:
+        count, first, last, minsq = 0, None, None, None
+        for i, x, y, *_ in states:
+            dx = x - t[0]
+            dy = y - t[1]
+            sq_ = dx * dx + dy * dy
+            if minsq is None or sq_ < minsq:
+                minsq = sq_
+            if sq_ == 0:
+                count += 1
+                last = i
+                if first is None:
+                    first = i
+        out.append(wk.TargetVisitStats((t[0], t[1]), count, first, last, minsq))
+    return tuple(out)
+
+
+def run_blockwise(seq, n, seed, targets, trial=0, policy=wk.DEFAULT_POLICY):
+    """``(summary or error, recorded rows, visit statistics)`` of the streamed walk."""
+    rec = wk.TrajectoryRecorder()
+    try:
+        result = wk.simulate(seq, n, seed, rec, trial=trial, policy=policy)
+    except PositionOverflowError as exc:
+        return exc, rec.rows, None
+    stats = wk.visit_statistics(seq, n, seed, targets, trial=trial, policy=policy)
+    again, rec2 = wk.simulate_recording(seq, n, seed, trial=trial, policy=policy)
+    assert repr(again) == repr(result) and repr(rec2.rows) == repr(rec.rows)
+    return result, rec.rows, stats.per_target
+
+
+def assert_matches_reference(seq, n, seed, targets, trial=0, policy=wk.DEFAULT_POLICY):
+    want, states = reference_walk(seq, n, seed, trial=trial, policy=policy)
+    got, rows, per_target = run_blockwise(seq, n, seed, targets, trial, policy)
+    assert repr(rows) == repr(states)
+    if isinstance(want, PositionOverflowError):
+        assert isinstance(got, PositionOverflowError)
+        assert got.step == want.step
+        with pytest.raises(PositionOverflowError):
+            wk.simulate(seq, n, seed, trial=trial, policy=policy)
+        return
+    assert got == want and repr(got) == repr(want)
+    plain = wk.simulate(seq, n, seed, trial=trial, policy=policy)
+    assert repr(plain) == repr(want)
+    assert repr(per_target) == repr(reference_visits(states, targets))
+
+
+BIG_STEPS = st.sampled_from([1 << 30, (1 << 31) + 1, 1 << 40, 1 << 61, (1 << 62) - 1, 1 << 62])
+FRACTIONS = st.fractions(min_value=Fraction(1, 12), max_value=8, max_denominator=12)
+TARGETS = st.lists(
+    st.tuples(
+        st.one_of(st.integers(-6, 6), st.sampled_from([1 << 31, -(1 << 40), 1 << 70])),
+        st.one_of(st.integers(-6, 6), st.sampled_from([-(1 << 31), 1 << 62, -(1 << 70)])),
+    ),
+    min_size=1,
+    max_size=3,
+)
+POLICIES = st.sampled_from(
+    [
+        wk.DEFAULT_POLICY,
+        wk.PositionPolicy(width_bits=8),
+        wk.PositionPolicy(width_bits=8, promote=True),
+        wk.PositionPolicy(width_bits=None),
+        wk.PositionPolicy(width_bits=0),
+    ]
+)
+
+
+class TestBlockwiseWalk:
+    @pytest.mark.parametrize("chunk", [2, 4, 1 << 15])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.integers(1, 60), BIG_STEPS, FRACTIONS), min_size=1, max_size=23
+        ),
+        st.integers(0, 1000),
+        st.integers(0, 3),
+        TARGETS,
+        POLICIES,
+    )
+    def test_matches_per_step_walk(self, chunk, values, seed, trial, targets, policy):
+        seq = sq.make_sequence("explicit-list", values=values)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wk, "STREAM_CHUNK", chunk)
+            for n in {len(values), len(values) - 1}:  # odd and even horizons
+                assert_matches_reference(seq, n, seed, targets, trial, policy)
+
+    @pytest.mark.parametrize("chunk", [2, 4])
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([1, 3, 100, 1 << 61]), st.integers(0, 500), POLICIES)
+    def test_narrow_and_wide_widths(self, chunk, value, seed, policy):
+        # constant steps reach a width of 8 bits within a few blocks
+        seq = sq.make_sequence("constant", value=value)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wk, "STREAM_CHUNK", chunk)
+            assert_matches_reference(seq, 41, seed, [(0, 0), (value, 0)], policy=policy)
+            assert_matches_reference(
+                seq, 9, seed, [(0, 0)], policy=wk.PositionPolicy(width_bits=63)
+            )
+
+    @pytest.mark.parametrize("n", [(1 << 15) - 1, 1 << 15, (1 << 15) + 1])
+    def test_across_the_default_chunk(self, n):
+        huge = sq.make_sequence("constant", value=1 << 61)  # an object array
+        for seq, seed in ((CONST1, 3), (huge, 4)):
+            assert_matches_reference(seq, n, seed, [(0, 0), (1, 1)])
+
+    def test_mixed_int_and_fraction_steps(self):
+        values = [2, 1, 3, Fraction(1, 2), 5, Fraction(7, 3)] * 3
+        mixed = sq.make_sequence("explicit-list", values=values)
+        # a_1 = 1**alpha is Fraction(1, 1): positions are Fractions from step 1 on
+        root = sq.make_sequence("real-power", alpha=Fraction(1, 2), precision_bits=70)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wk, "STREAM_CHUNK", 4)
+            for seed in range(5):
+                assert_matches_reference(mixed, len(values), seed, [(0, 0), (2, 1)])
+                assert_matches_reference(root, 1, seed, [(0, 0)])
+                assert_matches_reference(root, 19, seed, [(0, 0), (1, 0)])
+
+    def test_position_at_the_int64_step_sum(self):
+        # x = 2**62 after one +e1 step: u + v = 2**63 would wrap in int64
+        seq = sq.make_sequence("explicit-list", values=[1 << 62])
+        seed = find_seed_with_codes([0])
+        _, rec = wk.simulate_recording(seq, 1, seed)
+        assert rec.rows == [(1, 1 << 62, 0, 1 << 62, 1, 1)]
+        assert_matches_reference(seq, 1, seed, [(0, 0)])
+
+    def test_overflow_visitor_sees_the_steps_before(self):
+        seq = sq.make_sequence("constant", value=100)
+        policy = wk.PositionPolicy(width_bits=8)
+        blocks = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wk, "STREAM_CHUNK", 4)
+            for seed in range(40):
+                want, states = reference_walk(seq, 12, seed, policy=policy)
+                if not isinstance(want, PositionOverflowError):
+                    continue
+                blocks.clear()
+                with pytest.raises(PositionOverflowError) as exc:
+                    wk.simulate(seq, 12, seed, blocks.append, policy=policy)
+                assert exc.value.step == want.step
+                seen = [k for b in blocks for k in range(b.start, b.start + len(b.codes))]
+                assert seen == list(range(1, want.step))
+                assert all(len(b.codes) for b in blocks)
+
+    # Recorded on the per-step walk: sha256 of the trajectory CSV and the
+    # visit statistics at (0, 0), (3, -2) and (400, -300), unit steps, n = 20000.
+    PINS = {
+        0: (
+            "8cbe5a7d97ef53e2c3d5445ba81c3db52c316b7cc1883d985e82ff68dd1a7f0e",
+            [(13, 8, 14770, 0), (3, 27, 85, 0), (0, None, None, 160469)],
+        ),
+        7: (
+            "5591d509801d960b24c13577163d63757e2cc535d08fd2b01790bd8b869348dc",
+            [(2, 1664, 1678, 0), (1, 65, 65, 0), (0, None, None, 159274)],
+        ),
+        2025: (
+            "57570d91c14af5c24d07507aea9d8c9594ad29a1be1562791025d847abb9f94f",
+            [(4, 2, 5496, 0), (5, 12891, 12925, 0), (0, None, None, 177218)],
+        ),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINS))
+    def test_pinned_outputs(self, seed):
+        digest, visits = self.PINS[seed]
+        _, rec = wk.simulate_recording(CONST1, 20_000, seed)
+        buf = io.StringIO()
+        rec.export_csv(buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+        stats = wk.visit_statistics(CONST1, 20_000, seed, [(0, 0), (3, -2), (400, -300)])
+        got = [(s.count, s.first_hit, s.last_hit, s.min_sq_distance) for s in stats.per_target]
+        assert repr(got) == repr(visits)

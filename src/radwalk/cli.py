@@ -25,7 +25,7 @@ from . import sequences as _sequences
 from . import verify as _verify
 from . import walk as _walk
 from .errors import RadwalkError, ParameterError
-from .rng import RNG_ID, SEED_RULE_ID
+from .rng import RNG_ID, SEED_RULE_ID, json_encode
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -66,8 +66,7 @@ def _number_list(text: str) -> list:
         p = p.strip()
         if not p:
             continue
-        f = _sequences._fraction_param(p, "list entry")
-        out.append(f.numerator if f.denominator == 1 else f)
+        out.append(_sequences.int_if_whole(_sequences._fraction_param(p, "list entry")))
     if not out:
         raise ParameterError("expected a nonempty comma-separated list")
     return out
@@ -427,12 +426,7 @@ def _handle_exact(command: str, a: dict):
 
 def _handle_sequence(command: str, a: dict):
     if command == "sequence.blocks":
-        sb = _sequences.sub_block_length(a["k"], a["i"], max_bits=a["max_bits"])
-        rec = {
-            "k": sb.k, "i": sb.i, "e": sb.e, "base": sb.base,
-            "exponent": sb.exponent, "materializable": sb.materializable,
-            "value": sb.value,
-        }
+        rec = json_encode(_sequences.sub_block_length(a["k"], a["i"], max_bits=a["max_bits"]))
         return EXIT_OK, rec, [rec], list(rec)
     seq = _sequence_from_args(a)
     if command == "sequence.make":
@@ -446,9 +440,7 @@ def _handle_sequence(command: str, a: dict):
             {"block": j + 1, "value": v, "multiplicity": m, "start": s}
             for j, (v, m, s) in enumerate(zip(d.values, d.multiplicities, d.starts))
         ]
-        rec = {"values": list(d.values), "multiplicities": list(d.multiplicities),
-               "starts": list(d.starts)}
-        return EXIT_OK, rec, rows, ["block", "value", "multiplicity", "start"]
+        return EXIT_OK, json_encode(d), rows, ["block", "value", "multiplicity", "start"]
     if command == "sequence.doubling":
         gap = a.get("gap_bound")
         cert = _sequences.extract_doubling_subsequence(
@@ -464,13 +456,8 @@ def _handle_sequence(command: str, a: dict):
         return EXIT_OK, rec, rows, ["position", "index"]
     if command == "sequence.monotone":
         rep = _sequences.check_rs_monotone(seq, a["r"], a["s"], a["n_max"])
-        rec = {
-            "r": str(rep.r), "s": str(rep.s), "horizon": rep.horizon,
-            "ok": rep.ok, "clean_from": rep.clean_from,
-            "violations": [list(v) for v in rep.violations],
-        }
         rows = [{"n": n, "m": m} for n, m in rep.violations]
-        return EXIT_OK, rec, rows, ["n", "m"]
+        return EXIT_OK, json_encode(rep), rows, ["n", "m"]
     raise AssertionError(command)
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import CoprimalityError, ExhaustionError, ParameterError
-from .rng import wilson_interval
+from .rng import json_decode, json_encode, wilson_interval
 from .sequences import StepSequence
 from .walk import INT64_STEP_SUM, rotated_paths
 
@@ -51,6 +51,13 @@ class BezoutPair:
     b2: int
     c1: int
     c2: int
+
+    json_as_list = True  # [b1, b2, c1, c2]
+
+    def __post_init__(self):
+        b1, b2, c1, c2 = self.b1, self.b2, self.c1, self.c2
+        if min(b1, b2, c1, c2) < 1 or c1 * b1 - c2 * b2 != 1:
+            raise ParameterError(f"pair {[b1, b2, c1, c2]} must be positive with c1*b1 - c2*b2 = 1")
 
     @property
     def period(self) -> int:
@@ -211,39 +218,8 @@ class N0Estimate:
     def certified(self) -> bool:
         return self.status == "certified"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "n0": self.n0,
-            "pair": [self.pair.b1, self.pair.b2, self.pair.c1, self.pair.c2],
-            "radius": self.radius,
-            "confidence": self.confidence,
-            "trials": self.trials,
-            "master_seed": _rng.seed_to_json(self.master_seed),
-            "grid": list(self.grid),
-            "target_count": self.target_count,
-            "evaluated_targets": self.evaluated_targets,
-            "worst_lb": self.worst_lb,
-            "worst_target": list(self.worst_target) if self.worst_target else None,
-            "per_target_lb": None
-            if self.per_target_lb is None
-            else [[list(t), lb] for t, lb in self.per_target_lb],
-            "reason": self.reason,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "N0Estimate":
-        """Inverse of :meth:`to_json_dict`."""
-        per = data["per_target_lb"]
-        return cls(
-            **{k: data[k] for k in ("status", "n0", "radius", "confidence", "trials",
-                                    "target_count", "evaluated_targets", "worst_lb", "reason")},
-            pair=BezoutPair(*data["pair"]),
-            master_seed=_rng.seed_from_json(data["master_seed"]),
-            grid=tuple(data["grid"]),
-            worst_target=tuple(data["worst_target"]) if data["worst_target"] else None,
-            per_target_lb=None if per is None else tuple((tuple(t), lb) for t, lb in per),
-        )
+    to_json_dict = json_encode
+    from_json_dict = classmethod(json_decode)
 
 
 def _doubling_grid(start: int, cap: int) -> list[int]:
@@ -394,21 +370,18 @@ class RoundPlan:
     alpha: int
     estimate: N0Estimate | None = None
 
+    def __post_init__(self):
+        if self.n0 < 1 or self.n_end - self.n_start != self.pair.period * self.n0:
+            raise ParameterError(
+                f"round {self.index}: n_end - n_start = {self.n_end - self.n_start} must be "
+                f"period * n0 = {self.pair.period} * {self.n0}, with n0 >= 1"
+            )
+
     @property
     def segment_length(self) -> int:
         return self.n_end - self.n_start
 
-    def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "pair": [self.pair.b1, self.pair.b2, self.pair.c1, self.pair.c2],
-            "n0": self.n0,
-            "n_start": self.n_start,
-            "n_end": self.n_end,
-            "radius": self.radius,
-            "alpha": self.alpha,
-            "estimate": None if self.estimate is None else self.estimate.to_json_dict(),
-        }
+    to_json_dict = json_encode
 
 
 @dataclass(frozen=True)
@@ -421,6 +394,14 @@ class ConstructionPlan:
     confidence: float
     trials: int
     radius_mode: str
+
+    def __post_init__(self):
+        for i, (r, n_start) in enumerate(zip(self.rounds, [0] + [r.n_end for r in self.rounds])):
+            if (r.index, r.n_start) != (i, n_start):
+                raise ParameterError(
+                    f"rounds must be contiguous from 0: round {i} has index {r.index} and "
+                    f"n_start {r.n_start}, not {i} and {n_start}"
+                )
 
     @property
     def n_end(self) -> int:
@@ -450,39 +431,11 @@ class ConstructionPlan:
             runs=runs,
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rounds": [r.to_json_dict() for r in self.rounds],
-            "status": self.status,
-            "master_seed": _rng.seed_to_json(self.master_seed),
-            "confidence": self.confidence,
-            "trials": self.trials,
-            "radius_mode": self.radius_mode,
-        }
+    to_json_dict = json_encode
+    from_json_dict = classmethod(json_decode)  # checks the plan, see __post_init__
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ConstructionPlan":
-        rounds = tuple(
-            RoundPlan(
-                **{k: r[k] for k in ("index", "n0", "n_start", "n_end", "radius", "alpha")},
-                pair=BezoutPair(*r["pair"]),
-                estimate=None
-                if r.get("estimate") is None
-                else N0Estimate.from_json_dict(r["estimate"]),
-            )
-            for r in data["rounds"]
-        )
-        return cls(
-            rounds=rounds,
-            status=data["status"],
-            master_seed=_rng.seed_from_json(data["master_seed"]),
-            confidence=data["confidence"],
-            trials=data["trials"],
-            radius_mode=data["radius_mode"],
-        )
 
     @classmethod
     def from_json(cls, text: str) -> "ConstructionPlan":
@@ -616,22 +569,7 @@ class PlanEvaluation:
     per_round: tuple[RoundHitReport, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "master_seed": _rng.seed_to_json(self.master_seed),
-            "level": self.level,
-            "per_round": [
-                {
-                    "index": r.index,
-                    "successes": r.successes,
-                    "fraction": r.fraction,
-                    "wilson_lb": r.wilson_lb,
-                }
-                for r in self.per_round
-            ],
-            "rng_id": _rng.RNG_ID,
-            "seed_rule": _rng.SEED_RULE_ID,
-        }
+        return {**json_encode(self), "rng_id": _rng.RNG_ID, "seed_rule": _rng.SEED_RULE_ID}
 
 
 def evaluate_plan(

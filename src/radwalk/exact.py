@@ -31,6 +31,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ParameterError, PreconditionError, SupportBudgetError
+from .rng import json_encode
+from .sequences import int_if_whole, scaled_ints
 
 #: Cap on the number of exact support points a single computation may allocate.
 DEFAULT_SUPPORT_BUDGET = 10_000_000
@@ -48,17 +50,6 @@ def _as_positive_fractions(values: Iterable, what: str) -> list[Fraction]:
     if not out:
         raise ParameterError(f"{what} must be nonempty")
     return out
-
-
-def _common_scale(fracs: Sequence[Fraction]) -> int:
-    scale = 1
-    for f in fracs:
-        scale = scale * f.denominator // math.gcd(scale, f.denominator)
-    return scale
-
-
-def _present(value: Fraction) -> Number:
-    return value.numerator if value.denominator == 1 else value
 
 
 @dataclass(frozen=True)
@@ -124,8 +115,7 @@ class ExactPmf2D:
 def _scaled_int_steps(d: Sequence, what: str, budget: int, square: bool = False):
     """Scale positive rational steps to a common integer lattice and check the budget."""
     fracs = _as_positive_fractions(d, what)
-    scale = _common_scale(fracs)
-    ints = [int(f * scale) for f in fracs]
+    ints, scale = scaled_ints(fracs)
     span = sum(ints)
     width = 2 * span + 1
     required = width * width if square else width
@@ -169,10 +159,10 @@ def pmf_1d(d: Sequence, *, support_budget: int = DEFAULT_SUPPORT_BUDGET) -> Exac
     fracs, ints, scale, span = _scaled_int_steps(d, "d", support_budget)
     values, weights = _signed_sum_weights(ints, span)
     return ExactPmf1D(
-        values=tuple(values if scale == 1 else (_present(Fraction(v, scale)) for v in values)),
+        values=tuple(values if scale == 1 else (int_if_whole(Fraction(v, scale)) for v in values)),
         weights=tuple(weights),
         total=1 << len(ints),
-        steps=tuple(_present(f) for f in fracs),
+        steps=tuple(int_if_whole(f) for f in fracs),
     )
 
 
@@ -193,13 +183,13 @@ def pmf_2d(a: Sequence, *, support_budget: int = DEFAULT_SUPPORT_BUDGET) -> Exac
     w = np.array(weights, dtype=object)
     xs, ys = xs[order].tolist(), ys[order].tolist()
     if scale != 1:
-        xs = [_present(Fraction(x, scale)) for x in xs]
-        ys = [_present(Fraction(y, scale)) for y in ys]
+        xs = [int_if_whole(Fraction(x, scale)) for x in xs]
+        ys = [int_if_whole(Fraction(y, scale)) for y in ys]
     return ExactPmf2D(
         points=tuple(zip(xs, ys)),
         weights=tuple(np.multiply.outer(w, w).ravel()[order].tolist()),
         total=1 << (2 * len(ints)),
-        steps=tuple(_present(f) for f in fracs),
+        steps=tuple(int_if_whole(f) for f in fracs),
     )
 
 
@@ -252,9 +242,7 @@ def mod_probability(
     return mod_probability_profile(ints, m)[residue]
 
 
-def mod_probability_profile(
-    d: Sequence, m: int, *, support_budget: int = DEFAULT_SUPPORT_BUDGET
-) -> list[Fraction]:
+def mod_probability_profile(d: Sequence, m: int) -> list[Fraction]:
     """Exact probabilities for every residue class mod ``m``, residue route."""
     ints = _int_steps_only(d)
     if m < 1:
@@ -301,9 +289,8 @@ def max_interval_probability(
     for i, f in enumerate(fracs):
         if f < D:
             raise PreconditionError(f"step d[{i}]={f} is smaller than the half-width D={D}")
-    scale = _common_scale(fracs + [D])
-    ints = [int(f * scale) for f in fracs]
-    Ds = int(D * scale)
+    ints, scale = scaled_ints(fracs + [D])
+    Ds = ints.pop()
     law = pmf_1d(ints, support_budget=support_budget)
     vals = [int(v) for v in law.values]
     weights = law.weights
@@ -321,7 +308,7 @@ def max_interval_probability(
             best = window
             best_right = vj
     sup = Fraction(best, law.total)
-    center = _present(Fraction(best_right, scale) - D)
+    center = int_if_whole(Fraction(best_right, scale) - D)
     return sup, center
 
 
@@ -376,14 +363,7 @@ class HoeffdingTail:
     bound: float
     exact_tail: Fraction | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "threshold": str(self.threshold),
-            "sum_squares": str(self.sum_squares),
-            "bound_raw": self.bound_raw,
-            "bound": self.bound,
-            "exact_tail": None if self.exact_tail is None else str(self.exact_tail),
-        }
+    to_json_dict = json_encode
 
 
 def hoeffding_tail(

@@ -16,12 +16,22 @@ For a range of 4, numpy uses Lemire's multiply-shift draw, which rejects a
 64-bit Philox outputs, low half first, so :class:`CodeReader` decodes ``n``
 codes as ``random_raw(ceil(n/2)).view(uint32)[:n] >> 30`` (on a
 little-endian host): the codes :func:`direction_codes` draws.
+
+Results and construction plans go to JSON and back through one codec,
+:func:`json_encode` and :func:`json_decode`, driven by dataclass fields.  A
+master seed, the one untyped field, is a non-negative int or a nonempty list
+of seeds in JSON, and a tuple of them in Python.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import types
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from statistics import NormalDist
 from typing import Callable, Sequence, TypeVar
 
@@ -52,16 +62,6 @@ def _philox_key(master_seed) -> np.ndarray:
             f"master seed must be a non-negative int or a tuple of them, got {master_seed!r}"
         )
     return np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
-
-
-def seed_to_json(seed):
-    """A master seed in JSON form: tuples become lists."""
-    return [seed_to_json(part) for part in seed] if isinstance(seed, tuple) else seed
-
-
-def seed_from_json(value):
-    """Inverse of :func:`seed_to_json`."""
-    return tuple(seed_from_json(part) for part in value) if isinstance(value, list) else value
 
 
 def trial_generator(master_seed, trial: int) -> np.random.Generator:
@@ -134,6 +134,94 @@ class CodeReader:
         return self.read(n)
 
 
+def json_encode(obj):
+    """The JSON form of a result: a dataclass becomes the dict of its fields,
+    or their list when its class sets ``json_as_list``; a Fraction becomes its
+    string and a tuple a list.  Other values pass through."""
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, (list, tuple)):
+        return [json_encode(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: json_encode(v) for k, v in obj.items()}
+    if dataclasses.is_dataclass(obj):
+        names = [f.name for f in dataclasses.fields(obj)]
+        values = [json_encode(getattr(obj, name)) for name in names]
+        return values if getattr(obj, "json_as_list", False) else dict(zip(names, values))
+    return obj
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
+def json_decode(tp, data, path: str = ""):
+    """The value of type ``tp`` whose JSON form is ``data``: the inverse of
+    :func:`json_encode` for dataclasses of ints, floats, strings, tuples,
+    optional values and master seeds.
+
+    Every key of a dataclass's dict must be a field, and every field without
+    a default must be there; values must have their field's type (an int
+    passes for a float, a bool for neither).  The dataclass's own checks run
+    as it is built.  Any fault raises :class:`ParameterError` naming its path.
+    """
+    path = path or tp.__name__
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):  # X | None
+        if data is None:
+            return None
+        (tp,) = [t for t in typing.get_args(tp) if t is not type(None)]
+    fault = ParameterError(f"{path}: expected {getattr(tp, '__name__', tp)}, got {data!r}")
+    if tp is object:  # a master seed
+        seed = _seed_from_lists(data)
+        if not _valid_seed(seed):
+            raise ParameterError(f"{path}: expected a master seed, got {data!r}")
+        return seed
+    if getattr(tp, "json_as_list", False):
+        kinds = _field_types(tp)
+        form = tuple[tuple(kinds[f.name] for f in dataclasses.fields(tp))]
+        return _build(tp, path, *json_decode(form, data, path))
+    if typing.get_origin(tp) is tuple:
+        kinds = typing.get_args(tp)
+        if kinds[-1:] == (Ellipsis,) and isinstance(data, (list, tuple)):
+            kinds = kinds[:1] * len(data)
+        if not isinstance(data, (list, tuple)) or len(data) != len(kinds):
+            raise fault
+        return tuple(json_decode(k, v, f"{path}[{i}]") for i, (k, v) in enumerate(zip(kinds, data)))
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(data, dict):
+            raise fault
+        fields = dataclasses.fields(tp)
+        unknown = sorted(set(data) - {f.name for f in fields})
+        if unknown:
+            raise ParameterError(f"{path}: unknown keys {unknown}")
+        missing = [
+            f.name for f in fields
+            if f.name not in data and f.default is f.default_factory is dataclasses.MISSING
+        ]
+        if missing:
+            raise ParameterError(f"{path}: missing keys {missing}")
+        kinds = _field_types(tp)
+        values = {k: json_decode(kinds[k], v, f"{path}.{k}") for k, v in data.items()}
+        return _build(tp, path, **values)
+    if isinstance(data, bool) is not (tp is bool) or not isinstance(
+        data, (int, float) if tp is float else tp
+    ):
+        raise fault
+    return data
+
+
+def _build(cls, path: str, *args, **kwargs):
+    try:
+        return cls(*args, **kwargs)
+    except ParameterError as exc:  # the class's own checks
+        raise ParameterError(f"{path}: {exc}") from None
+
+
+def _seed_from_lists(value):
+    return tuple(_seed_from_lists(v) for v in value) if isinstance(value, list) else value
+
+
 @dataclass(frozen=True)
 class ConfidenceInterval:
     low: float
@@ -141,13 +229,7 @@ class ConfidenceInterval:
     method: str
     level: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "low": self.low,
-            "high": self.high,
-            "method": self.method,
-            "level": self.level,
-        }
+    to_json_dict = json_encode
 
 
 def wilson_interval(successes: int, trials: int, level: float = 0.95) -> ConfidenceInterval:

@@ -13,6 +13,7 @@ index always yields the same value.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,6 +59,18 @@ def integer_nth_root(x: int, q: int) -> int:
     while r**q > x:
         r -= 1
     return r
+
+
+def int_if_whole(value: Fraction) -> Number:
+    """A rational as an int when it is whole."""
+    return value.numerator if value.denominator == 1 else value
+
+
+def scaled_ints(values: Sequence[Number]) -> tuple[list[int], int]:
+    """``(ints, scale)``: the rationals ``values`` times ``scale``, the lcm of
+    their denominators, as ints."""
+    scale = math.lcm(*{v.denominator for v in values})
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def _fraction_param(value, name: str) -> Fraction:
@@ -128,8 +141,7 @@ def _encode_params(params: dict) -> dict:
 
 def _decode_number(v, name: str = "value") -> Number:
     if isinstance(v, str):
-        f = _fraction_param(v, name)
-        return f.numerator if f.denominator == 1 else f
+        return int_if_whole(_fraction_param(v, name))
     if isinstance(v, int):
         return v
     raise ParameterError(f"expected an int or 'p/q' string, got {v!r}")
@@ -153,7 +165,7 @@ def make_sequence(family: str, **params) -> StepSequence:
         c = _fraction_param(params.get("value", 1), "value")
         if c <= 0:
             raise ParameterError("constant value must be > 0")
-        cv: Number = c.numerator if c.denominator == 1 else c
+        cv = int_if_whole(c)
         return StepSequence("constant", {"value": cv}, lambda n: cv)
 
     if family == "floor-power":
@@ -194,7 +206,7 @@ def make_sequence(family: str, **params) -> StepSequence:
             f = _fraction_param(v, f"values[{i}]")
             if f <= 0:
                 raise ParameterError(f"values[{i}] must be > 0, got {v}")
-            vals.append(f.numerator if f.denominator == 1 else f)
+            vals.append(int_if_whole(f))
         tup = tuple(vals)
 
         def runs() -> Iterator[tuple[Number, int]]:
@@ -303,30 +315,25 @@ def run_length_decompose(seq: StepSequence, n: int) -> RunLengthDecomposition:
     """Decompose the first ``n`` values, which must be non-decreasing integers."""
     if n < 1:
         raise ParameterError("prefix length must be >= 1")
-    values: list[int] = []
-    mult: list[int] = []
-    starts: list[int] = []
-    prev: int | None = None
-    for i in range(1, n + 1):
-        a = seq.value(i)
-        if isinstance(a, Fraction):
-            if a.denominator != 1:
-                raise DecompositionError(
-                    f"value at index {i} is not an integer: {a}", index=i
-                )
-            a = a.numerator
-        if prev is not None and a < prev:
-            raise DecompositionError(
-                f"prefix is not non-decreasing at index {i}: {a} < {prev}", index=i
-            )
-        if a != prev:
-            values.append(a)
-            mult.append(1)
-            starts.append(i)
-            prev = a
-        else:
-            mult[-1] += 1
-    return RunLengthDecomposition(tuple(values), tuple(mult), tuple(starts))
+    vals = seq.prefix(n if seq.length is None else min(n, seq.length))
+    ints, scale = scaled_ints(vals)
+    # the first fault in index order: a value that is not whole, or one below
+    # the whole value before it; then the end of a finite sequence
+    whole = len(vals) if scale == 1 else next(i for i, a in enumerate(vals) if a.denominator != 1)
+    i = next((i for i, (a, b) in enumerate(zip(ints, ints[1:whole]), 2) if b < a), None)
+    if i is not None:
+        raise DecompositionError(
+            f"prefix is not non-decreasing at index {i}: {vals[i - 1]} < {vals[i - 2]}", index=i
+        )
+    if whole < len(vals):
+        raise DecompositionError(
+            f"value at index {whole + 1} is not an integer: {vals[whole]}", index=whole + 1
+        )
+    if len(vals) < n:
+        seq.value(len(vals) + 1)  # raises
+    starts = [1] + [i for i, (a, b) in enumerate(zip(ints, ints[1:]), 2) if b != a]
+    mult = [b - a for a, b in zip(starts, starts[1:] + [n + 1])]
+    return RunLengthDecomposition(tuple(ints[s - 1] for s in starts), tuple(mult), tuple(starts))
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +392,7 @@ def extract_doubling_subsequence(
     vals = seq.prefix(n)
     # The scan compares s * a_j as integers, s being the lcm of the
     # denominators of the values and, once C is known, of C.
-    den = math.lcm(*(a.denominator for a in vals))
-    ints = [a.numerator * (den // a.denominator) for a in vals]
+    ints, den = scaled_ints(vals)
     for i, w in enumerate(ints):
         if w < den:
             raise PreconditionError(f"a_{i + 1} = {vals[i]} < 1; extraction requires a_m >= 1")
@@ -448,22 +454,21 @@ def check_rs_monotone(seq: StepSequence, r, s, n_max: int) -> MonotonicityReport
         raise ParameterError("r and s must both be >= 1")
     if n_max < 2:
         raise ParameterError("n_max must be >= 2")
-    vals = [Fraction(seq.value(i)) for i in range(1, n_max + 1)]
+    # a_n > s * a_m compares as q * A_n > p * A_m, with s = p/q and the A the
+    # values scaled to ints
+    ints, _ = scaled_ints(seq.prefix(n_max))
+    left = [a * sf.denominator for a in ints]
+    right = [a * sf.numerator for a in ints]
     # suffix minima let most indices pass in O(1)
-    sufmin: list[Fraction] = list(vals)
-    for i in range(n_max - 2, -1, -1):
-        if sufmin[i + 1] < sufmin[i]:
-            sufmin[i] = sufmin[i + 1]
+    sufmin = list(itertools.accumulate(reversed(right), min))[::-1]
     violations: list[tuple[int, int]] = []
     for n in range(1, n_max + 1):
-        m0 = math.ceil(rf * n)
+        m0 = -(-rf.numerator * n // rf.denominator)  # ceil(r * n)
         if m0 > n_max:
             break
-        if vals[n - 1] <= sf * sufmin[m0 - 1]:
-            continue
-        for m in range(m0, n_max + 1):
-            if vals[n - 1] > sf * vals[m - 1]:
-                violations.append((n, m))
+        a = left[n - 1]
+        if a > sufmin[m0 - 1]:
+            violations.extend((n, m) for m in range(m0, n_max + 1) if a > right[m - 1])
     if not violations:
         clean_from: int | None = 1
     else:

@@ -30,7 +30,7 @@ import numpy as np
 from . import exact as _exact
 from . import rng as _rng
 from .errors import ParameterError, PreconditionError
-from .rng import ConfidenceInterval, wilson_interval
+from .rng import ConfidenceInterval, json_encode, wilson_interval
 from .walk import rotated_paths
 
 #: Value assigned to the log potential at the origin.
@@ -139,18 +139,7 @@ class DriftGridReport:
     equality_diagonal_only: bool  # Delta == 0 exactly iff |x| == |y|
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "points": self.points,
-            "max_delta": self.max_delta,
-            "max_delta_point": list(self.max_delta_point),
-            "max_agreement_gap": self.max_agreement_gap,
-            "nonpositive": self.nonpositive,
-            "identity_failures": self.identity_failures,
-            "equality_diagonal_only": self.equality_diagonal_only,
-            "passed": self.passed,
-        }
+    to_json_dict = json_encode
 
 
 def verify_supermartingale(radius: int, *, tol: float = DRIFT_AGREEMENT_TOL) -> DriftGridReport:
@@ -224,14 +213,7 @@ class BoundComparison:
     params: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "exact": str(self.exact),
-            "exact_float": float(self.exact),
-            "bound": self.bound,
-            "slack": self.slack,
-            "passed": self.passed,
-            "params": {k: str(v) if isinstance(v, Fraction) else v for k, v in self.params.items()},
-        }
+        return {**json_encode(self), "exact_float": float(self.exact)}
 
 
 def verify_elo(d: Sequence, half_width, **exact_kwargs) -> BoundComparison:
@@ -270,25 +252,10 @@ class ModLemmaReport:
     passed: bool | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "m": self.m,
-            "sup": str(self.sup),
-            "sup_float": float(self.sup),
-            "arg_residue": self.arg_residue,
-            "ratio": self.ratio,
-            "cap": self.cap,
-            "passed": self.passed,
-        }
+        return {**json_encode(self), "sup_float": float(self.sup)}
 
 
-def verify_mod_lemma(
-    d: Sequence,
-    m: int,
-    *,
-    cap: float = 10.0,
-    support_budget: int = _exact.DEFAULT_SUPPORT_BUDGET,
-) -> ModLemmaReport:
+def verify_mod_lemma(d: Sequence, m: int, *, cap: float = 10.0) -> ModLemmaReport:
     """Exact sup over residues M of P(T = M mod m), and the measured constant.
 
     Requires m to be at least the largest of the distinct step values (the
@@ -301,7 +268,7 @@ def verify_mod_lemma(
         raise PreconditionError(
             f"modulus {m} is smaller than the largest distinct step {max(distinct)}"
         )
-    profile = _exact.mod_probability_profile(steps, m, support_budget=support_budget)
+    profile = _exact.mod_probability_profile(steps, m)
     sup = max(profile)
     arg = profile.index(sup)
     if k >= 2:
@@ -332,21 +299,7 @@ class HittingTimeResult:
     rng_id: str = _rng.RNG_ID
     seed_rule: str = _rng.SEED_RULE_ID
 
-    def to_json_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "step": self.step,
-            "start": list(self.start),
-            "horizon": self.horizon,
-            "trials": self.trials,
-            "successes": self.successes,
-            "estimate": self.estimate,
-            "ci": self.ci.to_json_dict(),
-            "exact": None if self.exact is None else str(self.exact),
-            "master_seed": _rng.seed_to_json(self.master_seed),
-            "rng_id": self.rng_id,
-            "seed_rule": self.seed_rule,
-        }
+    to_json_dict = json_encode
 
 
 def _ring_points(r: float) -> list[tuple[int, int]]:
@@ -459,18 +412,7 @@ class SupPmfTrendReport:
     slope: float | None
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": [
-                {"k": r.k, "sup": str(r.sup), "ratio": r.ratio} for r in self.rows
-            ],
-            "ratio_cap": self.ratio_cap,
-            "slope_cap": self.slope_cap,
-            "k_floor": self.k_floor,
-            "max_ratio": self.max_ratio,
-            "slope": self.slope,
-            "passed": self.passed,
-        }
+    to_json_dict = json_encode
 
 
 def sup_pmf_trend(

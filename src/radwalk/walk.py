@@ -6,9 +6,9 @@ step sizes); the default policy checks positions against a 64-bit width and
 raises instead of silently wrapping, with an opt-in promotion to arbitrary
 precision.
 
-Direction codes are 0:+e1, 1:-e1, 2:+e2, 3:-e2.  A direction decomposes into
-(kappa, eps): kappa is 1 for horizontal steps and 0 for vertical, eps is the
-sign of the moving coordinate; the map is a bijection.
+Direction codes are 0:+e1, 1:-e1, 2:+e2, 3:-e2.  The trajectory recorder
+writes each as (kappa, eps): kappa is 1 for horizontal steps and 0 for
+vertical, eps is the sign of the moving coordinate.
 
 Every trial of every Monte Carlo routine owns an independent substream
 derived from the master seed (see :mod:`radwalk.rng`), so estimates do not
@@ -25,7 +25,6 @@ steps: their exact positions, step sizes and direction codes.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
@@ -35,55 +34,7 @@ import numpy as np
 from . import rng as _rng
 from .errors import ConsistencyError, ParameterError, PositionOverflowError
 from .rng import ConfidenceInterval, wilson_interval
-from .sequences import RunLengthDecomposition, StepSequence, run_length_decompose
-
-DIRECTION_VECTORS: tuple[tuple[int, int], ...] = ((1, 0), (-1, 0), (0, 1), (0, -1))
-DIRECTION_NAMES = ("+e1", "-e1", "+e2", "-e2")
-
-
-@dataclass(frozen=True)
-class Step2D:
-    """One unit direction, addressable by code, vector, or (kappa, eps)."""
-
-    code: int
-
-    @property
-    def vector(self) -> tuple[int, int]:
-        return DIRECTION_VECTORS[self.code]
-
-    @property
-    def kappa(self) -> int:
-        return 1 if self.code in (0, 1) else 0
-
-    @property
-    def eps(self) -> int:
-        return 1 if self.code in (0, 2) else -1
-
-    @property
-    def name(self) -> str:
-        return DIRECTION_NAMES[self.code]
-
-    @classmethod
-    def from_decomposition(cls, kappa: int, eps: int) -> "Step2D":
-        if kappa not in (0, 1) or eps not in (-1, 1):
-            raise ParameterError("kappa must be 0/1 and eps must be -1/+1")
-        return cls({(1, 1): 0, (1, -1): 1, (0, 1): 2, (0, -1): 3}[(kappa, eps)])
-
-
-def decompose_step(direction) -> tuple[int, int]:
-    """(kappa, eps) of a direction given as a Step2D, code, or unit vector."""
-    if not isinstance(direction, (Step2D, int)):
-        if tuple(direction) not in DIRECTION_VECTORS:
-            raise ParameterError(f"not a unit axis direction: {direction!r}")
-        direction = DIRECTION_VECTORS.index(tuple(direction))
-    step = direction if isinstance(direction, Step2D) else Step2D(direction)
-    return step.kappa, step.eps
-
-
-def sample_step(generator: np.random.Generator) -> Step2D:
-    """Draw one direction, each with probability exactly 1/4."""
-    return Step2D(int(generator.integers(0, _rng.NUM_DIRECTIONS)))
-
+from .sequences import RunLengthDecomposition, StepSequence, run_length_decompose, scaled_ints
 
 @dataclass(frozen=True)
 class PositionPolicy:
@@ -150,16 +101,9 @@ class WalkSummary:
     rng_id: str = _rng.RNG_ID
     seed_rule: str = _rng.SEED_RULE_ID
 
-    def to_json_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "final": {"n": self.final.n, "x": str(self.final.x), "y": str(self.final.y)},
-            "horizontal_steps": self.horizontal_steps,
-            "master_seed": _rng.seed_to_json(self.master_seed),
-            "trial": self.trial,
-            "rng_id": self.rng_id,
-            "seed_rule": self.seed_rule,
-        }
+    def to_json_dict(self) -> dict:  # positions as strings, ints too
+        final = {"n": self.final.n, "x": str(self.final.x), "y": str(self.final.y)}
+        return {**_rng.json_encode(self), "final": final}
 
 
 @dataclass(frozen=True)
@@ -315,10 +259,10 @@ def simulate(
     # denominators; positions are Fractions from the first of them on.
     exact = steps.tolist() if steps.dtype == object else []
     first = next((k for k, a in enumerate(exact) if not isinstance(a, int)), n)
-    scale, walked = math.lcm(*(a.denominator for a in exact)), steps
-    if first < n:
-        scaled = [int(a * scale) for a in exact]
-        walked = np.array(scaled, dtype=np.int64 if sum(scaled) <= INT64_STEP_SUM else object)
+    scaled, scale = scaled_ints(exact)
+    walked = steps if first == n else np.array(
+        scaled, dtype=np.int64 if sum(scaled) <= INT64_STEP_SUM else object
+    )
     unscale = np.frompyfunc(lambda p: Fraction(int(p), scale), 1, 1)
     limit = None if policy.bound is None or policy.promote else policy.bound * scale
     limit = limit if limit is not None and int(walked.sum()) > limit else None  # |S_k| <= sum
@@ -413,17 +357,7 @@ class MonteCarloEstimate:
     def exact_estimate(self) -> Fraction:
         return Fraction(self.successes, self.trials)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "successes": self.successes,
-            "estimate": self.estimate,
-            "ci": self.ci.to_json_dict(),
-            "master_seed": _rng.seed_to_json(self.master_seed),
-            "params": {k: str(v) if isinstance(v, Fraction) else v for k, v in self.params.items()},
-            "rng_id": self.rng_id,
-            "seed_rule": self.seed_rule,
-        }
+    to_json_dict = _rng.json_encode
 
 
 def monte_carlo_return(

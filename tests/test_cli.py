@@ -17,6 +17,12 @@ from radwalk.errors import ParameterError
 
 CONST1 = '{"family":"constant","params":{"value":1}}'
 
+#: A one-round plan: two periods of the pattern 2, 2, 3 of the pair (2, 3).
+PLAN_ROUND = {"index": 0, "pair": [2, 3, 2, 1], "n0": 2, "n_start": 0, "n_end": 6, "radius": 0,
+              "alpha": 0, "estimate": None}
+PLAN = {"rounds": [PLAN_ROUND], "status": "inconclusive", "master_seed": 0, "confidence": 0.95,
+        "trials": 8, "radius_mode": "coarse"}
+
 
 def run_cli(argv):
     return cli.main(argv)
@@ -156,6 +162,27 @@ class TestExitCodes:
     def test_bad_numbers_fail_by_name(self, argv, capsys):
         assert run_cli(argv) == cli.EXIT_ERROR
         assert capsys.readouterr().err.startswith("radwalk: error: ")
+
+    @pytest.mark.parametrize(
+        "plan, argv",
+        [
+            ({}, ["sequence", "make", "--n", "4"]),
+            ({"rounds": [{**PLAN_ROUND, "pair": [2, 3, 5, 5]}]}, ["sequence", "make", "--n", "6"]),
+            ({"rounds": [{**PLAN_ROUND, "n_end": 9}]}, ["simulate", "--n", "9"]),
+            ({"rounds": [{**PLAN_ROUND, "index": 1}]}, ["sequence", "make", "--n", "6"]),
+            ({"trials": "8"}, ["sequence", "make", "--n", "6"]),
+        ],
+    )
+    def test_bad_plans_fail_by_name(self, plan, argv, capsys):
+        plan = {**PLAN, **plan} if plan else {}
+        seq = {"family": "from-construction-plan", "params": {"plan": plan}}
+        assert run_cli(argv + ["--seq", json.dumps(seq)]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err.startswith("radwalk: error: ConstructionPlan")
+
+    def test_good_plan_runs(self, capsys):
+        seq = {"family": "from-construction-plan", "params": {"plan": PLAN}}
+        assert run_cli(["sequence", "make", "--n", "6", "--seq", json.dumps(seq)]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["record"]["prefix"] == list("223223")
 
     def test_execution_error_on_horizon_mismatch(self):
         seq = '{"family":"explicit-list","params":{"values":[1,2]}}'

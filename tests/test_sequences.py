@@ -1,6 +1,7 @@
 """Step-sequence families and their structural analyses."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -347,6 +348,129 @@ class TestRsMonotone:
         )
         assert rep.violations == direct
         assert rep.ok == (not direct)
+
+
+def reference_rs_monotone(seq, r, s, n_max):
+    """The Fraction check that the integer check_rs_monotone replaced."""
+    rf, sf = sq._fraction_param(r, "r"), sq._fraction_param(s, "s")
+    if rf < 1 or sf < 1:
+        raise ParameterError("r and s must both be >= 1")
+    if n_max < 2:
+        raise ParameterError("n_max must be >= 2")
+    vals = [Fraction(seq.value(i)) for i in range(1, n_max + 1)]
+    sufmin = list(vals)
+    for i in range(n_max - 2, -1, -1):
+        if sufmin[i + 1] < sufmin[i]:
+            sufmin[i] = sufmin[i + 1]
+    violations = []
+    for n in range(1, n_max + 1):
+        m0 = math.ceil(rf * n)
+        if m0 > n_max:
+            break
+        if vals[n - 1] <= sf * sufmin[m0 - 1]:
+            continue
+        for m in range(m0, n_max + 1):
+            if vals[n - 1] > sf * vals[m - 1]:
+                violations.append((n, m))
+    if not violations:
+        clean_from = 1
+    else:
+        worst = max(n for n, _ in violations)
+        clean_from = worst + 1 if worst < n_max else None
+    return sq.MonotonicityReport(rf, sf, n_max, tuple(violations), not violations, clean_from)
+
+
+class TestRsMonotoneAgainstFractionCheck:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.integers(1, 40), st.fractions(min_value=Fraction(1, 7), max_value=40)),
+            min_size=2,
+            max_size=40,
+        ),
+        st.booleans(),
+        st.fractions(min_value=1, max_value=4, max_denominator=9),
+        st.fractions(min_value=1, max_value=4, max_denominator=9),
+    )
+    def test_same_report(self, values, sort, r, s_param):
+        values = sorted(values) if sort else values
+        seq = sq.make_sequence("explicit-list", values=values)
+        n_max = len(values)
+        got = sq.check_rs_monotone(seq, r, s_param, n_max)
+        want = reference_rs_monotone(seq, r, s_param, n_max)
+        assert got == want and repr(got) == repr(want)
+
+    @pytest.mark.parametrize("gamma", [Fraction(1, 2), Fraction(3, 2)])
+    def test_floor_and_real_powers(self, gamma):
+        for seq in (
+            sq.make_sequence("floor-power", gamma=gamma),
+            sq.make_sequence("real-power", alpha=gamma / 2, precision_bits=12),
+        ):
+            for r, s_param in ((1, 1), (2, Fraction(3, 2)), (Fraction(5, 4), 1)):
+                got = sq.check_rs_monotone(seq, r, s_param, 300)
+                assert got == reference_rs_monotone(seq, r, s_param, 300)
+
+
+def reference_run_length(seq, n):
+    """The per-index scan that run_length_decompose replaced: the
+    decomposition, or the exception it raises."""
+    try:
+        if n < 1:
+            raise ParameterError("prefix length must be >= 1")
+        values, mult, starts, prev = [], [], [], None
+        for i in range(1, n + 1):
+            a = seq.value(i)
+            if isinstance(a, Fraction):
+                if a.denominator != 1:
+                    raise DecompositionError(f"value at index {i} is not an integer: {a}", index=i)
+                a = a.numerator
+            if prev is not None and a < prev:
+                raise DecompositionError(
+                    f"prefix is not non-decreasing at index {i}: {a} < {prev}", index=i
+                )
+            if a != prev:
+                values.append(a)
+                mult.append(1)
+                starts.append(i)
+                prev = a
+            else:
+                mult[-1] += 1
+        return sq.RunLengthDecomposition(tuple(values), tuple(mult), tuple(starts))
+    except (ParameterError, DecompositionError) as exc:
+        return exc
+
+
+def run_length_outcome(seq, n):
+    try:
+        return sq.run_length_decompose(seq, n)
+    except (ParameterError, DecompositionError) as exc:
+        return exc
+
+
+class TestRunLengthAgainstPerIndexScan:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.integers(1, 6), st.fractions(min_value=1, max_value=6, max_denominator=3)),
+            min_size=1,
+            max_size=30,
+        ),
+        st.booleans(),
+        st.integers(0, 35),
+    )
+    def test_same_decomposition_or_error(self, values, sort, n):
+        seq = sq.make_sequence("explicit-list", values=sorted(values) if sort else values)
+        want, got = reference_run_length(seq, n), run_length_outcome(seq, n)
+        assert type(got) is type(want) and repr(got) == repr(want)
+        if isinstance(want, Exception):
+            assert str(got) == str(want) and getattr(got, "index", 0) == getattr(want, "index", 0)
+
+    def test_real_power_whole_values(self):
+        seq = sq.make_sequence("real-power", alpha=1, precision_bits=4)  # Fraction(k, 1)
+        assert run_length_outcome(seq, 50) == reference_run_length(seq, 50)
+        seq = sq.make_sequence("real-power", alpha=Fraction(1, 2), precision_bits=4)
+        want = reference_run_length(seq, 50)
+        assert str(run_length_outcome(seq, 50)) == str(want) and want.index == 2
 
 
 class TestBlockSequence:

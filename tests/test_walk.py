@@ -25,38 +25,6 @@ def find_seed_with_codes(prefix_codes, span=2000):
     raise AssertionError("no seed found; widen the search span")
 
 
-class TestSteps:
-    def test_decompose_examples(self):
-        assert wk.decompose_step((1, 0)) == (1, 1)
-        assert wk.decompose_step((0, -1)) == (0, -1)
-        assert wk.decompose_step((-1, 0)) == (1, -1)
-
-    def test_bijection(self):
-        seen = set()
-        for code in range(4):
-            s = wk.Step2D(code)
-            pair = (s.kappa, s.eps)
-            assert wk.Step2D.from_decomposition(*pair).code == code
-            seen.add(pair)
-        assert seen == {(0, 1), (0, -1), (1, 1), (1, -1)}
-
-    def test_kappa_means_horizontal(self):
-        for code in range(4):
-            s = wk.Step2D(code)
-            assert s.kappa == (1 if s.vector[0] != 0 else 0)
-            assert s.eps == (s.vector[0] or s.vector[1])
-
-    def test_sampled_step_decomposes(self):
-        gen = rw.trial_generator(0, 0)
-        s = wk.sample_step(gen)
-        assert s.code in range(4)
-        assert wk.Step2D.from_decomposition(s.kappa, s.eps) == s
-
-    def test_invalid_direction(self):
-        with pytest.raises(ParameterError):
-            wk.decompose_step((1, 1))
-
-
 class TestSampling:
     def test_uniformity_within_four_sigma(self):
         n = 1_000_000
@@ -447,6 +415,10 @@ class TestExports:
 # ---------------------------------------------------------------------------
 
 
+#: (dx, dy, kappa, eps) of direction codes 0:+e1, 1:-e1, 2:+e2, 3:-e2.
+DIRECTIONS = ((1, 0, 1, 1), (-1, 0, 1, -1), (0, 1, 0, 1), (0, -1, 0, -1))
+
+
 def reference_walk(seq, n, master_seed, *, trial=0, policy=wk.DEFAULT_POLICY):
     """The per-step walk: ``(summary, states)`` with one ``(n, x, y, a_n,
     kappa, eps)`` row per step, or ``(error, states)`` when the width check
@@ -459,14 +431,13 @@ def reference_walk(seq, n, master_seed, *, trial=0, policy=wk.DEFAULT_POLICY):
     kap = 0
     states = []
     for i, (code, a) in enumerate(zip(codes, steps), 1):
-        step = wk.Step2D(code)
-        dxv, dyv = step.vector
+        dxv, dyv, kappa, eps = DIRECTIONS[code]
         x = x + a * dxv
         y = y + a * dyv
-        kap += step.kappa
+        kap += kappa
         if check and (abs(x) > bound or abs(y) > bound):
             return PositionOverflowError("overflow", step=i), states
-        states.append((i, x, y, a, step.kappa, step.eps))
+        states.append((i, x, y, a, kappa, eps))
     return wk.WalkSummary(wk.WalkState(n, x, y), n, kap, master_seed, trial), states
 
 

@@ -617,10 +617,9 @@ def evaluate_plan(
     )
 
 
-def composite_step_law(pair: BezoutPair, *, support_budget: int | None = None):
+def composite_step_law(pair: BezoutPair):
     """Exact law of one composite step (one period of the pattern), from the
     exact module; used to confirm the four unit displacements are reachable."""
     from . import exact
 
-    kwargs = {} if support_budget is None else {"support_budget": support_budget}
-    return exact.pmf_2d(pair.pattern(), **kwargs)
+    return exact.pmf_2d(pair.pattern())

@@ -22,7 +22,7 @@ class DecompositionError(RadwalkError):
 
 
 class SupportBudgetError(RadwalkError):
-    """An exact computation would exceed the configured support budget."""
+    """An exact computation would exceed the support budget."""
 
     def __init__(self, message: str, required: int, budget: int):
         super().__init__(message)

@@ -17,8 +17,11 @@ Two kinds of laws are covered:
   coordinates ``x+y`` and ``x-y``.
 
 Derived quantities used by the verification module (mod-m probabilities,
-sliding-interval suprema, maximal point masses, first-passage probabilities)
-are computed from the same exact representations.
+sliding-interval suprema, maximal point masses) are computed from the same
+exact representations.  First-passage probabilities come from the same
+rotation by renewal: the walk is at a point, or back where it was, when both
+1-D signed sums are, so ``hit_probability_2d`` works on 1-D counts only.
+Every computation checks its support against :data:`SUPPORT_BUDGET`.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .rng import json_encode
 from .sequences import int_if_whole, scaled_ints
 
 #: Cap on the number of exact support points a single computation may allocate.
-DEFAULT_SUPPORT_BUDGET = 10_000_000
+SUPPORT_BUDGET = 10_000_000
 
 Number = int | Fraction
 
@@ -77,11 +80,7 @@ class ExactPmf1D:
 
     def export_lines(self) -> list[str]:
         """Two-column text format: value and mass as numerator/denominator."""
-        out = []
-        for v, w in zip(self.values, self.weights):
-            m = Fraction(w, self.total)
-            out.append(f"{v} {m.numerator}/{m.denominator}")
-        return out
+        return [f"{v} {m.numerator}/{m.denominator}" for v, m in zip(self.values, self.masses)]
 
 
 @dataclass(frozen=True)
@@ -105,25 +104,23 @@ class ExactPmf2D:
 
     def export_lines(self) -> list[str]:
         """Three-column text format: x, y, mass as numerator/denominator."""
-        out = []
-        for (x, y), w in zip(self.points, self.weights):
-            m = Fraction(w, self.total)
-            out.append(f"{x} {y} {m.numerator}/{m.denominator}")
-        return out
+        masses = (Fraction(w, self.total) for w in self.weights)
+        return [f"{x} {y} {m.numerator}/{m.denominator}" for (x, y), m in zip(self.points, masses)]
 
 
-def _scaled_int_steps(d: Sequence, what: str, budget: int, square: bool = False):
-    """Scale positive rational steps to a common integer lattice and check the budget."""
+def _scaled_int_steps(d: Sequence, what: str, square: bool = False):
+    """Scale positive rational steps to a common integer lattice and check
+    the support against :data:`SUPPORT_BUDGET`."""
     fracs = _as_positive_fractions(d, what)
     ints, scale = scaled_ints(fracs)
     span = sum(ints)
     width = 2 * span + 1
     required = width * width if square else width
-    if required > budget:
+    if required > SUPPORT_BUDGET:
         raise SupportBudgetError(
-            f"exact support needs {required} points, exceeding the budget of {budget}",
+            f"exact support needs {required} points, exceeding the budget of {SUPPORT_BUDGET}",
             required=required,
-            budget=budget,
+            budget=SUPPORT_BUDGET,
         )
     return fracs, ints, scale, span
 
@@ -149,14 +146,14 @@ def _signed_sum_weights(ints: Sequence[int], span: int) -> tuple[list[int], list
     return (2 * j - span).tolist(), weights.tolist()
 
 
-def pmf_1d(d: Sequence, *, support_budget: int = DEFAULT_SUPPORT_BUDGET) -> ExactPmf1D:
+def pmf_1d(d: Sequence) -> ExactPmf1D:
     """Exact law of the signed sum of the positive steps ``d``.
 
     Computed as one packed big-integer convolution over the integer lattice
     of the scaled steps; the result carries exact rational masses with
     denominator ``2**len(d)``.
     """
-    fracs, ints, scale, span = _scaled_int_steps(d, "d", support_budget)
+    fracs, ints, scale, span = _scaled_int_steps(d, "d")
     values, weights = _signed_sum_weights(ints, span)
     return ExactPmf1D(
         values=tuple(values if scale == 1 else (int_if_whole(Fraction(v, scale)) for v in values)),
@@ -166,14 +163,14 @@ def pmf_1d(d: Sequence, *, support_budget: int = DEFAULT_SUPPORT_BUDGET) -> Exac
     )
 
 
-def pmf_2d(a: Sequence, *, support_budget: int = DEFAULT_SUPPORT_BUDGET) -> ExactPmf2D:
+def pmf_2d(a: Sequence) -> ExactPmf2D:
     """Exact law of the planar walk with step sizes ``a``.
 
     In the rotated coordinates ``u = x+y``, ``v = x-y`` every step moves by
     ``±a[i]`` in both, with independent uniform signs, so ``u`` and ``v`` are
     independent copies of the signed sum and ``w(x, y) = w1(x+y) * w1(x-y)``.
     """
-    fracs, ints, scale, span = _scaled_int_steps(a, "a", support_budget, square=True)
+    fracs, ints, scale, span = _scaled_int_steps(a, "a", square=True)
     values, weights = _signed_sum_weights(ints, span)
     u = np.array(values)
     # u and v share the parity of span, so every pair is a lattice point
@@ -207,14 +204,7 @@ def _int_steps_only(d: Sequence) -> list[int]:
     return out
 
 
-def mod_probability(
-    d: Sequence,
-    m: int,
-    residue: int,
-    *,
-    method: str = "auto",
-    support_budget: int = DEFAULT_SUPPORT_BUDGET,
-) -> Fraction:
+def mod_probability(d: Sequence, m: int, residue: int, *, method: str = "auto") -> Fraction:
     """Exact probability that the signed sum of ``d`` is ``residue`` mod ``m``.
 
     ``method`` selects one of two exact routes that are cross-checked in the
@@ -233,12 +223,8 @@ def mod_probability(
     if method == "auto":
         method = "full" if 2 * sum(ints) + 1 <= 4096 else "residue"
     if method == "full":
-        law = pmf_1d(ints, support_budget=support_budget)
-        acc = Fraction(0)
-        for v, w in zip(law.values, law.weights):
-            if v % m == residue:
-                acc += Fraction(w, law.total)
-        return acc
+        law = pmf_1d(ints)
+        return Fraction(sum(w for v, w in zip(law.values, law.weights) if v % m == residue), law.total)
     return mod_probability_profile(ints, m)[residue]
 
 
@@ -262,18 +248,13 @@ def mod_probability_profile(d: Sequence, m: int) -> list[Fraction]:
     return [Fraction(w, total) for w in vec]
 
 
-def sup_pmf(d: Sequence, *, support_budget: int = DEFAULT_SUPPORT_BUDGET) -> Fraction:
+def sup_pmf(d: Sequence) -> Fraction:
     """Largest point mass of the signed-sum law of ``d``."""
-    law = pmf_1d(d, support_budget=support_budget)
+    law = pmf_1d(d)
     return Fraction(max(law.weights), law.total)
 
 
-def max_interval_probability(
-    d: Sequence,
-    half_width,
-    *,
-    support_budget: int = DEFAULT_SUPPORT_BUDGET,
-) -> tuple[Fraction, Number]:
+def max_interval_probability(d: Sequence, half_width) -> tuple[Fraction, Number]:
     """Exact supremum over x of the mass in the half-open window (x-D, x+D].
 
     Requires every step to be at least ``half_width`` (the anti-concentration
@@ -291,7 +272,7 @@ def max_interval_probability(
             raise PreconditionError(f"step d[{i}]={f} is smaller than the half-width D={D}")
     ints, scale = scaled_ints(fracs + [D])
     Ds = ints.pop()
-    law = pmf_1d(ints, support_budget=support_budget)
+    law = pmf_1d(ints)
     vals = [int(v) for v in law.values]
     weights = law.weights
     best = 0
@@ -312,45 +293,52 @@ def max_interval_probability(
     return sup, center
 
 
-def hit_probability_2d(
-    a: Sequence,
-    target: tuple[int, int],
-    horizon: int,
-    *,
-    support_budget: int = DEFAULT_SUPPORT_BUDGET,
-) -> Fraction:
+def hit_probability_2d(a: Sequence, target: tuple[int, int], horizon: int) -> Fraction:
     """Exact probability that the walk visits ``target`` at some step 1..horizon.
 
-    Dynamic programming over the exact prefix laws with the target absorbing
-    from step 1 onward.  The position at step 0 does not count as a visit.
+    Renewal over the rotated coordinates, with no 2-D state: let ``W_{m,n}(t)``
+    count the sign choices of steps m+1..n that sum to t.  The walk is at the
+    target after step n in ``W_{0,n}(x+y) * W_{0,n}(x-y)`` of the ``4**n``
+    direction choices, and back where it was after step m in
+    ``W_{m,n}(0)**2`` of the ``4**(n-m)``, so the first visits at step n number
+    ``F_n = W_{0,n}(x+y) W_{0,n}(x-y) - sum_{0<m<n} F_m W_{m,n}(0)**2``.  Each
+    row m of counts is one running packed product ``prod(1 + z**s)`` in the
+    slots of :func:`_signed_sum_weights`.  The position at step 0 does not
+    count as a visit.
     """
     if horizon < 0:
         raise ParameterError("horizon must be >= 0")
     steps_list = list(a)
-    if steps_list:
-        _, ints, scale, _ = _scaled_int_steps(steps_list, "a", support_budget, square=True)
-    else:
-        ints, scale = [], 1
+    ints, scale = _scaled_int_steps(steps_list, "a", square=True)[1:3] if steps_list else ([], 1)
     if horizon > len(ints):
         raise ParameterError(f"horizon {horizon} exceeds the {len(ints)} provided step sizes")
     tx, ty = Fraction(target[0]) * scale, Fraction(target[1]) * scale
     if tx.denominator != 1 or ty.denominator != 1:
         return Fraction(0)
-    tkey = (int(tx), int(ty))
-    state: dict[tuple[int, int], int] = {(0, 0): 1}
-    absorbed = Fraction(0)
-    for n in range(horizon):
-        s = ints[n]
-        new: dict[tuple[int, int], int] = {}
-        for (x, y), wt in state.items():
-            for nx, ny in ((x + s, y), (x - s, y), (x, y + s), (x, y - s)):
-                key = (nx, ny)
-                new[key] = new.get(key, 0) + wt
-        hit = new.pop(tkey, 0)
-        if hit:
-            absorbed += Fraction(hit, 1 << (2 * (n + 1)))
-        state = new
-    return absorbed
+    tu, tv = int(tx + ty), int(tx - ty)
+    bits = 64 * (horizon // 64 + 1)  # a count is at most 2**horizon
+
+    def count(packed: int, span: int, t: int) -> int:
+        j = t + span  # the sum t sits in slot j/2
+        return 0 if j & 1 or not 0 <= j <= 2 * span else packed >> (bits * j // 2) & ((1 << bits) - 1)
+
+    # first[n] collects F_n, and is final once every row m < n is in
+    first = [0] * (horizon + 1)
+    for m in range(horizon):
+        if m and not first[m]:
+            continue
+        packed, span = 1, 0
+        for n in range(m + 1, horizon + 1):
+            packed += packed << (bits * ints[n - 1])
+            span += ints[n - 1]
+            if m:
+                first[n] -= first[m] * count(packed, span, 0) ** 2
+            else:
+                first[n] = count(packed, span, tu) * count(packed, span, tv)
+    num = 0
+    for f in first[1:]:
+        num = 4 * num + f
+    return Fraction(num, 4**horizon)
 
 
 @dataclass(frozen=True)
@@ -366,12 +354,7 @@ class HoeffdingTail:
     to_json_dict = json_encode
 
 
-def hoeffding_tail(
-    d: Sequence,
-    t,
-    *,
-    support_budget: int = DEFAULT_SUPPORT_BUDGET,
-) -> HoeffdingTail:
+def hoeffding_tail(d: Sequence, t) -> HoeffdingTail:
     """Evaluate ``2*exp(-t^2 / (2*sum(d_i^2)))`` against the exact tail.
 
     The raw bound can exceed 1 for small ``t``; the clamped value is also
@@ -384,16 +367,12 @@ def hoeffding_tail(
     fracs = _as_positive_fractions(d, "d")
     ssq = sum(f * f for f in fracs)
     raw = 2.0 * math.exp(-float(tf * tf) / float(2 * ssq))
-    exact: Fraction | None
     try:
-        law = pmf_1d(fracs, support_budget=support_budget)
+        law = pmf_1d(fracs)
     except SupportBudgetError:
         exact = None
     else:
-        exact = Fraction(0)
-        for v, w in zip(law.values, law.weights):
-            if abs(Fraction(v)) >= tf:
-                exact += Fraction(w, law.total)
+        exact = Fraction(sum(w for v, w in zip(law.values, law.weights) if abs(v) >= tf), law.total)
     return HoeffdingTail(
         threshold=tf,
         sum_squares=ssq,

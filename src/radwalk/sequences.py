@@ -28,14 +28,16 @@ from .errors import (
 
 Number = int | Fraction
 
-FAMILIES = (
-    "constant",
-    "floor-power",
-    "real-power",
-    "explicit-block",
-    "from-construction-plan",
-    "explicit-list",
-)
+#: The parameters each family reads; :func:`make_sequence` refuses any other.
+FAMILY_PARAMS = {
+    "constant": ("value",),
+    "floor-power": ("gamma",),
+    "real-power": ("alpha", "precision_bits"),
+    "explicit-block": ("scale", "growth", "exponent_bit_budget", "require_squared_growth"),
+    "from-construction-plan": ("plan",),
+    "explicit-list": ("values",),
+}
+FAMILIES = tuple(FAMILY_PARAMS)
 
 #: Exponent-bit budget for materializing block-sequence lengths 2**(2**e):
 #: 2**e may not exceed this many bits.  The default covers blocks k <= 4.
@@ -109,7 +111,16 @@ class StepSequence:
     __call__ = value
 
     def prefix(self, n: int) -> list[Number]:
-        return [self.value(i) for i in range(1, n + 1)]
+        if self._runs is None or (self.length is not None and n > self.length):
+            return [self.value(i) for i in range(1, n + 1)]
+        # one pass over the runs, each cut at what is still needed: a block
+        # run reaches 2**(2**e) terms
+        out: list[Number] = []
+        runs = self._runs()
+        while len(out) < n:
+            value, count = next(runs)
+            out.extend([value] * min(count, n - len(out)))
+        return out
 
     def iter_runs(self) -> Iterator[tuple[Number, int]]:
         """Yield (value, run length) pairs in order, where available."""
@@ -158,9 +169,19 @@ def make_sequence(family: str, **params) -> StepSequence:
       a_n = the dyadic floor of n**alpha with denominator 2**precision_bits
     * ``explicit-list``: values (nonempty, all > 0)
     * ``explicit-block``: scale ("exact" or "scaled"), growth (optional
-      callable for scaled mode), see :func:`explicit_block_sequence`
+      callable for scaled mode, or ``"default-pow2"``), exponent_bit_budget,
+      require_squared_growth, see :func:`explicit_block_sequence`
     * ``from-construction-plan``: plan (a construction plan or its dict form)
+
+    Any other parameter is refused by name.
     """
+    if family not in FAMILIES:
+        raise ParameterError(f"unknown sequence family {family!r}; expected one of {FAMILIES}")
+    unknown = sorted(set(params) - set(FAMILY_PARAMS[family]))
+    if unknown:
+        raise ParameterError(
+            f"unknown {family} parameter {unknown[0]!r}; expected one of {FAMILY_PARAMS[family]}"
+        )
     if family == "constant":
         c = _fraction_param(params.get("value", 1), "value")
         if c <= 0:
@@ -227,27 +248,32 @@ def make_sequence(family: str, **params) -> StepSequence:
         )
 
     if family == "explicit-block":
+        growth = params.get("growth")
+        if growth == "default-pow2":  # the name to_config gives the default
+            growth = default_scaled_growth
+        elif not (growth is None or callable(growth)):
+            raise ParameterError(
+                f"growth must be a callable or 'default-pow2', got {growth!r}: "
+                "a custom growth function cannot be rebuilt from a config"
+            )
         return explicit_block_sequence(
             scale=params.get("scale", "exact"),
-            growth=params.get("growth"),
+            growth=growth,
             exponent_bit_budget=params.get(
                 "exponent_bit_budget", DEFAULT_EXPONENT_BIT_BUDGET
             ),
             require_squared_growth=params.get("require_squared_growth", False),
         )
 
-    if family == "from-construction-plan":
-        # Imported lazily: the construction module builds on this one.
-        from .construction import ConstructionPlan
+    # from-construction-plan; imported lazily: the construction module builds on this one
+    from .construction import ConstructionPlan
 
-        plan = params.get("plan")
-        if isinstance(plan, dict):
-            plan = ConstructionPlan.from_json_dict(plan)
-        if not isinstance(plan, ConstructionPlan):
-            raise ParameterError("plan must be a ConstructionPlan or its dict form")
-        return plan.sequence()
-
-    raise ParameterError(f"unknown sequence family {family!r}; expected one of {FAMILIES}")
+    plan = params.get("plan")
+    if isinstance(plan, dict):
+        plan = ConstructionPlan.from_json_dict(plan)
+    if not isinstance(plan, ConstructionPlan):
+        raise ParameterError("plan must be a ConstructionPlan or its dict form")
+    return plan.sequence()
 
 
 def sequence_from_config(config: dict) -> StepSequence:
@@ -257,16 +283,10 @@ def sequence_from_config(config: dict) -> StepSequence:
         raise ParameterError(f"unknown sequence-config keys: {unknown}")
     family = config.get("family")
     params = dict(config.get("params", {}))
-    if family in ("constant",):
-        if "value" in params:
-            params["value"] = _decode_number(params["value"])
-    elif family == "floor-power":
-        if "gamma" in params:
-            params["gamma"] = _decode_number(params["gamma"], "gamma")
-    elif family == "real-power":
-        if "alpha" in params:
-            params["alpha"] = _decode_number(params["alpha"], "alpha")
-    elif family == "explicit-list":
+    for fam, key in (("constant", "value"), ("floor-power", "gamma"), ("real-power", "alpha")):
+        if family == fam and key in params:
+            params[key] = _decode_number(params[key], key)
+    if family == "explicit-list":
         params["values"] = [_decode_number(v) for v in params.get("values", [])]
     return make_sequence(family, **params)
 
@@ -584,7 +604,7 @@ def explicit_block_sequence(
 
         params = {
             "scale": "scaled",
-            "growth": "default-pow2" if growth is None else "custom",
+            "growth": "default-pow2" if g is default_scaled_growth else "custom",
         }
 
     def runs() -> Iterator[tuple[int, int]]:
@@ -611,12 +631,8 @@ def explicit_block_sequence(
             k += 1
 
     def evaluate(n: int) -> int:
-        pos = 0
-        for value, L in runs():
-            pos += L
-            if n <= pos:
-                return value
-        raise AssertionError("unreachable")
+        ends = itertools.accumulate(runs(), lambda last, run: (run[0], last[1] + run[1]))
+        return next(value for value, end in ends if n <= end)
 
     return StepSequence("explicit-block", params, evaluate, runs=runs)
 
@@ -634,9 +650,8 @@ def block_boundaries(k_max: int, *, scale: str = "exact", growth=None,
     block_end: dict[int, int] = {}
     sub_end: dict[tuple[int, int], int] = {}
     pos = 0
-    k = 1
     run_iter = seq.iter_runs()
-    while k <= k_max:
+    for k in range(1, k_max + 1):
         for i in range(1, k + 1):
             value, L = next(run_iter)
             assert value == k
@@ -647,5 +662,4 @@ def block_boundaries(k_max: int, *, scale: str = "exact", growth=None,
                 pos += tail
             sub_end[(k, i)] = pos
         block_end[k] = pos
-        k += 1
     return {"block_end": block_end, "sub_block_end": sub_end}

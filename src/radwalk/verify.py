@@ -302,6 +302,13 @@ class HittingTimeResult:
     to_json_dict = json_encode
 
 
+#: Largest axis-start radius whose report carries the exact hit probability.
+#: Reports beyond it keep ``exact = None``, so their bytes stay as recorded
+#: (r = 5 and r = 10 are pinned without one), and r = 10, at horizon 1000,
+#: would spend seconds in the exact renewal.
+EXACT_RADIUS_CAP = 2
+
+
 def _ring_points(r: float) -> list[tuple[int, int]]:
     """Lattice points with norm in [r, r+1), sorted for deterministic indexing."""
     side = range(-int(math.floor(r + 1)), int(math.floor(r + 1)) + 1)
@@ -316,7 +323,6 @@ def hitting_time_experiment(
     *,
     level: float = 0.95,
     workers: int = 1,
-    exact_radius_cap: int = 2,
     start_mode: str = "axis",
 ) -> HittingTimeResult:
     """Estimate P(walk from distance r hits the origin within floor(r^3) steps).
@@ -325,7 +331,7 @@ def hitting_time_experiment(
     lattice.  The start is the deterministic axis point (ceil(r)*step, 0) by
     default; ``start_mode="ring"`` instead draws, per trial, a uniform lattice
     point with norm in [r, r+1) (one extra draw ahead of the direction
-    stream).  For axis starts with r <= ``exact_radius_cap`` the exact value
+    stream).  For axis starts with r <= :data:`EXACT_RADIUS_CAP` the exact value
     is also computed by :func:`radwalk.exact.hit_probability_2d` and returned
     for cross-checking.
     """
@@ -345,7 +351,7 @@ def hitting_time_experiment(
     # a walk that starts at the origin succeeds at time 0
     at_origin = (start_mode == "axis" and start_units == 0) or ring == [(0, 0)]
     exact: Fraction | None = Fraction(1) if at_origin else None
-    if start_mode == "axis" and r <= exact_radius_cap and not at_origin:
+    if start_mode == "axis" and r <= EXACT_RADIUS_CAP and not at_origin:
         # hitting the origin from (s, 0) is, by symmetry, hitting (s, 0) from the origin
         exact = _exact.hit_probability_2d([1] * horizon, (start_units, 0), horizon)
     unit_steps = np.ones(horizon, dtype=np.int64)
@@ -421,14 +427,13 @@ def sup_pmf_trend(
     k_floor: int = 8,
     ratio_cap: float = 2.0,
     slope_cap: float = 0.1,
-    support_budget: int = _exact.DEFAULT_SUPPORT_BUDGET,
 ) -> SupPmfTrendReport:
     """Tabulate sup_z P(T_k = z) for steps (1..k), k = 1..k_max."""
     if k_max < 1:
         raise ParameterError("k_max must be >= 1")
     rows = []
     for k in range(1, k_max + 1):
-        sup = _exact.sup_pmf(list(range(1, k + 1)), support_budget=support_budget)
+        sup = _exact.sup_pmf(list(range(1, k + 1)))
         rows.append(TrendRow(k=k, sup=sup, ratio=float(sup) * k**1.5))
     tail = [(math.log(r.k), r.ratio) for r in rows if r.k >= k_floor]
     slope: float | None = None

@@ -265,6 +265,18 @@ def test_criterion_06_hitting_floor(crit6_run):
     assert elapsed < 120.0
 
 
+def test_criterion_06_r5_estimate_against_exact(crit6_run):
+    """The r = 5 estimate within 4 sigma of the exact first passage, which
+    the renewal computes at horizon 125 (the report itself carries exact
+    values only up to r = 2)."""
+    res = crit6_run[0]["5"]
+    p = float(exact.hit_probability_2d([1] * 125, (5, 0), 125))
+    sigma = (p * (1 - p) / res["trials"]) ** 0.5
+    report(6, abs(res["estimate"] - p) <= 4 * sigma,
+           f"r=5 mc={res['estimate']:.5f} (exact {p:.5f} +- {4 * sigma:.5f})")
+    assert abs(res["estimate"] - p) <= 4 * sigma
+
+
 def test_criterion_07_recurrent_construction(crit7_run):
     """Full-force criterion, kept faithful: every round's horizon search must
     certify the 1/2 hit level at 95% confidence, and fresh walks must hit the

@@ -184,6 +184,26 @@ class TestExitCodes:
         assert run_cli(["sequence", "make", "--n", "6", "--seq", json.dumps(seq)]) == cli.EXIT_OK
         assert json.loads(capsys.readouterr().out)["record"]["prefix"] == list("223223")
 
+    def test_scaled_block_config_round_trips(self, capsys):
+        seq = '{"family":"explicit-block","params":{"scale":"scaled","growth":"default-pow2"}}'
+        assert run_cli(["sequence", "make", "--n", "3", "--seq", seq]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["record"]["prefix"] == ["1", "1", "2"]
+        custom = seq.replace("default-pow2", "custom")
+        assert run_cli(["sequence", "make", "--n", "3", "--seq", custom]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err.startswith("radwalk: error: growth must be")
+
+    @pytest.mark.parametrize(
+        "seq, key",
+        [
+            ('{"family":"constant","params":{"vlaue":5}}', "vlaue"),
+            ('{"family":"floor-power","params":{"gamma":"1/2","gama":3}}', "gama"),
+        ],
+    )
+    def test_unknown_sequence_params_fail_by_name(self, seq, key, capsys):
+        assert run_cli(["sequence", "make", "--n", "3", "--seq", seq]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("radwalk: error: ") and repr(key) in err
+
     def test_execution_error_on_horizon_mismatch(self):
         seq = '{"family":"explicit-list","params":{"values":[1,2]}}'
         assert run_cli(["simulate", "--seq", seq, "--n", "5"]) == cli.EXIT_ERROR

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,11 @@ from radwalk.errors import ParameterError
 
 CONST1 = sq.make_sequence("constant", value=1)
 HALF = sq.make_sequence("constant", value=Fraction(1, 2))
+
+
+def _hoeffding_no_exact():
+    with mock.patch.object(exact, "SUPPORT_BUDGET", 10):
+        return exact.hoeffding_tail([Fraction(1, 3), 2, 5], Fraction(7, 2))
 
 
 def _plan(master_seed=3, rounds=2):
@@ -33,9 +39,7 @@ REPORTS = {
         HALF, 6, 100, (3, (1, 2)), target=(1, 0)
     ),
     "hoeffding": lambda: exact.hoeffding_tail([1, 2, 3], 2),
-    "hoeffding_no_exact": lambda: exact.hoeffding_tail(
-        [Fraction(1, 3), 2, 5], Fraction(7, 2), support_budget=10
-    ),
+    "hoeffding_no_exact": _hoeffding_no_exact,
     "drift_grid": lambda: vf.verify_supermartingale(5),
     "elo": lambda: vf.verify_elo([1, 2, 3, 4], Fraction(1, 2)),
     "mod_lemma": lambda: vf.verify_mod_lemma([1, 2, 3, 5], 7),

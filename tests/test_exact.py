@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from radwalk import exact
 from radwalk.errors import ParameterError, PreconditionError, SupportBudgetError
+from radwalk.sequences import scaled_ints
 
 HALF = Fraction(1, 2)
 
@@ -60,9 +61,10 @@ class TestPmf1D:
         with pytest.raises(ParameterError):
             exact.pmf_1d([])
 
-    def test_budget_error_states_bound(self):
+    def test_budget_error_states_bound(self, monkeypatch):
+        monkeypatch.setattr(exact, "SUPPORT_BUDGET", 10)
         with pytest.raises(SupportBudgetError) as exc:
-            exact.pmf_1d([100, 100], support_budget=10)
+            exact.pmf_1d([100, 100])
         assert exc.value.budget == 10
         assert exc.value.required == 401
 
@@ -125,9 +127,10 @@ class TestPmf2D:
             assert law[(x, -y)] == m
             assert law[(y, x)] == m
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(exact, "SUPPORT_BUDGET", 100)
         with pytest.raises(SupportBudgetError):
-            exact.pmf_2d([50, 50], support_budget=100)
+            exact.pmf_2d([50, 50])
 
 
 class TestPackedRoutes:
@@ -143,9 +146,10 @@ class TestPackedRoutes:
         assert law.total == 2**k
 
     @pytest.mark.parametrize("k", [63, 64, 65, 130])
-    def test_unit_steps_planar_return(self, k):
+    def test_unit_steps_planar_return(self, k, monkeypatch):
         # P(S_k = 0) on the unit walk is C(k, k/2)^2 / 4^k for even k
-        law = exact.pmf_2d([1] * k, support_budget=(2 * k + 1) ** 2)
+        monkeypatch.setattr(exact, "SUPPORT_BUDGET", (2 * k + 1) ** 2)
+        law = exact.pmf_2d([1] * k)
         expected = Fraction(math.comb(k, k // 2) ** 2, 4**k) if k % 2 == 0 else 0
         assert law.mass((0, 0)) == expected
         assert sum(law.weights) == law.total
@@ -193,22 +197,32 @@ class TestPackedRoutes:
     @pytest.mark.parametrize(
         "steps, width", [([1, 2, 3], 13), ([Fraction(1, 2), Fraction(1, 3)], 11), ([5], 11)]
     )
-    def test_budget_fires_at_the_same_sizes(self, steps, width):
+    def test_budget_fires_at_the_same_sizes(self, steps, width, monkeypatch):
         # the support is 2*span + 1 points on the lattice of the scaled steps
-        assert exact.pmf_1d(steps, support_budget=width).total == 2 ** len(steps)
+        monkeypatch.setattr(exact, "SUPPORT_BUDGET", width)
+        assert exact.pmf_1d(steps).total == 2 ** len(steps)
+        monkeypatch.setattr(exact, "SUPPORT_BUDGET", width - 1)
         with pytest.raises(SupportBudgetError) as exc:
-            exact.pmf_1d(steps, support_budget=width - 1)
+            exact.pmf_1d(steps)
         assert (exc.value.required, exc.value.budget) == (width, width - 1)
-        assert exact.pmf_2d(steps, support_budget=width**2).total == 4 ** len(steps)
+        monkeypatch.setattr(exact, "SUPPORT_BUDGET", width**2)
+        assert exact.pmf_2d(steps).total == 4 ** len(steps)
+        assert exact.hit_probability_2d(steps, (0, 0), len(steps)) >= 0
+        monkeypatch.setattr(exact, "SUPPORT_BUDGET", width**2 - 1)
         with pytest.raises(SupportBudgetError) as exc:
-            exact.pmf_2d(steps, support_budget=width**2 - 1)
+            exact.pmf_2d(steps)
+        assert (exc.value.required, exc.value.budget) == (width**2, width**2 - 1)
+        with pytest.raises(SupportBudgetError) as exc:
+            exact.hit_probability_2d(steps, (0, 0), len(steps))
         assert (exc.value.required, exc.value.budget) == (width**2, width**2 - 1)
 
-    def test_interval_budget_counts_the_half_width_lattice(self):
+    def test_interval_budget_counts_the_half_width_lattice(self, monkeypatch):
         # steps 1, 2 on the lattice of D = 1/2: scaled 2 and 4, 13 points
-        assert exact.max_interval_probability([1, 2], HALF, support_budget=13)[0] == Fraction(1, 4)
+        monkeypatch.setattr(exact, "SUPPORT_BUDGET", 13)
+        assert exact.max_interval_probability([1, 2], HALF)[0] == Fraction(1, 4)
+        monkeypatch.setattr(exact, "SUPPORT_BUDGET", 12)
         with pytest.raises(SupportBudgetError) as exc:
-            exact.max_interval_probability([1, 2], HALF, support_budget=12)
+            exact.max_interval_probability([1, 2], HALF)
         assert (exc.value.required, exc.value.budget) == (13, 12)
 
 
@@ -318,6 +332,36 @@ class TestMaxIntervalProbability:
         assert sup == best
 
 
+def dp_hit_probability(a, target, horizon):
+    """Reference oracle: first passage by dynamic programming over the 2-D
+    law, the target absorbing from step 1 on."""
+    ints, scale = scaled_ints([Fraction(s) for s in a]) if a else ([], 1)
+    tx, ty = Fraction(target[0]) * scale, Fraction(target[1]) * scale
+    if tx.denominator != 1 or ty.denominator != 1:
+        return Fraction(0)
+    tkey = (int(tx), int(ty))
+    state = {(0, 0): 1}
+    absorbed = Fraction(0)
+    for n in range(horizon):
+        s = ints[n]
+        new = {}
+        for (x, y), wt in state.items():
+            for key in ((x + s, y), (x - s, y), (x, y + s), (x, y - s)):
+                new[key] = new.get(key, 0) + wt
+        hit = new.pop(tkey, 0)
+        if hit:
+            absorbed += Fraction(hit, 1 << (2 * (n + 1)))
+        state = new
+    return absorbed
+
+
+#: P(the unit walk visits (5, 0) within 125 steps), about 0.182309: criterion
+#: 6's r = 5 case, recorded from the dynamic-programming route.
+UNIT_R5_HIT = Fraction(
+    329843622320248266379092091409896982440712961487067973435904249613171020793, 4**125
+)
+
+
 class TestHitProbability:
     def test_two_unit_steps(self):
         assert exact.hit_probability_2d([1, 1], (0, 0), 2) == Fraction(1, 4)
@@ -350,6 +394,30 @@ class TestHitProbability:
     def test_off_lattice_target(self):
         assert exact.hit_probability_2d([1, 1], (1, 1), 2) > 0
         assert exact.hit_probability_2d([2, 2], (1, 0), 2) == 0
+
+    @settings(max_examples=250, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=1, max_value=4),
+                st.fractions(min_value=Fraction(1, 3), max_value=4, max_denominator=3),
+            ).filter(lambda f: f > 0),
+            min_size=1,
+            max_size=9,
+        ).flatmap(lambda a: st.tuples(st.just(a), st.integers(0, len(a)))),
+        st.tuples(
+            st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=6)),
+            st.integers(-4, 4),
+        ),
+    )
+    def test_renewal_matches_dp(self, case, target):
+        a, horizon = case
+        assert exact.hit_probability_2d(a, target, horizon) == dp_hit_probability(a, target, horizon)
+        assert exact.hit_probability_2d(a, (0, 0), horizon) == dp_hit_probability(a, (0, 0), horizon)
+
+    def test_unit_walk_r5_pinned(self):
+        assert exact.hit_probability_2d([1] * 125, (5, 0), 125) == UNIT_R5_HIT
+        assert float(UNIT_R5_HIT) == pytest.approx(0.182309, abs=5e-7)
 
 
 class TestHoeffdingTail:

@@ -97,6 +97,7 @@ class TestSerialization:
             ("real-power", {"alpha": Fraction(2, 3), "precision_bits": 32}),
             ("explicit-list", {"values": [1, Fraction(5, 2), 3]}),
             ("explicit-block", {"scale": "exact"}),
+            ("explicit-block", {"scale": "scaled"}),
         ],
     )
     def test_config_roundtrip(self, family, params):
@@ -107,6 +108,28 @@ class TestSerialization:
         assert s2.to_config() == config
         n_probe = min(4, s.length or 4)
         assert s2.prefix(n_probe) == s.prefix(n_probe)
+
+    def test_scaled_block_growth_names(self):
+        s = sq.make_sequence("explicit-block", scale="scaled", growth="default-pow2")
+        assert s.to_config()["params"]["growth"] == "default-pow2"
+        assert s.prefix(20) == sq.explicit_block_sequence(scale="scaled").prefix(20)
+        custom = sq.explicit_block_sequence(scale="scaled", growth=lambda k, i: 4 ** (k + i))
+        assert custom.to_config()["params"]["growth"] == "custom"
+        with pytest.raises(ParameterError, match="'custom'"):
+            sq.sequence_from_config(custom.to_config())
+
+    @pytest.mark.parametrize(
+        "family, params, key",
+        [
+            ("constant", {"vlaue": 5}, "vlaue"),
+            ("floor-power", {"gamma": "1/2", "gama": 3}, "gama"),
+            ("explicit-list", {"values": [1], "value": 2}, "value"),
+            ("explicit-block", {"scale": "scaled", "grwoth": "default-pow2"}, "grwoth"),
+        ],
+    )
+    def test_unknown_params_rejected_by_name(self, family, params, key):
+        with pytest.raises(ParameterError, match=f"'{key}'"):
+            sq.sequence_from_config({"family": family, "params": params})
 
     def test_unknown_config_key_rejected(self):
         with pytest.raises(ParameterError):
@@ -471,6 +494,46 @@ class TestRunLengthAgainstPerIndexScan:
         seq = sq.make_sequence("real-power", alpha=Fraction(1, 2), precision_bits=4)
         want = reference_run_length(seq, 50)
         assert str(run_length_outcome(seq, 50)) == str(want) and want.index == 2
+
+
+def _small_plan_sequence():
+    from radwalk import construction as cn
+
+    plan, _ = cn.build_recurrent_sequence(
+        cn.GoodSetPrefix([2, 3, 5, 7]), 2, master_seed=3, trials=40, horizon_cap=32
+    )
+    return plan.sequence()
+
+
+#: A sequence of each family with a run iterator, and its per-index prefix.
+RUN_FAMILIES = {
+    "explicit-list": sq.make_sequence("explicit-list", values=[1, 1, 2, Fraction(5, 2), 2, 2, 7]),
+    "block-exact": sq.explicit_block_sequence(),
+    "block-scaled": sq.explicit_block_sequence(scale="scaled"),
+    "plan": _small_plan_sequence(),
+}
+PER_INDEX = {
+    name: [seq.value(i) for i in range(1, min(seq.length or 70_000, 70_000) + 1)]
+    for name, seq in RUN_FAMILIES.items()
+}
+
+
+class TestPrefixFromRuns:
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(sorted(RUN_FAMILIES)), st.integers(0, 300) | st.integers(0, 70_000))
+    def test_prefix_matches_per_index(self, name, n):
+        seq, want = RUN_FAMILIES[name], PER_INDEX[name]
+        if seq.length is not None and n > seq.length:
+            with pytest.raises(ParameterError, match="beyond this sequence's length"):
+                seq.prefix(n)
+        else:
+            assert seq.prefix(n) == want[:n]
+
+    def test_exact_block_prefix_stops_at_the_budget(self):
+        s = sq.explicit_block_sequence(exponent_bit_budget=16)
+        assert s.prefix(65552)[-13:] == [2] + [1] * 12
+        with pytest.raises(OverflowRefusal):
+            s.prefix(65553)
 
 
 class TestBlockSequence:

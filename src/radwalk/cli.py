@@ -13,6 +13,7 @@ reached before certification).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -255,6 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use: parsing leaves it as it was."""
+    return build_parser()
+
+
 def _add_flags(parser: argparse.ArgumentParser, flags: list[tuple[str, dict]]) -> None:
     for flag, kw in flags + _GLOBAL_FLAGS:
         kw = dict(kw)
@@ -300,8 +307,7 @@ def _file_value(key: str, kw: dict, value):
 
 def parse_config(argv: list[str]) -> RunConfig:
     """Parse flags (and an optional config file) into a validated RunConfig."""
-    parser = build_parser()
-    ns = vars(parser.parse_args(argv))
+    ns = vars(_parser().parse_args(argv))
     command = ns.pop("command")
     ns.pop("group", None)
     ns.pop("sub", None)

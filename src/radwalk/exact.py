@@ -125,25 +125,31 @@ def _scaled_int_steps(d: Sequence, what: str, square: bool = False):
     return fracs, ints, scale, span
 
 
+def _nonzero_slots(packed: int, slots: int, limbs: int) -> tuple[np.ndarray, list[int]]:
+    """Indices and values of the nonzero slots among the first ``slots`` slots
+    of ``64*limbs`` bits of ``packed``, each decoded as whole 64-bit limbs."""
+    raw = packed.to_bytes(8 * limbs * slots, "little")
+    words = np.frombuffer(raw, dtype="<u8").reshape(slots, limbs)
+    j = np.flatnonzero(words.any(axis=1))
+    values = words[j, -1].astype(object)
+    for i in range(limbs - 2, -1, -1):
+        values = (values << 64) | words[j, i].astype(object)
+    return j, values.tolist()
+
+
 def _signed_sum_weights(ints: Sequence[int], span: int) -> tuple[list[int], list[int]]:
     """Support values and weights of the signed sum of the integer steps.
 
     The law is the polynomial ``prod(1 + z**s)``, slot ``j`` holding the
     value ``2j - span``, evaluated at ``z = 2**(64*limbs)`` as one packed
-    integer: a weight is at most ``2**len(ints)``, so the slots never carry,
-    and each slot decodes as whole 64-bit limbs.
+    integer: a weight is at most ``2**len(ints)``, so the slots never carry.
     """
     limbs = len(ints) // 64 + 1
     packed = 1
     for s in ints:
         packed += packed << (64 * limbs * s)
-    raw = packed.to_bytes(8 * limbs * (span + 1), "little")
-    slots = np.frombuffer(raw, dtype="<u8").reshape(span + 1, limbs)
-    j = np.flatnonzero(slots.any(axis=1))
-    weights = slots[j, -1].astype(object)
-    for i in range(limbs - 2, -1, -1):
-        weights = (weights << 64) | slots[j, i].astype(object)
-    return (2 * j - span).tolist(), weights.tolist()
+    j, weights = _nonzero_slots(packed, span + 1, limbs)
+    return (2 * j - span).tolist(), weights
 
 
 def pmf_1d(d: Sequence) -> ExactPmf1D:
@@ -229,23 +235,32 @@ def mod_probability(d: Sequence, m: int, residue: int, *, method: str = "auto") 
 
 
 def mod_probability_profile(d: Sequence, m: int) -> list[Fraction]:
-    """Exact probabilities for every residue class mod ``m``, residue route."""
+    """Exact probabilities for every residue class mod ``m``, residue route.
+
+    The law mod m is ``prod(z**s + z**-s) = z**-sum(d) * prod(1 + z**2s)``
+    modulo ``z**m - 1``, packed as in :func:`_signed_sum_weights` with slot r
+    holding residue r: each step is one shift-add, with the slots past m
+    folded back onto the first ones, and a last rotation by ``-sum(d)``.
+    """
     ints = _int_steps_only(d)
     if m < 1:
         raise ParameterError("modulus m must be >= 1")
-    vec = [0] * m
-    vec[0] = 1
+    limbs = len(ints) // 64 + 1
+    bits = 64 * limbs
+    mask = (1 << (bits * m)) - 1
+
+    def fold(packed: int) -> int:  # slot m + i onto slot i; the slots never carry
+        return (packed & mask) + (packed >> (bits * m))
+
+    packed = 1
     for s in ints:
-        sm = s % m
-        new = [0] * m
-        for r in range(m):
-            wt = vec[r]
-            if wt:
-                new[(r + sm) % m] += wt
-                new[(r - sm) % m] += wt
-        vec = new
+        packed = fold(packed + (packed << (bits * (2 * s % m))))
+    packed = fold(packed << (bits * (-sum(ints) % m)))
+    weights = [0] * m
+    for r, w in zip(*_nonzero_slots(packed, m, limbs)):
+        weights[r] = w
     total = 1 << len(ints)
-    return [Fraction(w, total) for w in vec]
+    return [Fraction(w, total) for w in weights]
 
 
 def sup_pmf(d: Sequence) -> Fraction:

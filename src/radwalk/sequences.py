@@ -92,12 +92,14 @@ class StepSequence:
         evaluate: Callable[[int], Number],
         length: int | None = None,
         runs: Callable[[], Iterator[tuple[Number, int]]] | None = None,
+        values: tuple[Number, ...] | None = None,
     ):
         self.kind = kind
         self.params = params
         self._evaluate = evaluate
         self.length = length  # None means unbounded
         self._runs = runs
+        self._values = values  # every term, for a finite list
 
     def value(self, n: int) -> Number:
         if n < 1:
@@ -111,6 +113,8 @@ class StepSequence:
     __call__ = value
 
     def prefix(self, n: int) -> list[Number]:
+        if self._values is not None and n <= len(self._values):
+            return list(self._values[: max(n, 0)])
         if self._runs is None or (self.length is not None and n > self.length):
             return [self.value(i) for i in range(1, n + 1)]
         # one pass over the runs, each cut at what is still needed: a block
@@ -153,9 +157,9 @@ def _encode_params(params: dict) -> dict:
 def _decode_number(v, name: str = "value") -> Number:
     if isinstance(v, str):
         return int_if_whole(_fraction_param(v, name))
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):
         return v
-    raise ParameterError(f"expected an int or 'p/q' string, got {v!r}")
+    raise ParameterError(f"{name} must be an int or a 'p/q' string, got {v!r}")
 
 
 def make_sequence(family: str, **params) -> StepSequence:
@@ -229,22 +233,13 @@ def make_sequence(family: str, **params) -> StepSequence:
                 raise ParameterError(f"values[{i}] must be > 0, got {v}")
             vals.append(int_if_whole(f))
         tup = tuple(vals)
-
-        def runs() -> Iterator[tuple[Number, int]]:
-            i = 0
-            while i < len(tup):
-                j = i
-                while j < len(tup) and tup[j] == tup[i]:
-                    j += 1
-                yield tup[i], j - i
-                i = j
-
         return StepSequence(
             "explicit-list",
             {"values": list(tup)},
             lambda n: tup[n - 1],
             length=len(tup),
-            runs=runs,
+            runs=lambda: ((v, sum(1 for _ in run)) for v, run in itertools.groupby(tup)),
+            values=tup,
         )
 
     if family == "explicit-block":
@@ -278,16 +273,24 @@ def make_sequence(family: str, **params) -> StepSequence:
 
 def sequence_from_config(config: dict) -> StepSequence:
     """Inverse of ``StepSequence.to_config``."""
+    if not isinstance(config, dict):
+        raise ParameterError(f"a sequence config must be an object, got {config!r}")
     if set(config) - {"family", "params"}:
         unknown = sorted(set(config) - {"family", "params"})
         raise ParameterError(f"unknown sequence-config keys: {unknown}")
     family = config.get("family")
-    params = dict(config.get("params", {}))
+    params = config.get("params", {})
+    if not isinstance(params, dict):
+        raise ParameterError(f"params must be an object of named parameters, got {params!r}")
+    params = dict(params)
     for fam, key in (("constant", "value"), ("floor-power", "gamma"), ("real-power", "alpha")):
         if family == fam and key in params:
             params[key] = _decode_number(params[key], key)
     if family == "explicit-list":
-        params["values"] = [_decode_number(v) for v in params.get("values", [])]
+        values = params.get("values", [])
+        if not isinstance(values, list):
+            raise ParameterError(f"values must be a list, got {values!r}")
+        params["values"] = [_decode_number(v, f"values[{i}]") for i, v in enumerate(values)]
     return make_sequence(family, **params)
 
 
@@ -588,6 +591,14 @@ def explicit_block_sequence(
     """
     if scale not in ("exact", "scaled"):
         raise ParameterError("scale must be 'exact' or 'scaled'")
+    if type(exponent_bit_budget) is not int or exponent_bit_budget < 0:
+        raise ParameterError(
+            f"exponent_bit_budget must be an int >= 0, got {exponent_bit_budget!r}"
+        )
+    if type(require_squared_growth) is not bool:
+        raise ParameterError(
+            f"require_squared_growth must be true or false, got {require_squared_growth!r}"
+        )
     if scale == "exact":
         if growth is not None:
             raise ParameterError("growth is only meaningful in scaled mode")

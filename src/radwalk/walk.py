@@ -159,8 +159,8 @@ def _step_array(seq: StepSequence, n: int) -> np.ndarray:
     """Steps a_1..a_n: int64 when all are ints summing to at most
     :data:`INT64_STEP_SUM`, else an object array of the exact values.
 
-    The constant, integer-gamma floor-power, explicit-list and plan families
-    are built in closed form, without a call per index.
+    The constant, integer-gamma floor-power and plan families are built in
+    closed form, and an explicit list is sliced, without a call per index.
     """
     if n < 0:
         raise ParameterError("horizon must be >= 0")
@@ -181,7 +181,7 @@ def _step_array(seq: StepSequence, n: int) -> np.ndarray:
         rounds = ConstructionPlan.from_json_dict(params["plan"]).rounds
         if rounds and max(max(r.pair.b1, r.pair.b2) for r in rounds) * n <= INT64_STEP_SUM:
             return _plan_steps(rounds)[:n]
-    steps = params["values"][:n] if seq.kind == "explicit-list" else seq.prefix(n)
+    steps = seq.prefix(n)
     if all(isinstance(a, int) for a in steps) and sum(steps) <= INT64_STEP_SUM:
         return np.array(steps, dtype=np.int64)
     return np.array(steps, dtype=object)

@@ -28,6 +28,18 @@ def run_cli(argv):
     return cli.main(argv)
 
 
+def fresh_process(argv):
+    """Run the CLI in a new interpreter; returns the CompletedProcess."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "radwalk.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+
+
 class TestParseConfig:
     def test_minimal_simulate_flags(self):
         cfg = cli.parse_config(["simulate", "--seq", CONST1, "--n", "4"])
@@ -132,14 +144,7 @@ class TestExitCodes:
                 json.dumps({"command": "mc-return", "args": {"seed": 1.5}}), encoding="utf-8"
             )
             argv += ["--config", str(path)]
-        src = str(Path(cli.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-m", "radwalk.cli", *argv],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=src),
-            timeout=60,
-        )
+        proc = fresh_process(argv)
         assert proc.returncode == cli.EXIT_ERROR
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("radwalk: error: master seed must be")
@@ -203,6 +208,26 @@ class TestExitCodes:
         assert run_cli(["sequence", "make", "--n", "3", "--seq", seq]) == cli.EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("radwalk: error: ") and repr(key) in err
+
+    @pytest.mark.parametrize(
+        "seq, named",
+        [
+            ('{"family":"explicit-block","params":{"exponent_bit_budget":"x"}}',
+             "exponent_bit_budget"),
+            ('{"family":"explicit-block","params":{"require_squared_growth":1}}',
+             "require_squared_growth"),
+            ('{"family":"constant","params":[1]}', "params"),
+            ('{"family":"constant","params":{"value":[1]}}', "value"),
+            ('{"family":"explicit-list","params":{"values":"12"}}', "values"),
+            ('{"family":"explicit-list","params":{"values":[1,true]}}', "values[1]"),
+            ("[1]", "a sequence config"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["make", "decompose", "doubling"])
+    def test_untyped_sequence_params_fail_by_name(self, command, seq, named, capsys):
+        assert run_cli(["sequence", command, "--n", "3", "--seq", seq]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"radwalk: error: {named} must be"), err
 
     def test_execution_error_on_horizon_mismatch(self):
         seq = '{"family":"explicit-list","params":{"values":[1,2]}}'
@@ -296,6 +321,63 @@ class TestReports:
     def test_check_good_flags_even_set(self, capsys):
         code = run_cli(["construct", "check-good", "--good-set", "2,4,6"])
         assert code == cli.EXIT_VERIFY_FAILED
+
+
+#: A command whose report shows its defaults (residue 0, method auto).
+PLAIN_MOD = ["exact", "mod", "--d", "1,2,3", "--m", "3"]
+
+
+class TestParserReuse:
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_import_builds_no_parser(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *a, **k):\n"
+            "    built.append(1)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import radwalk.cli\n"
+            "print(len(built), radwalk.cli._parser.cache_info().currsize)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        assert proc.stdout.split() == ["0", "0"], proc.stderr
+
+    def test_two_calls_build_once(self, monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        assert cli.main(PLAIN_MOD) == cli.EXIT_OK
+        assert cli.main(["construct", "bezout", "--b1", "2", "--b2", "3"]) == cli.EXIT_OK
+        assert built == [1]
+
+    @pytest.mark.parametrize("before", ["bad-flag", "help", "config"])
+    def test_next_command_prints_as_in_a_fresh_process(self, before, tmp_path, capsys):
+        if before == "config":
+            path = tmp_path / "run.json"
+            args = {"d": "5,7", "m": 4, "residue": 1, "method": "full"}
+            path.write_text(json.dumps({"command": "exact.mod", "args": args}), encoding="utf-8")
+            assert cli.main(["exact", "mod", "--config", str(path), "--residue", "2"]) == 0
+        else:
+            flag = "--bogus" if before == "bad-flag" else "--help"
+            with pytest.raises(SystemExit) as exc:
+                cli.main(PLAIN_MOD + [flag])
+            assert exc.value.code == (2 if before == "bad-flag" else 0)
+        capsys.readouterr()
+        assert cli.main(PLAIN_MOD) == cli.EXIT_OK
+        fresh = fresh_process(PLAIN_MOD)
+        assert fresh.returncode == cli.EXIT_OK
+        assert capsys.readouterr().out == fresh.stdout
 
 
 class TestHelpTree:

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radwalk import exact
@@ -263,6 +263,45 @@ class TestModProbability:
         profile = exact.mod_probability_profile(list(range(1, 17)), 16)
         assert sum(profile) == 1
         assert max(profile) == exact.mod_probability(list(range(1, 17)), 16, 0)
+
+
+def loop_mod_profile(d, m):
+    """Reference oracle: the residue-class law, one pass over the m classes
+    per step."""
+    vec = [1] + [0] * (m - 1)
+    for s in d:
+        new = [0] * m
+        for r, wt in enumerate(vec):
+            if wt:
+                new[(r + s) % m] += wt
+                new[(r - s) % m] += wt
+        vec = new
+    return [Fraction(w, 1 << len(d)) for w in vec]
+
+
+@st.composite
+def profile_cases(draw):
+    """Steps 1..200 with lengths around the 64-bit limb edges, and moduli
+    that are 1, above every step, or a divisor of a step."""
+    k = draw(st.sampled_from([63, 64, 65, 128]) | st.integers(1, 130))
+    d = draw(st.lists(st.integers(1, 200), min_size=k, max_size=k))
+    divisor = draw(st.sampled_from(d).flatmap(lambda s: st.sampled_from(
+        [q for q in range(1, s + 1) if s % q == 0])))
+    m = draw(st.just(1) | st.integers(201, 1100) | st.just(divisor) | st.integers(2, 300))
+    return d, m
+
+
+class TestModProfile:
+    @settings(max_examples=150, deadline=None)
+    @given(profile_cases())
+    @example(([1] * 63, 1))
+    @example(([200] * 64, 1024))
+    @example(([5, 10, 15] * 21 + [7, 3], 5))
+    @example((list(range(1, 129)), 128))
+    @example((list(range(72, 201)), 64))
+    def test_packed_matches_loop(self, case):
+        d, m = case
+        assert exact.mod_probability_profile(d, m) == loop_mod_profile(d, m)
 
 
 class TestSupPmf:

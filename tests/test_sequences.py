@@ -536,6 +536,35 @@ class TestPrefixFromRuns:
             s.prefix(65553)
 
 
+class TestExplicitListPrefix:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.integers(1, 4) | st.fractions(Fraction(1, 3), 4), min_size=1, max_size=40),
+        st.integers(-2, 45),
+    )
+    def test_prefix_is_the_values(self, raw, n):
+        seq = sq.make_sequence("explicit-list", values=raw)
+        if n > seq.length:
+            with pytest.raises(ParameterError, match=f"index {seq.length + 1} is beyond"):
+                seq.prefix(n)
+        else:
+            assert seq.prefix(n) == [seq.value(i) for i in range(1, n + 1)]
+
+    def test_prefix_is_a_fresh_list(self):
+        seq = sq.make_sequence("explicit-list", values=[3, 1, 4])
+        config = seq.to_config()
+        out = seq.prefix(3)
+        out[0] = 99
+        out.append(5)
+        assert seq.prefix(3) == [3, 1, 4] and seq.value(1) == 3
+        assert seq.to_config() == config
+
+    def test_runs_group_equal_neighbours(self):
+        values = [1, 1, 2, Fraction(5, 2), Fraction(5, 2), 2, 2, 2, 7, 1]
+        runs = list(sq.make_sequence("explicit-list", values=values).iter_runs())
+        assert runs == [(1, 2), (2, 1), (Fraction(5, 2), 2), (2, 3), (7, 1), (1, 1)]
+
+
 class TestBlockSequence:
     def test_sub_block_lengths(self):
         sb = sq.sub_block_length(1, 1)

@@ -262,6 +262,18 @@ class TestStepArray:
         assert dtype(sq.make_sequence("explicit-list", values=[limit, 1]), 1) == np.int64
         assert dtype(sq.make_sequence("explicit-list", values=[limit, 1]), 2) == object
 
+    def test_explicit_lists_are_sliced(self):
+        limit = wk.INT64_STEP_SUM
+        for values, n, dtype in (
+            ([3, 1, 4, 1, 5], 4, np.int64),
+            ([limit, 1, 2], 3, object),
+            ([2, Fraction(1, 3), 5], 3, object),
+        ):
+            arr = wk._step_array(sq.make_sequence("explicit-list", values=values), n)
+            assert arr.dtype == dtype
+            assert arr.tolist() == values[:n]
+            assert [type(a) for a in arr.tolist()] == [type(a) for a in values[:n]]
+
     def test_fractional_steps_stay_exact(self):
         half = sq.make_sequence("constant", value=Fraction(1, 2))
         assert wk._step_array(half, 3).tolist() == [Fraction(1, 2)] * 3

@@ -15,7 +15,9 @@ For a range of 4, numpy uses Lemire's multiply-shift draw, which rejects a
 ``(4*w) >> 32``, the top two bits of ``w``.  The words are the halves of the
 64-bit Philox outputs, low half first, so :class:`CodeReader` decodes ``n``
 codes as ``random_raw(ceil(n/2)).view(uint32)[:n] >> 30`` (on a
-little-endian host): the codes :func:`direction_codes` draws.
+little-endian host): the codes :func:`direction_codes` draws.  The shift
+runs in place on the raw words, which the read owns, and the codes are then
+narrowed to uint8, so no wider temporary is made.
 
 Results and construction plans go to JSON and back through one codec,
 :func:`json_encode` and :func:`json_decode`, driven by dataclass fields.  A
@@ -125,11 +127,13 @@ class CodeReader:
         self._bitgen.state = self._state
 
     def read(self, n: int) -> np.ndarray:
-        """The next ``n`` codes (uint32); an odd ``n`` leaves a half word unread."""
-        return self._bitgen.random_raw(-(-n // 2)).view(np.uint32)[:n] >> 30
+        """The next ``n`` codes (uint8); an odd ``n`` leaves a half word unread."""
+        words = self._bitgen.random_raw(-(-n // 2)).view(np.uint32)[:n]
+        words >>= 30  # in place: the raw buffer is this read's own
+        return words.astype(np.uint8)
 
     def codes(self, trial: int, n: int) -> np.ndarray:
-        """``direction_codes(master_seed, trial, n)``, as uint32."""
+        """``direction_codes(master_seed, trial, n)``, as uint8."""
         self.seek(trial)
         return self.read(n)
 

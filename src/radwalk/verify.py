@@ -31,7 +31,7 @@ from . import exact as _exact
 from . import rng as _rng
 from .errors import ParameterError, PreconditionError
 from .rng import ConfidenceInterval, json_encode, wilson_interval
-from .walk import rotated_paths
+from .walk import INT64_STEP_SUM, rotated_paths
 
 #: Value assigned to the log potential at the origin.
 ORIGIN_POTENTIAL = -5.0
@@ -335,8 +335,13 @@ def hitting_time_experiment(
     is also computed by :func:`radwalk.exact.hit_probability_2d` and returned
     for cross-checking.
     """
+    if not math.isfinite(r):
+        raise ParameterError(f"r must be finite, got {r}")
     if r < 0:
         raise ParameterError("r must be >= 0")
+    # unit steps sum to the horizon; the first test keeps r**3 a finite float
+    if r > 1 << 21 or math.floor(float(r) ** 3) > INT64_STEP_SUM:
+        raise ParameterError(f"horizon floor(r^3) exceeds 2**62 steps, r = {r}")
     if step < 1:
         raise ParameterError("step must be a positive integer")
     if trials < 1:

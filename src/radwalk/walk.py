@@ -48,6 +48,10 @@ class PositionPolicy:
     width_bits: int | None = 63
     promote: bool = False
 
+    def __post_init__(self):
+        if self.width_bits is not None and self.width_bits < 0:
+            raise ParameterError(f"width_bits must be >= 0, got {self.width_bits}")
+
     @property
     def bound(self) -> int | None:
         return None if self.width_bits is None else (1 << self.width_bits) - 1
@@ -109,7 +113,8 @@ class WalkSummary:
 @dataclass(frozen=True)
 class WalkBlock:
     """Steps ``start, start + 1, ...`` of a streamed walk, as a :func:`simulate` visitor
-    gets them: exact positions, step sizes and codes, as int64 or object arrays."""
+    gets them: exact positions and step sizes, as int64 or object arrays, and
+    direction codes as uint8."""
 
     start: int
     x: np.ndarray
@@ -199,26 +204,32 @@ def rotated_paths(
     ``c = 2*b1 + b0`` moves ``u`` by ``a * (1 - 2*b0)`` and ``v`` by
     ``a * (1 - 2*(b0 ^ b1))``: +e1 by ``(a, a)``, -e1 by ``(-a, -a)``, +e2 by
     ``(a, -a)``, -e2 by ``(-a, a)``.  A batch holds at most
-    :data:`BATCH_STEPS` steps or one trial; ``u`` and ``v`` are overwritten
-    by the next batch.
+    :data:`BATCH_STEPS` steps or one trial.
+
+    One ``(rows, n, 2)`` buffer, allocated per call, holds the batch's
+    ``u`` and ``v`` interleaved; the yielded ``u`` and ``v`` are strided
+    views of it, of shape ``(len(batch), n)``, and the next batch
+    overwrites them.
     """
     n = len(steps)
     rows = max(1, min(len(trials), BATCH_STEPS // max(n, 1)))
     # Buffers are allocated once per call: a fresh array per batch costs
-    # page faults that, on long walks, take as long as the arithmetic.
+    # page faults that, on long walks, take as long as the arithmetic.  With
+    # u and v interleaved, one cumsum along the steps adds both at once, about
+    # four times faster than numpy's dependent loop over each row on its own.
     codes = np.empty((rows, n), dtype=np.uint8)
-    u = np.empty((rows, n), dtype=steps.dtype)
-    v = np.empty((rows, n), dtype=steps.dtype)
+    uv = np.empty((rows, n, 2), dtype=steps.dtype)
     for lo in range(trials.start, trials.stop, rows):
         batch = range(lo, min(lo + rows, trials.stop))
-        c, bu, bv = codes[: len(batch)], u[: len(batch)], v[: len(batch)]
+        c, b = codes[: len(batch)], uv[: len(batch)]
         for r, t in enumerate(batch):
             c[r] = codes_of(t)
         # 1 - 2*bit as uint8 is 1 or 255, that is +1 or -1 as int8
         neg = c & 1
-        np.multiply(steps, (1 - 2 * neg).view(np.int8), out=bu)
-        np.multiply(steps, (1 - 2 * (neg ^ (c >> 1))).view(np.int8), out=bv)
-        yield batch, np.cumsum(bu, axis=1, out=bu), np.cumsum(bv, axis=1, out=bv)
+        np.multiply(steps, (1 - 2 * neg).view(np.int8), out=b[..., 0])
+        np.multiply(steps, (1 - 2 * (neg ^ (c >> 1))).view(np.int8), out=b[..., 1])
+        np.cumsum(b, axis=1, out=b)
+        yield batch, b[..., 0], b[..., 1]
 
 
 def _stream_codes(master_seed, trial: int, n: int, chunk: int):

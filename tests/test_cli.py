@@ -28,11 +28,11 @@ def run_cli(argv):
     return cli.main(argv)
 
 
-def fresh_process(argv):
+def fresh_process(argv, module="radwalk.cli"):
     """Run the CLI in a new interpreter; returns the CompletedProcess."""
     src = str(Path(cli.__file__).resolve().parents[1])
     return subprocess.run(
-        [sys.executable, "-m", "radwalk.cli", *argv],
+        [sys.executable, "-m", module, *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
@@ -149,6 +149,11 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("radwalk: error: master seed must be")
 
+    def test_runs_as_a_module(self):
+        proc = fresh_process(["construct", "bezout", "--b1", "2", "--b2", "3"], module="radwalk")
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["record"]["pattern"] == [2, 2, 3]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -228,6 +233,20 @@ class TestExitCodes:
         assert run_cli(["sequence", command, "--n", "3", "--seq", seq]) == cli.EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith(f"radwalk: error: {named} must be"), err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["verify", "hitting", "--r", "nan", "--trials", "3"], "r must be finite"),
+            (["verify", "hitting", "--r", "inf", "--trials", "3"], "r must be finite"),
+            (["verify", "hitting", "--r=-inf", "--trials", "3"], "r must be finite"),
+            (["verify", "hitting", "--r", "1e7", "--trials", "3"], "horizon floor(r^3)"),
+            (["simulate", "--seq", CONST1, "--n", "5", "--width-bits", "-3"], "width_bits"),
+        ],
+    )
+    def test_out_of_range_values_fail_by_name(self, argv, named, capsys):
+        assert run_cli(argv) == cli.EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"radwalk: error: {named}")
 
     def test_execution_error_on_horizon_mismatch(self):
         seq = '{"family":"explicit-list","params":{"values":[1,2]}}'

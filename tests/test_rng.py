@@ -24,7 +24,8 @@ class TestDecodeGuard:
         for trial in TRIALS:
             for n in HORIZONS:
                 want = rw.trial_generator(seed, trial).integers(0, 4, size=n, dtype=np.int64)
-                assert np.array_equal(reader.codes(trial, n), want), (trial, n)
+                got = reader.codes(trial, n)
+                assert got.dtype == np.uint8 and np.array_equal(got, want), (trial, n)
 
     def test_direction_codes_is_the_reference_draw(self):
         for seed in SEEDS:

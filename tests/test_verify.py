@@ -239,6 +239,21 @@ class TestHittingTime:
         with pytest.raises(ParameterError):
             vf.hitting_time_experiment(1, trials=0)
 
+    @pytest.mark.parametrize(
+        "r, named",
+        [
+            (float("nan"), "r must be finite"),
+            (float("inf"), "r must be finite"),
+            (float("-inf"), "r must be finite"),
+            (1e7, "horizon floor"),
+            (1e300, "horizon floor"),
+        ],
+    )
+    def test_bad_radius_fails_by_name(self, r, named):
+        # floor(r^3) past 2**62 would overflow the int64 kernel (unit steps sum to it)
+        with pytest.raises(ParameterError, match=named):
+            vf.hitting_time_experiment(r, trials=3)
+
 
 class TestSupPmfTrend:
     def test_first_rows_exact(self):

@@ -132,6 +132,10 @@ class TestOverflowPolicy:
         summary = wk.simulate(seq, 3, 0, policy=wk.PositionPolicy(width_bits=None))
         assert abs(summary.final.x) <= 3 * self.BIG
 
+    def test_negative_width_rejected(self):
+        with pytest.raises(ParameterError, match="width_bits"):
+            wk.PositionPolicy(width_bits=-3)
+
     def test_narrow_width_checked_even_for_small_steps(self):
         seq = sq.make_sequence("constant", value=100)
         policy = wk.PositionPolicy(width_bits=8)  # bound 255
@@ -325,16 +329,37 @@ class TestRotatedKernel:
         got = [((a + b) // 2, (a - b) // 2) for a, b in zip(u[0].tolist(), v[0].tolist())]
         assert got == [rec.position_at(k) for k in range(1, n + 1)]
 
-    def test_batches_cover_trials_in_order(self, monkeypatch):
-        monkeypatch.setattr(wk, "BATCH_STEPS", 40)
-        steps = np.ones(8, dtype=np.int64)
-        reader = rw.TrialStream(3).reader()
+    @pytest.mark.parametrize(
+        "values, dtype, batch_steps, trials",
+        [
+            ([3, 1, 4, 1, 5, 9, 2, 6], np.int64, 40, range(2, 13)),  # 5 rows a batch, 1 left over
+            ([3, 1, 4, 1, 5, 9, 2], np.int64, 1 << 16, range(4)),  # one batch of four rows
+            ([2**62, 1, 3], object, 7, range(5)),  # two rows a batch
+            ([Fraction(1, 2), Fraction(1, 3), 2, Fraction(5, 7)], object, 9, range(1, 8)),
+        ],
+    )
+    def test_matches_step_by_step_walk(self, monkeypatch, values, dtype, batch_steps, trials):
+        monkeypatch.setattr(wk, "BATCH_STEPS", batch_steps)
+        steps = wk._step_array(sq.make_sequence("explicit-list", values=values), len(values))
+        assert steps.dtype == dtype
+        n = len(values)
+        reader = rw.TrialStream(17).reader()
+        moves = {0: (1, 0), 1: (-1, 0), 2: (0, 1), 3: (0, -1)}
         seen = []
-        for batch, u, v in wk.rotated_paths(steps, range(2, 13), lambda t: reader.codes(t, 8)):
-            assert u.shape == v.shape == (len(batch), 8)
-            assert len(batch) <= 5
+        for batch, u, v in wk.rotated_paths(steps, trials, lambda t: reader.codes(t, n)):
+            assert len(batch) <= max(1, batch_steps // n)
+            assert u.shape == v.shape == (len(batch), n)
+            assert u.dtype == v.dtype == steps.dtype
+            for r, t in enumerate(batch):
+                x = y = 0
+                want_u, want_v = [], []
+                for a, code in zip(values, reader.codes(t, n).tolist()):
+                    x, y = x + a * moves[code][0], y + a * moves[code][1]
+                    want_u.append(x + y)
+                    want_v.append(x - y)
+                assert u[r].tolist() == want_u and v[r].tolist() == want_v, t
             seen += list(batch)
-        assert seen == list(range(2, 13))
+        assert seen == list(trials)
 
     @pytest.mark.parametrize("trials", [1, 255, 256, 257, 513])
     @pytest.mark.parametrize("workers", [1, 2])

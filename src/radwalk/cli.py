@@ -342,7 +342,7 @@ def parse_config(argv: list[str]) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _handle_simulate(a: dict):
+def _handle_simulate(command: str, a: dict):
     seq = _sequence_from_args(a)
     policy = _walk.PositionPolicy(width_bits=a["width_bits"], promote=a["promote"])
     if a["record"]:
@@ -361,7 +361,7 @@ def _handle_simulate(a: dict):
     return EXIT_OK, record, rows, ["n", "x", "y", "a_n", "kappa", "eps"]
 
 
-def _handle_mc_return(a: dict):
+def _handle_mc_return(command: str, a: dict):
     seq = _sequence_from_args(a)
     est = _walk.monte_carlo_return(
         seq,
@@ -582,26 +582,21 @@ def _handle_verify(command: str, a: dict):
     raise AssertionError(command)
 
 
-_DISPATCH = {
-    "simulate": lambda a: _handle_simulate(a),
-    "mc-return": lambda a: _handle_mc_return(a),
+#: The handler of each command, by its group (a command without one is its own group).
+_HANDLERS = {
+    "simulate": _handle_simulate,
+    "mc-return": _handle_mc_return,
+    "exact": _handle_exact,
+    "sequence": _handle_sequence,
+    "construct": _handle_construct,
+    "verify": _handle_verify,
 }
 
 
 def _dispatch(config: RunConfig):
-    cmd = config.command
-    if cmd in _DISPATCH:
-        return _DISPATCH[cmd](config.args)
-    group = cmd.split(".", 1)[0]
-    if group == "exact":
-        return _handle_exact(cmd, config.args)
-    if group == "sequence":
-        return _handle_sequence(cmd, config.args)
-    if group == "construct":
-        return _handle_construct(cmd, config.args)
-    if group == "verify":
-        return _handle_verify(cmd, config.args)
-    raise ParameterError(f"unknown command {cmd!r}")
+    if config.command not in _COMMANDS:
+        raise ParameterError(f"unknown command {config.command!r}")
+    return _HANDLERS[config.command.partition(".")[0]](config.command, config.args)
 
 
 def emit_report(

@@ -40,7 +40,7 @@ from . import rng as _rng
 from .errors import CoprimalityError, ExhaustionError, ParameterError
 from .rng import json_decode, json_encode, wilson_interval
 from .sequences import StepSequence
-from .walk import INT64_STEP_SUM, rotated_paths
+from .walk import INT64_STEP_SUM, _hits, _walk_trials
 
 
 @dataclass(frozen=True)
@@ -282,7 +282,7 @@ def estimate_N0(
         raise ParameterError("radius must be >= 0")
     if horizon_start < 1 or horizon_cap < horizon_start:
         raise ParameterError("need 1 <= horizon_start <= horizon_cap")
-    stream = _rng.TrialStream(master_seed)
+    _rng.TrialStream(master_seed)  # the seed fails by name before any shortcut
     grid = _doubling_grid(horizon_start, horizon_cap)
     common = dict(
         pair=pair, radius=radius, confidence=confidence, trials=trials,
@@ -312,22 +312,18 @@ def estimate_N0(
     period = pair.period
     if sum(pair.pattern()) * horizon_cap > INT64_STEP_SUM:
         raise ParameterError("horizon cap too large for 64-bit positions; lower horizon_cap")
-    steps = np.tile(np.array(pair.pattern(), dtype=np.int64), horizon_cap)
     nsteps = period * horizon_cap
     grid_arr = np.array(grid, dtype=np.int64)
 
-    def run_chunk(chunk: range) -> np.ndarray:
-        # successes[t, g]: trials in this chunk hitting target t by grid[g] periods
-        successes = np.zeros((len(targets), len(grid)), dtype=np.int64)
-        reader = stream.reader()
-        for _, u, v in rotated_paths(steps, chunk, lambda t: reader.codes(t, nsteps)):
-            ends = np.s_[:, period - 1 :: period]  # positions after whole periods
-            first = _first_visits(u[ends], v[ends], targets, radius, nsteps + 1)
-            successes += (first[:, :, None] <= grid_arr).sum(axis=0)
-        return successes
+    def score(batch: range, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # [t, g]: trials of the batch hitting target t by grid[g] periods
+        ends = np.s_[:, period - 1 :: period]  # positions after whole periods
+        first = _first_visits(u[ends], v[ends], targets, radius, nsteps + 1)
+        return (first[:, :, None] <= grid_arr).sum(axis=0)
 
-    successes = _rng.map_trial_chunks(
-        trials, run_chunk, lambda parts: sum(parts), workers=workers
+    pattern = np.array(pair.pattern(), dtype=np.int64)
+    successes = _walk_trials(
+        nsteps, lambda: np.tile(pattern, horizon_cap), trials, master_seed, score, workers=workers
     )
 
     def lb(s: int) -> float:
@@ -450,18 +446,17 @@ def _plan_steps(rounds) -> np.ndarray:
 def _realized_radius(plan_rounds: list[RoundPlan], n_k: int, master_seed, trials: int) -> int:
     """Largest observed |S_{n_k}| over simulated prefixes (the trajectory-based
     alternative to the coarse alpha*n bound)."""
-    if n_k == 0:
+    if n_k == 0 or trials < 1:
         return 0
-    values = _plan_steps(plan_rounds)
-    assert len(values) == n_k
+
+    def score(batch: range, u: np.ndarray, v: np.ndarray) -> int:
+        # x^2 + y^2 = (u^2 + v^2) / 2
+        ends = zip(u[:, -1].tolist(), v[:, -1].tolist())
+        return max(math.isqrt((su * su + sv * sv) // 2) + 1 for su, sv in ends)
+
     # substream tag 102: realized-radius probes for round len(plan_rounds)
-    reader = _rng.TrialStream((master_seed, 102, len(plan_rounds))).reader()
-    worst = 0
-    for _, u, v in rotated_paths(values, range(trials), lambda t: reader.codes(t, n_k)):
-        for su, sv in zip(u[:, -1].tolist(), v[:, -1].tolist()):
-            # x^2 + y^2 = (u^2 + v^2) / 2
-            worst = max(worst, math.isqrt((su * su + sv * sv) // 2) + 1)
-    return worst
+    seed = (master_seed, 102, len(plan_rounds))
+    return _walk_trials(n_k, lambda: _plan_steps(plan_rounds), trials, seed, score, combine=max)
 
 
 def build_recurrent_sequence(
@@ -586,35 +581,19 @@ def evaluate_plan(
         raise ParameterError("trials must be >= 1")
     if not plan.rounds:
         raise ParameterError("plan has no rounds to evaluate")
-    values = _plan_steps(plan.rounds)
-    n_end = plan.n_end
-    assert len(values) == n_end
     bounds = [(rp.n_start, rp.n_end) for rp in plan.rounds]
 
-    stream = _rng.TrialStream(master_seed)
+    def score(batch: range, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return np.array([_hits(u[:, lo:hi], v[:, lo:hi], 0, 0) for lo, hi in bounds])
 
-    def run_chunk(chunk: range) -> np.ndarray:
-        hits = np.zeros(len(bounds), dtype=np.int64)
-        reader = stream.reader()
-        for _, u, v in rotated_paths(values, chunk, lambda t: reader.codes(t, n_end)):
-            zero = (u == 0) & (v == 0)
-            for i, (lo, hi) in enumerate(bounds):
-                hits[i] += int(zero[:, lo:hi].any(axis=1).sum())
-        return hits
-
-    totals = _rng.map_trial_chunks(trials, run_chunk, lambda parts: sum(parts), workers=workers)
+    totals = _walk_trials(
+        plan.n_end, lambda: _plan_steps(plan.rounds), trials, master_seed, score, workers=workers
+    )
     per_round = tuple(
-        RoundHitReport(
-            index=plan.rounds[i].index,
-            successes=int(totals[i]),
-            fraction=int(totals[i]) / trials,
-            wilson_lb=wilson_interval(int(totals[i]), trials, level).low,
-        )
-        for i in range(len(bounds))
+        RoundHitReport(rp.index, hits, hits / trials, wilson_interval(hits, trials, level).low)
+        for rp, hits in zip(plan.rounds, totals.tolist())
     )
-    return PlanEvaluation(
-        trials=trials, master_seed=master_seed, level=level, per_round=per_round
-    )
+    return PlanEvaluation(trials, master_seed, level, per_round)
 
 
 def composite_step_law(pair: BezoutPair):

@@ -113,6 +113,11 @@ def _scaled_int_steps(d: Sequence, what: str, square: bool = False):
     the support against :data:`SUPPORT_BUDGET`."""
     fracs = _as_positive_fractions(d, what)
     ints, scale = scaled_ints(fracs)
+    return fracs, ints, scale, _checked_span(ints, square)
+
+
+def _checked_span(ints: Sequence[int], square: bool = False) -> int:
+    """``sum(ints)``, once the support (squared for a planar walk) fits :data:`SUPPORT_BUDGET`."""
     span = sum(ints)
     width = 2 * span + 1
     required = width * width if square else width
@@ -122,7 +127,7 @@ def _scaled_int_steps(d: Sequence, what: str, square: bool = False):
             required=required,
             budget=SUPPORT_BUDGET,
         )
-    return fracs, ints, scale, span
+    return span
 
 
 def _nonzero_slots(packed: int, slots: int, limbs: int) -> tuple[np.ndarray, list[int]]:
@@ -287,9 +292,7 @@ def max_interval_probability(d: Sequence, half_width) -> tuple[Fraction, Number]
             raise PreconditionError(f"step d[{i}]={f} is smaller than the half-width D={D}")
     ints, scale = scaled_ints(fracs + [D])
     Ds = ints.pop()
-    law = pmf_1d(ints)
-    vals = [int(v) for v in law.values]
-    weights = law.weights
+    vals, weights = _signed_sum_weights(ints, _checked_span(ints))
     best = 0
     best_right = vals[0]
     left = 0
@@ -303,7 +306,7 @@ def max_interval_probability(d: Sequence, half_width) -> tuple[Fraction, Number]
         if window > best:
             best = window
             best_right = vj
-    sup = Fraction(best, law.total)
+    sup = Fraction(best, 1 << len(ints))
     center = int_if_whole(Fraction(best_right, scale) - D)
     return sup, center
 

@@ -31,7 +31,7 @@ from . import exact as _exact
 from . import rng as _rng
 from .errors import ParameterError, PreconditionError
 from .rng import ConfidenceInterval, json_encode, wilson_interval
-from .walk import INT64_STEP_SUM, rotated_paths
+from .walk import INT64_STEP_SUM, _hits, _walk_trials
 
 #: Value assigned to the log potential at the origin.
 ORIGIN_POTENTIAL = -5.0
@@ -348,7 +348,7 @@ def hitting_time_experiment(
         raise ParameterError("trials must be >= 1")
     if start_mode not in ("axis", "ring"):
         raise ParameterError("start_mode must be 'axis' or 'ring'")
-    stream = _rng.TrialStream(master_seed)
+    _rng.TrialStream(master_seed)  # the seed fails by name, also when r = 0 needs no walk
     horizon = int(math.floor(float(r) ** 3))
     start_units = int(math.ceil(r))
     start = (start_units * step, 0)
@@ -359,32 +359,27 @@ def hitting_time_experiment(
     if start_mode == "axis" and r <= EXACT_RADIUS_CAP and not at_origin:
         # hitting the origin from (s, 0) is, by symmetry, hitting (s, 0) from the origin
         exact = _exact.hit_probability_2d([1] * horizon, (start_units, 0), horizon)
-    unit_steps = np.ones(horizon, dtype=np.int64)
+    # The walk from (x0, y0) is at the origin when u = -(x0+y0), v = -(x0-y0).
+    # A ring trial's pair is stored and taken by the chunk that walks it.
+    origin: dict[int, tuple[int, int]] = {}
 
-    def run_chunk(chunk: range) -> int:
-        reader = stream.reader()
-        starts = {}
+    def ring_codes(reader: _rng.CodeReader, t: int) -> np.ndarray:
+        reader.seek(t)  # the trial_generator(master_seed, t) draws, on the chunk's Philox
+        gen = reader.generator
+        x0, y0 = ring[int(gen.integers(0, len(ring)))]
+        origin[t] = (-(x0 + y0), -(x0 - y0))
+        return gen.integers(0, _rng.NUM_DIRECTIONS, size=horizon, dtype=np.int64)
 
-        def codes_of(t: int) -> np.ndarray:
-            if ring is None:
-                return reader.codes(t, horizon)
-            reader.seek(t)  # the trial_generator(master_seed, t) draws, on the chunk's Philox
-            gen = reader.generator
-            starts[t] = ring[int(gen.integers(0, len(ring)))]
-            return gen.integers(0, _rng.NUM_DIRECTIONS, size=horizon, dtype=np.int64)
+    def score(batch: range, u: np.ndarray, v: np.ndarray) -> int:
+        if ring is None:
+            return _hits(u, v, -start_units, -start_units)
+        tuv = np.array([origin.pop(t) for t in batch])
+        return _hits(u, v, tuv[:, :1], tuv[:, 1:])  # one target per row
 
-        hits = 0
-        for batch, u, v in rotated_paths(unit_steps, chunk, codes_of):
-            if ring is None:
-                x0, y0 = start_units, 0
-            else:
-                points = np.array([starts.pop(t) for t in batch])
-                x0, y0 = points[:, :1], points[:, 1:]  # one row per trial
-            # the walk from (x0, y0) is at the origin when u = -(x0+y0), v = -(x0-y0)
-            hits += int(((u == -(x0 + y0)) & (v == -(x0 - y0))).any(axis=1).sum())
-        return hits
-
-    successes = trials if at_origin else _rng.map_trial_chunks(trials, run_chunk, sum, workers)
+    successes = trials if at_origin else _walk_trials(
+        horizon, lambda: np.ones(horizon, dtype=np.int64), trials, master_seed, score,
+        workers=workers, codes_of=None if ring is None else ring_codes,
+    )
     return HittingTimeResult(
         r=float(r),
         step=step,

@@ -19,7 +19,10 @@ run through one kernel, :func:`rotated_paths`, in the rotated coordinates
 ``u = x + y`` and ``v = x - y``: each step moves both by ``+-a_n``.
 :func:`simulate` streams one walk through it a chunk of codes at a time and
 calls its visitor once per chunk with a :class:`WalkBlock` of consecutive
-steps: their exact positions, step sizes and direction codes.
+steps: their exact positions, step sizes and direction codes.  Every Monte
+Carlo estimate runs its trials through one loop, :func:`_walk_trials`, and
+reduces each batch of paths to a score, most often a count of the paths
+that hit a point (:func:`_hits`).
 """
 
 from __future__ import annotations
@@ -232,6 +235,38 @@ def rotated_paths(
         yield batch, b[..., 0], b[..., 1]
 
 
+def _hits(u: np.ndarray, v: np.ndarray, tu, tv) -> int:
+    """The number of paths (rows of ``u`` and ``v``) that pass through the
+    rotated point ``(tu, tv)``: scalars, or one target per row as columns."""
+    return int(((u == tu) & (v == tv)).any(axis=1).sum())
+
+
+def _walk_trials(
+    n: int, steps: Callable[[], np.ndarray], trials: int, master_seed, score: Callable,
+    *, workers: int = 1, codes_of: Callable | None = None, combine: Callable = sum,
+):
+    """The one Monte Carlo trial loop: ``combine`` of ``score(batch, u, v)`` over
+    the :func:`rotated_paths` batches of trials ``0..trials-1`` on the ``n`` steps
+    ``steps()`` builds.  Trial ``t`` walks ``codes_of(reader, t)`` on its chunk's
+    reader, by default its first ``n`` direction codes.  ``combine`` folds a
+    chunk's scores, then the chunks' results in order, so ``workers`` cannot
+    change the result.  Arrays too large to allocate raise :class:`ParameterError`.
+    """
+    stream = _rng.TrialStream(master_seed)
+    draw = codes_of or (lambda reader, t: reader.codes(t, n))
+    try:
+        walked = steps()
+
+        def run_chunk(chunk: range):
+            reader = stream.reader()
+            batches = rotated_paths(walked, chunk, lambda t: draw(reader, t))
+            return combine(score(*paths) for paths in batches)
+
+        return _rng.map_trial_chunks(trials, run_chunk, combine, workers)
+    except MemoryError:
+        raise ParameterError(f"horizon {n}: the walk arrays do not fit in memory") from None
+
+
 def _stream_codes(master_seed, trial: int, n: int, chunk: int):
     """Direction codes for one trial, yielded in chunks of one read each.
 
@@ -384,18 +419,11 @@ def monte_carlo_return(
     """Estimate the probability of visiting ``target`` at some step 1..n."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    stream = _rng.TrialStream(master_seed)
-    steps = _step_array(seq, n)
     tu, tv = target[0] + target[1], target[0] - target[1]
-
-    def run_chunk(chunk: range) -> int:
-        reader = stream.reader()
-        hits = 0
-        for _, u, v in rotated_paths(steps, chunk, lambda t: reader.codes(t, n)):
-            hits += int(((u == tu) & (v == tv)).any(axis=1).sum())
-        return hits
-
-    successes = _rng.map_trial_chunks(trials, run_chunk, sum, workers=workers)
+    successes = _walk_trials(
+        n, lambda: _step_array(seq, n), trials, master_seed,
+        lambda batch, u, v: _hits(u, v, tu, tv), workers=workers,
+    )
     ci = wilson_interval(successes, trials, level)
     params = {"horizon": n, "target": list(target), "sequence": seq.to_config()}
     return MonteCarloEstimate(trials, successes, successes / trials, ci, master_seed, params)

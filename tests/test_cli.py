@@ -8,11 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from radwalk import cli
+from radwalk import cli, verify
 from radwalk.errors import ParameterError
 
 CONST1 = '{"family":"constant","params":{"value":1}}'
@@ -148,6 +149,25 @@ class TestExitCodes:
         assert proc.returncode == cli.EXIT_ERROR
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("radwalk: error: master seed must be")
+
+    def test_unallocatable_horizon_fails_by_name(self, monkeypatch, capsys):
+        # floor(1665**3) unit steps need 34 GiB: the allocation is refused, not made
+        class NoOnes:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def ones(self, *args, **kwargs):
+                raise MemoryError
+
+        monkeypatch.setattr(verify, "np", NoOnes())
+        assert run_cli(["verify", "hitting", "--r", "1665", "--trials", "3"]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("radwalk: error: horizon 4615754625: the walk arrays do not fit")
+
+    def test_unknown_command_fails_by_name(self):
+        for command in ("bogus", "exact.bogus", "simulate.x"):
+            with pytest.raises(ParameterError, match=f"unknown command '{command}'"):
+                cli.run(cli.RunConfig(command))
 
     def test_runs_as_a_module(self):
         proc = fresh_process(["construct", "bezout", "--b1", "2", "--b2", "3"], module="radwalk")

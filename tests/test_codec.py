@@ -56,6 +56,11 @@ REPORTS = {
         cn.positive_bezout(3, 5), 50, trials=10, master_seed=4, target_budget=100
     ),
     "plan": _plan,
+    # 300 radius probes a round: two chunks of trials, folded by max
+    "plan_realized": lambda: cn.build_recurrent_sequence(
+        cn.GoodSetPrefix([2, 3, 5, 7, 11, 13]), 3, master_seed=(5, 1), trials=40, horizon_cap=32,
+        radius_mode="realized", radius_trials=300,
+    )[0],
     "plan_evaluation": lambda: cn.evaluate_plan(_plan(), 50, (3, 201)),
     "walk_summary_int": lambda: wk.simulate(CONST1, 100, 5),
     "walk_summary_fraction": lambda: wk.simulate(HALF, 101, 5),
@@ -82,6 +87,8 @@ REPORT_PINS = {
     "n0": "4864b6cab67e7c982b5cb41ace4e570ef906e1726499358ef06dfaa6c70001be",
     "n0_over_budget": "49cc6a37e9616f640058969a6f4a48dea5cb9cdb7cd9013d0882c806b2cb20d8",
     "plan": "e985313b05a060c600ad8fd3650fdbcb14444d97f80a16bd73865f537cf56ad7",
+    # recorded while each Monte Carlo routine still ran its own trial loop
+    "plan_realized": "5ed894942915207090b98dc8abb721fea815a02612a8b39cef4a5de80c325382",
     "plan_evaluation": "1fe9a29376102ba3185403ef4418fcd51e3bcc39a1d45152374ed70cc8364565",
     "walk_summary_int": "2d15b5f37d4a3f99e52c5bc243936dfad4c416058d87d5038b1556e77c16e9db",
     "walk_summary_fraction": "8864a01d8b07563ab96ff5e098442a701cb40b538d42d0a9c6fea986525a067b",

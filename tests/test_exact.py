@@ -221,7 +221,7 @@ class TestPackedRoutes:
         monkeypatch.setattr(exact, "SUPPORT_BUDGET", 13)
         assert exact.max_interval_probability([1, 2], HALF)[0] == Fraction(1, 4)
         monkeypatch.setattr(exact, "SUPPORT_BUDGET", 12)
-        with pytest.raises(SupportBudgetError) as exc:
+        with pytest.raises(SupportBudgetError, match="needs 13 points, exceeding the budget of 12$") as exc:
             exact.max_interval_probability([1, 2], HALF)
         assert (exc.value.required, exc.value.budget) == (13, 12)
 

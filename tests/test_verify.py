@@ -1,6 +1,7 @@
 """Inequality checks: drift grid, interval bound, residue bound, hitting times."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -199,6 +200,23 @@ class TestHittingTime:
         a = vf.hitting_time_experiment(3, trials=4000, master_seed=9, workers=1)
         b = vf.hitting_time_experiment(3, trials=4000, master_seed=9, workers=3)
         assert a.successes == b.successes
+
+    def test_ring_starts_under_thread_switches(self):
+        # pool threads share the ring trials' stored origins: each must be
+        # taken by the chunk that drew it, whatever the interleaving
+        def run(workers):
+            return vf.hitting_time_experiment(
+                2, trials=3000, master_seed=8, workers=workers, start_mode="ring"
+            ).successes
+
+        want = run(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run(4)  # more threads than cores
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
 
     def test_ring_start_mode(self):
         ring = vf._ring_points(2.0)

@@ -1,6 +1,8 @@
 """Walk simulation: exactness, seeding contracts, statistics, Monte Carlo."""
 
+import ast
 import hashlib
+import inspect
 import io
 from fractions import Fraction
 
@@ -385,6 +387,122 @@ class TestRotatedKernel:
         batched = outputs()
         monkeypatch.setattr(wk, "BATCH_STEPS", 1)  # one trial per batch
         assert outputs() == batched
+
+
+def _ends(batch, u, v):
+    """Per trial of a batch: (trial, u, v) after its last step."""
+    return list(zip(batch, u[:, -1].tolist(), v[:, -1].tolist()))
+
+
+def _concat(parts):
+    return sum(parts, [])
+
+
+class TestTrialDriver:
+    VALUES = [3, 1, 4, 1, 5, 9, 2]
+    TRIALS = 600  # three chunks of trials: 256, 256 and 88
+
+    def steps(self):
+        return np.array(self.VALUES, dtype=np.int64)
+
+    def reference_ends(self, seed):
+        """(u, v) after the last step, trial by trial, from the reference draws."""
+        moves = {0: (1, 1), 1: (-1, -1), 2: (1, -1), 3: (-1, 1)}
+        out = []
+        for t in range(self.TRIALS):
+            codes = rw.direction_codes(seed, t, len(self.VALUES)).tolist()
+            out.append(tuple(sum(a * moves[c][i] for a, c in zip(self.VALUES, codes)) for i in (0, 1)))
+        return out
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scores_every_trial_once_in_order(self, monkeypatch, workers):
+        monkeypatch.setattr(wk, "BATCH_STEPS", 7 * 50)  # 50 rows a batch, several a chunk
+        got = wk._walk_trials(7, self.steps, self.TRIALS, 11, _ends, workers=workers, combine=_concat)
+        assert [t for t, _, _ in got] == list(range(self.TRIALS))
+        assert [(u, v) for _, u, v in got] == self.reference_ends(11)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_combine_max(self, monkeypatch, workers):
+        monkeypatch.setattr(wk, "BATCH_STEPS", 7 * 50)
+        want = max(abs(u) for u, _ in self.reference_ends(12))
+        got = wk._walk_trials(
+            7, self.steps, self.TRIALS, 12, lambda b, u, v: int(np.abs(u[:, -1]).max()),
+            workers=workers, combine=max,
+        )
+        assert got == want
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_custom_codes_of(self, workers):
+        # trial t always moves in direction t mod 4, whatever its stream holds
+        readers = {}  # kept alive, so that no two share an id
+
+        def codes_of(reader, t):
+            assert isinstance(reader, rw.CodeReader)
+            readers[id(reader)] = reader
+            return np.full(7, t % 4, dtype=np.uint8)
+
+        got = wk._walk_trials(
+            7, self.steps, self.TRIALS, 13, _ends, workers=workers, codes_of=codes_of,
+            combine=_concat,
+        )
+        s = sum(self.VALUES)
+        signs = [(1, 1), (-1, -1), (1, -1), (-1, 1)]
+        assert got == [(t, s * signs[t % 4][0], s * signs[t % 4][1]) for t in range(self.TRIALS)]
+        assert len(readers) == 3  # one reader per chunk
+
+    def test_workers_do_not_change_the_result(self):
+        runs = [
+            wk._walk_trials(7, self.steps, self.TRIALS, 14, _ends, workers=w, combine=_concat)
+            for w in (1, 2)
+        ]
+        assert runs[0] == runs[1]
+
+    def test_seed_checked_before_the_steps_are_built(self):
+        def steps():
+            raise AssertionError("steps built before the seed was checked")
+
+        with pytest.raises(ParameterError, match="master seed"):
+            wk._walk_trials(7, steps, 5, -1, _ends)
+
+    def test_unallocatable_steps_fail_by_name(self):
+        def steps():
+            raise MemoryError
+
+        with pytest.raises(ParameterError, match="horizon 7: the walk arrays do not fit"):
+            wk._walk_trials(7, steps, 5, 0, _ends)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unallocatable_kernel_buffers_fail_by_name(self, monkeypatch, workers):
+        def no_buffers(steps, trials, codes_of):
+            raise MemoryError
+
+        monkeypatch.setattr(wk, "rotated_paths", no_buffers)
+        with pytest.raises(ParameterError, match="horizon 27: "):
+            vf.hitting_time_experiment(3, trials=300, master_seed=0, workers=workers)
+        with pytest.raises(ParameterError, match="horizon 40: "):
+            wk.monte_carlo_return(CONST1, 40, 300, 0, workers=workers)
+
+    def test_only_walk_runs_trials(self):
+        """The trial protocol (readers, chunks, the kernel) lives in the driver."""
+
+        def calls(tree):
+            return {
+                node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+            }
+
+        for mod in (cn, vf):
+            tree = ast.parse(inspect.getsource(mod))
+            assert not calls(tree) & {"rotated_paths", "reader", "map_trial_chunks", "CodeReader"}
+            imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+            assert "rotated_paths" not in imported, mod.__name__
+        walk = ast.parse(inspect.getsource(wk))
+        kernel_callers = {
+            fn.name for fn in walk.body
+            if isinstance(fn, ast.FunctionDef) and "rotated_paths" in calls(fn)
+        }
+        assert kernel_callers == {"_walk_trials", "simulate"}
 
 
 class TestDivisibility:

@@ -560,6 +560,8 @@ def _handle_verify(command: str, a: dict):
         ok = rep.passed is None or rep.passed
         return (EXIT_OK if ok else EXIT_VERIFY_FAILED), rec, [row], list(row)
     if command == "verify.hitting":
+        if not 0 <= a["floor"] <= 1:
+            raise ParameterError(f"floor must lie in [0, 1], got {a['floor']}")
         res = _verify.hitting_time_experiment(
             a["r"], a["step"], a["trials"], a["seed"], workers=a["workers"],
             start_mode=a["start_mode"],

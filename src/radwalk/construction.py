@@ -161,9 +161,9 @@ class GoodSetReport:
 
 def check_good_set(prefix: GoodSetPrefix, horizon: int | None = None) -> GoodSetReport:
     """Count, for each element, its coprime partners among the first ``horizon``."""
+    if horizon is not None and horizon < 1:
+        raise ParameterError(f"horizon must be >= 1, got {horizon}")
     elems = prefix.elements if horizon is None else prefix.elements[:horizon]
-    if not elems:
-        raise ParameterError("horizon must keep at least one element")
     counts = []
     flagged = []
     for b in elems:
@@ -446,7 +446,7 @@ def _plan_steps(rounds) -> np.ndarray:
 def _realized_radius(plan_rounds: list[RoundPlan], n_k: int, master_seed, trials: int) -> int:
     """Largest observed |S_{n_k}| over simulated prefixes (the trajectory-based
     alternative to the coarse alpha*n bound)."""
-    if n_k == 0 or trials < 1:
+    if n_k == 0:
         return 0
 
     def score(batch: range, u: np.ndarray, v: np.ndarray) -> int:
@@ -487,6 +487,8 @@ def build_recurrent_sequence(
         raise ParameterError("rounds must be >= 0")
     if radius_mode not in ("coarse", "realized"):
         raise ParameterError("radius_mode must be 'coarse' or 'realized'")
+    if radius_mode == "realized" and radius_trials < 1:
+        raise ParameterError(f"radius_trials must be >= 1 in realized mode, got {radius_trials}")
     plan_rounds: list[RoundPlan] = []
     n = 0
     alpha = 0

@@ -14,7 +14,8 @@ the four neighbor arguments are integers over 2 and
 
     exp(4*Delta) = prod(neighbors)/E^4 = 1 - 64*(x^2-y^2)^2 / E^4
 
-for |x|+|y| >= 2, an exact integer identity this module verifies verbatim;
+for |x|+|y| >= 2, an exact integer identity this module verifies at every
+point (on the grid by residues, see :data:`DRIFT_RADIUS_CAP`);
 at |x|+|y| = 1 the origin's special value enters and exp(4*Delta) = 126/e^5.
 """
 
@@ -83,13 +84,62 @@ class DeltaReport:
 def _closed_form(x: int, y: int) -> tuple[int, int, bool]:
     """``(num, den)`` with exp(4*Delta) = 1 - num/den at |x|+|y| >= 2, and
     whether the product of the four neighbor arguments 2x'^2 + 2y'^2 - 1 (all
-    nonzero there) equals den - num, the integer identity behind the form."""
+    nonzero there) equals den - num, the integer identity behind the form.
+
+    On Python ints: the point API of :func:`supermartingale_delta`, and the
+    reference the orbit arrays of :func:`verify_supermartingale` are tested
+    against."""
     product = 1
     for nx, ny in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
         product *= 2 * nx * nx + 2 * ny * ny - 1
     num = 64 * (x * x - y * y) ** 2
     den = (2 * x * x + 2 * y * y - 1) ** 4
     return num, den, product == den - num
+
+
+#: Moduli of the exact integer comparisons: 2**64, at which int64 arithmetic
+#: wraps, and two primes below 2**31, whose residues multiply in int64.
+IDENTITY_MODULI = (1 << 64, (1 << 31) - 1, (1 << 31) - 19)
+
+#: Largest radius whose identity check is exact.  At a + b <= r every
+#: neighbor argument is below 2(r+1)^2, so both sides of
+#: prod(neighbors) + 64(a^2-b^2)^2 = E^4 lie in [0, 16(r+1)^8 + 64r^4), and
+#: up to this radius that range fits in the product of the moduli.  The grid
+#: there has 6e9 points, more than memory holds; one prime alone would stop
+#: at radius 2654, whose grid of 28e6 points fits.
+DRIFT_RADIUS_CAP = 38966
+
+
+def _sums_equal(left: list[list], right: list[list]) -> np.ndarray:
+    """Whether ``sum(prod(term) for term in left)`` equals the same of
+    ``right``, elementwise.  A term is a list of factors in [0, 2**63):
+    int64 arrays, and ints beside them.  The sides are compared modulo each of
+    :data:`IDENTITY_MODULI`, which is equality when both lie in
+    [0, product of the moduli)."""
+    holds = np.bool_(True)
+    for m in IDENTITY_MODULI:
+        red = (lambda t: t) if m == 1 << 64 else (lambda t: t % m)
+        sides = []
+        for terms in (left, right):
+            total = 0  # a sum of a few residues below 2**31 stays in range
+            for first, *rest in terms:
+                product = red(first)
+                for f in rest:
+                    product = red(product * red(f))
+                total = total + product
+            sides.append(red(total))
+        holds = holds & (sides[0] == sides[1])
+    return holds
+
+
+def _identity_holds(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether prod(neighbors) = E^4 - 64(a^2-b^2)^2 at each orbit (a, b) of
+    int64 arrays, exactly for a + b <= :data:`DRIFT_RADIUS_CAP`."""
+    neighbors = [
+        2 * nx * nx + 2 * ny * ny - 1 for nx, ny in ((a + 1, b), (a - 1, b), (a, b + 1), (a, b - 1))
+    ]
+    e = 2 * a * a + 2 * b * b - 1
+    return _sums_equal([neighbors, [64, (a * a - b * b) ** 2]], [[e, e, e, e]])
 
 
 def supermartingale_delta(x: int, y: int) -> DeltaReport:
@@ -149,34 +199,46 @@ def verify_supermartingale(radius: int, *, tol: float = DRIFT_AGREEMENT_TOL) -> 
     """
     if radius < 1:
         raise ParameterError("radius must be >= 1")
+    if radius > DRIFT_RADIUS_CAP:
+        raise ParameterError(
+            f"radius {radius} exceeds {DRIFT_RADIUS_CAP}, the largest whose identity check is exact"
+        )
     # Every table is built on the quadrant 0 <= |x|, |y| and read on the grid
     # through index arrays of |x| and |y|, which keeps the grid arrays few.
     k = np.arange(radius + 2)
-    q = np.add.outer(k * k, k * k)
+    q = np.add.outer(k * k, k * k)  # x^2 + y^2
+    s = np.add.outer(k, k)  # |x| + |y|
+    # logs of the values the grid and its neighbours read, a + b <= radius + 1;
+    # the rest of the square reads 0 and is masked out below
     logs = np.zeros(q[-1, -1] + 1)
-    for v in np.flatnonzero(np.bincount(q.ravel())).tolist():
-        logs[v] = math.log(v - 0.5) if v else ORIGIN_POTENTIAL
+    used = np.flatnonzero(np.bincount(q[s <= radius + 1]))
+    logs[used] = [math.log(v - 0.5) if v else ORIGIN_POTENTIAL for v in used.tolist()]
     outer = np.abs(np.arange(-radius - 1, radius + 2))
     F = logs[q][np.ix_(outer, outer)]
     # Direct route on the inner grid |x|, |y| <= radius, summed in the scalar order.
     direct = (F[2:, 1:-1] + F[:-2, 1:-1] + F[1:-1, 2:] + F[1:-1, :-2]) / 4.0 - F[1:-1, 1:-1]
     # The closed form depends only on the orbit of (|x|, |y|) under the axis
-    # symmetries: evaluate it once per orbit a >= b >= 0, store it at both.
+    # symmetries: evaluate it once per orbit a >= b >= 0, 2 <= a + b <= radius,
+    # and store it at both.
+    s = s[:-1, :-1]
+    a, b = np.nonzero(np.tri(radius + 1, dtype=bool) & (s <= radius))
+    a, b = a[2:], b[2:]  # drop (0, 0) and (1, 0), the first two in row-major order
     closed = np.zeros((radius + 1, radius + 1))
     broken = np.zeros((radius + 1, radius + 1), dtype=bool)
     # the origin's neighbours (a + b = 1) see the origin's special value
     closed[1, 0] = closed[0, 1] = (math.log(126.0) - 5.0) / 4.0
-    nonpositive = bool(closed[1, 0] <= 0.0)
-    equality_ok = True
-    for a in range(1, radius + 1):
-        for b in range(a == 1, min(a, radius - a) + 1):
-            num, den, identity = _closed_form(a, b)
-            broken[a, b] = broken[b, a] = not identity
-            nonpositive &= num >= 0  # exact: exp(4 Delta) = 1 - num/den <= 1
-            equality_ok &= (num == 0) == (a == b)
-            closed[a, b] = closed[b, a] = math.log1p(-num / den) / 4.0
+    broken[a, b] = broken[b, a] = ~_identity_holds(a, b)
+    d = a * a - b * b  # exp(4 Delta) = 1 - 64 d^2 / E^4
+    # exact: exp(4 Delta) <= 1 since 64 d^2 >= 0
+    nonpositive = bool(closed[1, 0] <= 0.0) and bool((d * d >= 0).all())
+    equality_ok = bool(((d == 0) == (a == b)).all())
+    # the quotient of Python ints is correctly rounded, as in the point API
+    closed[a, b] = closed[b, a] = [
+        math.log1p(-64 * t * t / (e * e) ** 2) / 4.0
+        for t, e in zip(d.tolist(), (2 * (a * a + b * b) - 1).tolist())
+    ]
     grid = np.ix_(outer[1:-1], outer[1:-1])
-    inside = np.isin(np.add.outer(k[:-1], k[:-1]), range(1, radius + 1))[grid]
+    inside = ((s >= 1) & (s <= radius))[grid]
     identity_failures = int(np.count_nonzero(broken[grid] & inside))
     # Points in row-major (x, then y) order; argmax keeps the first maximum.
     delta_direct = direct[inside]
@@ -261,6 +323,8 @@ def verify_mod_lemma(d: Sequence, m: int, *, cap: float = 10.0) -> ModLemmaRepor
     Requires m to be at least the largest of the distinct step values (the
     anti-concentration statement needs the modulus to dominate the steps).
     """
+    if not math.isfinite(cap):
+        raise ParameterError(f"cap must be finite, got {cap}")
     steps = _exact._int_steps_only(d)
     distinct = sorted(set(steps))
     k = len(distinct)
@@ -431,6 +495,9 @@ def sup_pmf_trend(
     """Tabulate sup_z P(T_k = z) for steps (1..k), k = 1..k_max."""
     if k_max < 1:
         raise ParameterError("k_max must be >= 1")
+    for name, cap in (("ratio_cap", ratio_cap), ("slope_cap", slope_cap)):
+        if not math.isfinite(cap):
+            raise ParameterError(f"{name} must be finite, got {cap}")
     rows = []
     for k in range(1, k_max + 1):
         sup = _exact.sup_pmf(list(range(1, k + 1)))

@@ -27,9 +27,9 @@ that hit a point (:func:`_hits`).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -147,9 +147,13 @@ class TrajectoryRecorder:
         return len(self.rows)
 
     def export_csv(self, fh) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "x", "y", "a_n", "kappa", "eps"])
-        writer.writerows(self.rows)
+        """Write a header and the rows to ``fh``, each value as ``str``, with
+        CRLF line ends (the bytes of ``csv.writer``): one formatted write per
+        :data:`STREAM_CHUNK` rows."""
+        fh.write("n,x,y,a_n,kappa,eps\r\n")
+        for i in range(0, len(self.rows), STREAM_CHUNK):
+            chunk = self.rows[i : i + STREAM_CHUNK]
+            fh.write("%s,%s,%s,%s,%s,%s\r\n" * len(chunk) % tuple(chain.from_iterable(chunk)))
 
 
 #: Largest step sum the int64 kernels accept, so that u and v stay in range.

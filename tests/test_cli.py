@@ -268,6 +268,17 @@ class TestExitCodes:
         assert run_cli(argv) == cli.EXIT_ERROR
         assert capsys.readouterr().err.startswith(f"radwalk: error: {named}")
 
+    def test_negative_check_horizon_fails_by_name(self, capsys):
+        argv = ["construct", "check-good", "--good-set", "2,3", "--horizon=-1"]
+        assert run_cli(argv) == cli.EXIT_ERROR
+        assert capsys.readouterr().err.startswith("radwalk: error: horizon must be >= 1")
+
+    @pytest.mark.parametrize("floor", ["2", "-0.5", "nan"])
+    def test_floor_outside_unit_interval_fails_by_name(self, floor, capsys):
+        argv = ["verify", "hitting", "--r", "1", "--trials", "3", f"--floor={floor}"]
+        assert run_cli(argv) == cli.EXIT_ERROR
+        assert capsys.readouterr().err.startswith("radwalk: error: floor must lie in [0, 1]")
+
     def test_execution_error_on_horizon_mismatch(self):
         seq = '{"family":"explicit-list","params":{"values":[1,2]}}'
         assert run_cli(["simulate", "--seq", seq, "--n", "5"]) == cli.EXIT_ERROR
@@ -465,3 +476,54 @@ def test_number_flags_never_raise(command, text):
     assert code in (cli.EXIT_OK, cli.EXIT_ERROR, cli.EXIT_VERIFY_FAILED, cli.EXIT_INCONCLUSIVE)
     if code == cli.EXIT_ERROR:
         assert err.getvalue().startswith("radwalk: error: ")
+
+
+#: Tiny runs of every command with a float flag, by command: the flags to
+#: make hostile, and the other arguments.
+FLOAT_FLAG_RUNS = {
+    "mc-return": (["--level"], ["--seq", CONST1, "--n", "2", "--trials", "3"]),
+    "construct.n0": (["--confidence"], ["--b1", "2", "--b2", "3", "--trials", "4",
+                                        "--horizon-cap", "16"]),
+    "construct.build": (["--confidence"], ["--good-set", "2,3", "--rounds", "1", "--trials", "4",
+                                           "--horizon-cap", "16"]),
+    "verify.modlemma": (["--cap"], ["--d", "1,2,3", "--m", "4"]),
+    "verify.hitting": (["--r", "--floor"], ["--r", "1", "--trials", "3"]),
+    "verify.suppmf": (["--ratio-cap", "--slope-cap"], ["--k-max", "3"]),
+}
+
+
+def test_float_flag_table_covers_every_float_flag():
+    declared = {
+        (c, f) for c, flags in cli._COMMANDS.items() for f, kw in flags if kw.get("type") is float
+    }
+    assert declared == {(c, f) for c, (flags, _) in FLOAT_FLAG_RUNS.items() for f in flags}
+
+
+def _refuse_constant(name):
+    raise ValueError(f"report holds {name}")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command, flag", [(c, f) for c, (flags, _) in FLOAT_FLAG_RUNS.items() for f in flags]
+)
+def test_hostile_floats_fail_by_name(command, flag, value, tmp_path):
+    """A non-finite float flag ends in an exit code, a named error and no NaN
+    or Infinity in any report."""
+    _, rest = FLOAT_FLAG_RUNS[command]
+    if flag in rest:  # the hostile value replaces the flag's tiny one
+        i = rest.index(flag)
+        rest = rest[:i] + rest[i + 2:]
+    out = tmp_path / "report"
+    argv = command.split(".") + rest + [f"{flag}={value}"]
+    for extra in ([], ["--out", str(out), "--format", "both"]):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv + extra)
+        assert code in (cli.EXIT_OK, cli.EXIT_ERROR, cli.EXIT_VERIFY_FAILED, cli.EXIT_INCONCLUSIVE)
+        assert all(line.startswith("radwalk: error:") for line in stderr.getvalue().splitlines())
+        reports = [stdout.getvalue()] if stdout.getvalue() else []
+        if out.with_suffix(".json").exists():
+            reports.append(out.with_suffix(".json").read_text(encoding="utf-8"))
+        for report in reports:
+            json.loads(report, parse_constant=_refuse_constant)

@@ -84,6 +84,14 @@ class TestGoodSet:
         rep = cn.check_good_set(cn.GoodSetPrefix([2, 3]))
         assert rep.partner_counts == (1, 1)
 
+    @pytest.mark.parametrize("horizon", [0, -1, -5])
+    def test_check_horizon_below_one_refused(self, horizon):
+        with pytest.raises(ParameterError, match=f"horizon must be >= 1, got {horizon}"):
+            cn.check_good_set(cn.GoodSetPrefix([2, 3, 5]), horizon)
+
+    def test_check_horizon_keeps_a_prefix(self):
+        assert cn.check_good_set(cn.GoodSetPrefix([2, 3, 5]), 2).elements == (2, 3)
+
     def test_prefix_file(self, tmp_path):
         path = tmp_path / "good.txt"
         path.write_text("2\n3\n# note\n5\n", encoding="utf-8")
@@ -253,6 +261,14 @@ class TestBuildAndEvaluate:
         r1 = plan.rounds[1]
         # realized bound is a max over simulated |S_n|, far below alpha * n
         assert 0 < r1.radius <= 3 * plan.rounds[0].n_end
+
+    @pytest.mark.parametrize("radius_trials", [0, -5])
+    def test_realized_radius_needs_trials(self, radius_trials):
+        with pytest.raises(ParameterError, match="radius_trials must be >= 1"):
+            cn.build_recurrent_sequence(
+                cn.GoodSetPrefix([2, 3, 5, 7]), 2, trials=4, horizon_cap=16,
+                radius_mode="realized", radius_trials=radius_trials,
+            )
 
     def test_evaluation_deterministic_across_workers(self):
         plan, _ = cn.build_recurrent_sequence(

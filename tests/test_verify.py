@@ -108,6 +108,10 @@ class TestDriftGridReference:
         # every field, floats by ==
         assert vf.verify_supermartingale(radius) == scan_drift_grid(radius)
 
+    @pytest.mark.parametrize("radius", [57, 64, 97])
+    def test_equals_pointwise_scan_larger(self, radius):
+        assert vf.verify_supermartingale(radius) == scan_drift_grid(radius)
+
     def test_pinned_radius_200(self):
         rep = vf.verify_supermartingale(200)
         assert rep.points == 80400
@@ -115,6 +119,103 @@ class TestDriftGridReference:
         assert rep.max_delta_point == (-100, -100)
         assert rep.max_agreement_gap == 3.1508266538754517e-15
         assert rep.passed
+
+
+def identity_terms(a, b):
+    """Both sides of prod(neighbors) + 64(a^2-b^2)^2 = E^4 as terms of factors."""
+    neighbors = [
+        2 * nx * nx + 2 * ny * ny - 1 for nx, ny in ((a + 1, b), (a - 1, b), (a, b + 1), (a, b - 1))
+    ]
+    e = 2 * a * a + 2 * b * b - 1
+    return [neighbors, [64, (a * a - b * b) ** 2]], [[e, e, e, e]]
+
+
+def python_value(terms, i):
+    """A side at entry i, on Python ints."""
+    return sum(math.prod(f if isinstance(f, int) else int(f[i]) for f in term) for term in terms)
+
+
+class TestIdentityCheck:
+    CAP = vf.DRIFT_RADIUS_CAP
+    _, P1, P2 = vf.IDENTITY_MODULI
+
+    def orbits(self, count, seed):
+        """Random orbits a >= b >= 0 with 2 <= a + b <= the cap, and the extremes."""
+        g = np.random.default_rng(seed)
+        s = g.integers(2, self.CAP + 1, size=count)
+        b = g.integers(0, s // 2 + 1)
+        half = self.CAP // 2
+        edge = [(self.CAP, 0), (self.CAP - 1, 1), (self.CAP - half, half), (1, 1), (2, 0)]
+        a = np.concatenate([s - b, [x for x, _ in edge]])
+        return a, np.concatenate([b, [y for _, y in edge]])
+
+    def test_orbits_agree_with_the_point_api(self):
+        a, b = self.orbits(3000, 0)
+        expected = [vf._closed_form(x, y)[2] for x, y in zip(a.tolist(), b.tolist())]
+        assert vf._identity_holds(a, b).tolist() == expected == [True] * len(a)
+
+    @pytest.mark.parametrize(
+        "offset",
+        [[], [[1]], [[2]], [[1 << 32, 1 << 32]], [[P1]], [[P2]],
+         [[1 << 32, 1 << 32, P1]], [[1 << 32, 1 << 32, P2]], [[P1, P2]]],
+        ids=["none", "1", "2", "2**64", "P1", "P2", "2**64*P1", "2**64*P2", "P1*P2"],
+    )
+    def test_sides_agree_with_python_ints(self, offset):
+        # every side below the bound: residues decide as Python ints do
+        a, b = self.orbits(400, 1)
+        left, right = identity_terms(a, b)
+        right = right + [[np.full(len(a), f) for f in term] for term in offset]
+        bound = math.prod(vf.IDENTITY_MODULI)
+        truth = []
+        for i in range(len(a)):
+            lv, rv = python_value(left, i), python_value(right, i)
+            assert 0 <= lv < bound and 0 <= rv < bound
+            truth.append(lv == rv)
+        assert vf._sums_equal(left, right).tolist() == truth == [not offset] * len(a)
+
+    def test_residues_cannot_see_past_the_bound(self):
+        a, b = self.orbits(10, 2)
+        left, right = identity_terms(a, b)
+        past = [np.full(len(a), f) for f in (1 << 32, 1 << 32, self.P1, self.P2)]
+        assert vf._sums_equal(left, right + [past]).all()
+
+    def test_cap_is_the_largest_exact_radius(self):
+        moduli = vf.IDENTITY_MODULI
+        assert all(math.gcd(m, n) == 1 for i, m in enumerate(moduli) for n in moduli[i + 1:])
+        assert all(p < 1 << 31 for p in moduli[1:])
+        bound = lambda r: 16 * (r + 1) ** 8 + 64 * r**4  # noqa: E731
+        assert bound(self.CAP) <= math.prod(moduli) < bound(self.CAP + 1)
+        a, b = self.orbits(200, 3)
+        left, right = identity_terms(a, b)
+        for i, r in enumerate((a + b).tolist()):
+            assert python_value(left, i) < bound(r) and python_value(right, i) < bound(r)
+
+    def test_radius_above_cap_refused_before_any_array(self, monkeypatch):
+        class NoArrays:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.{name} used")
+
+        monkeypatch.setattr(vf, "np", NoArrays())
+        with pytest.raises(ParameterError, match=f"radius {self.CAP + 1} exceeds {self.CAP}"):
+            vf.verify_supermartingale(self.CAP + 1)
+
+    def test_broken_identity_is_counted(self, monkeypatch):
+        exact_check = vf._sums_equal
+
+        def off_by_p1(left, right):
+            return exact_check(left, right + [[self.P1, np.ones_like(left[0][0])]])
+
+        monkeypatch.setattr(vf, "_sums_equal", off_by_p1)
+        rep = vf.verify_supermartingale(6)
+        assert rep.identity_failures == rep.points - 4  # every point but the origin's neighbours
+        assert not rep.passed
+
+    def test_one_broken_orbit_counts_at_its_eight_points(self, monkeypatch):
+        holds = vf._identity_holds
+        monkeypatch.setattr(vf, "_identity_holds", lambda a, b: holds(a, b) & ((a != 3) | (b != 1)))
+        rep = vf.verify_supermartingale(6)
+        assert rep.identity_failures == 8
+        assert not rep.passed
 
 
 class TestEloBound:
@@ -164,6 +265,11 @@ class TestModLemma:
         assert rep.sup == Fraction(1, 8)  # exact residue-space convolution
         assert rep.ratio == pytest.approx(float(rep.sup) * 16 / math.log(16))
         assert rep.passed
+
+    @pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cap_refused(self, cap):
+        with pytest.raises(ParameterError, match="cap must be finite"):
+            vf.verify_mod_lemma([1, 2, 3], 3, cap=cap)
 
     def test_repeated_steps_count_distinct(self):
         rep = vf.verify_mod_lemma([1, 1, 2, 2, 3], 3)
@@ -288,6 +394,12 @@ class TestSupPmfTrend:
         rep = vf.sup_pmf_trend(32)
         assert rep.passed
         assert rep.max_ratio < 2.0
+
+    @pytest.mark.parametrize("name", ["ratio_cap", "slope_cap"])
+    @pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf])
+    def test_non_finite_caps_refused(self, name, cap):
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            vf.sup_pmf_trend(3, **{name: cap})
 
     def test_growth_detected(self):
         rep = vf.sup_pmf_trend(32, ratio_cap=0.6)

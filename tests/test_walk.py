@@ -1,6 +1,7 @@
 """Walk simulation: exactness, seeding contracts, statistics, Monte Carlo."""
 
 import ast
+import csv
 import hashlib
 import inspect
 import io
@@ -556,6 +557,52 @@ class TestExports:
         assert len(lines) == 4
         first = lines[1].split(",")
         assert first[0] == "1" and first[3] == "1"
+
+    @staticmethod
+    def csv_reference(rec):
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["n", "x", "y", "a_n", "kappa", "eps"])
+        writer.writerows(rec.rows)
+        return buf.getvalue()
+
+    @pytest.mark.parametrize(
+        "seq, n",
+        [
+            (CONST1, 0),
+            (CONST1, 300),  # negative coordinates
+            (CONST1, wk.STREAM_CHUNK + 5),  # two writes
+            (sq.make_sequence("constant", value=Fraction(3, 7)), 40),
+            (sq.make_sequence("real-power", alpha=Fraction(1, 2), precision_bits=8), 40),
+            (sq.make_sequence("explicit-list", values=[5, Fraction(1, 2), 2, Fraction(9, 4)]), 4),
+        ],
+    )
+    def test_csv_matches_csv_writer(self, seq, n):
+        _, rec = wk.simulate_recording(seq, n, 3)
+        buf = io.StringIO()
+        rec.export_csv(buf)
+        assert buf.getvalue() == self.csv_reference(rec)
+
+    def test_csv_of_an_empty_recorder(self):
+        buf = io.StringIO()
+        wk.TrajectoryRecorder().export_csv(buf)
+        assert buf.getvalue() == "n,x,y,a_n,kappa,eps\r\n"
+
+    @pytest.mark.parametrize("chunk", [1, 7, 50, 64])
+    def test_csv_writes_bounded_chunks(self, monkeypatch, chunk):
+        _, rec = wk.simulate_recording(sq.make_sequence("constant", value=Fraction(1, 3)), 50, 5)
+        monkeypatch.setattr(wk, "STREAM_CHUNK", chunk)
+        writes = []
+
+        class Sink(io.StringIO):
+            def write(self, text):
+                writes.append(text.count("\n"))
+                return super().write(text)
+
+        buf = Sink()
+        rec.export_csv(buf)
+        assert buf.getvalue() == self.csv_reference(rec)
+        assert writes == [1] + [min(chunk, 50 - i) for i in range(0, 50, chunk)]
 
     def test_summary_json_carries_seed_metadata(self):
         summary = wk.simulate(CONST1, 5, 42)

@@ -39,7 +39,7 @@ import numpy as np
 from . import rng as _rng
 from .errors import CoprimalityError, ExhaustionError, ParameterError
 from .rng import json_decode, json_encode, wilson_interval
-from .sequences import StepSequence
+from .sequences import StepSequence, _data_lines
 from .walk import INT64_STEP_SUM, _hits, _walk_trials
 
 
@@ -112,12 +112,14 @@ class GoodSetPrefix:
 
     @classmethod
     def from_file(cls, path) -> "GoodSetPrefix":
+        """One element per line; blank lines and ``#`` comments are skipped."""
         values = []
         with open(path, "r", encoding="utf-8") as fh:
-            for ln in fh:
-                ln = ln.strip()
-                if ln and not ln.startswith("#"):
+            for i, ln in _data_lines(fh):
+                try:
                     values.append(int(ln))
+                except ValueError:
+                    raise ParameterError(f"{path}, line {i}: expected an integer, got {ln!r}") from None
         return cls(values)
 
     def unused_indices(self) -> list[int]:

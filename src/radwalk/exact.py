@@ -6,22 +6,22 @@ probabilities are reported as ``Fraction``.  No floating point enters any
 mass.  These oracles are the trust anchor for the statistical tests in the
 rest of the package.
 
-Two kinds of laws are covered:
-
-* ``pmf_1d(d)``: the law of ``d[0]*e_0 + ... + d[k-1]*e_{k-1}`` where the
-  ``e_i`` are independent uniform signs, convolved as one big integer that
-  packs the weights into fixed-width bit slots.
-* ``pmf_2d(a)``: the law of a planar walk after ``len(a)`` steps, where step
-  ``i`` moves by ``a[i]`` in one of the four axis directions with equal
-  probability: the product of two signed-sum laws in the rotated
-  coordinates ``x+y`` and ``x-y``.
+One engine builds every signed-sum law: :func:`_running_laws` yields the
+polynomial ``prod(1 + z**s)`` of the first n steps, packed as one big integer
+of fixed-width bit slots, after each step (one shift-add per step), and
+:func:`_weight_at` reads one value of it.  ``pmf_1d(d)`` decodes the last law;
+``pmf_2d(a)``, the planar walk with step ``i`` moving ``a[i]`` along one of the
+four axis directions, is the product of two such laws in the rotated
+coordinates ``x+y`` and ``x-y``; ``sup_pmf_running`` reads one central slot
+per k.  ``hit_probability_2d`` counts first visits by renewal over the same
+rotation, on 1-D counts only: steps of smallest period p need p running
+return rows, not one per start, so unit steps cost two running products and
+O(horizon**2) products of counts.
 
 Derived quantities used by the verification module (mod-m probabilities,
 sliding-interval suprema, maximal point masses) are computed from the same
-exact representations.  First-passage probabilities come from the same
-rotation by renewal: the walk is at a point, or back where it was, when both
-1-D signed sums are, so ``hit_probability_2d`` works on 1-D counts only.
-Every computation checks its support against :data:`SUPPORT_BUDGET`.
+exact representations.  The engine checks the support of the steps it is
+given against :data:`SUPPORT_BUDGET` before its first shift.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ParameterError, PreconditionError, SupportBudgetError
 from .rng import json_encode
-from .sequences import int_if_whole, scaled_ints
+from .sequences import _data_lines, int_if_whole, scaled_ints
 
 #: Cap on the number of exact support points a single computation may allocate.
 SUPPORT_BUDGET = 10_000_000
@@ -47,7 +47,7 @@ def _as_positive_fractions(values: Iterable, what: str) -> list[Fraction]:
     out = []
     for i, v in enumerate(values):
         f = Fraction(v)
-        if f <= 0:
+        if f.numerator <= 0:
             raise ParameterError(f"{what}[{i}] must be > 0, got {v}")
         out.append(f)
     if not out:
@@ -108,31 +108,47 @@ class ExactPmf2D:
         return [f"{x} {y} {m.numerator}/{m.denominator}" for (x, y), m in zip(self.points, masses)]
 
 
-def _scaled_int_steps(d: Sequence, what: str, square: bool = False):
-    """Scale positive rational steps to a common integer lattice and check
-    the support against :data:`SUPPORT_BUDGET`."""
-    fracs = _as_positive_fractions(d, what)
-    ints, scale = scaled_ints(fracs)
-    return fracs, ints, scale, _checked_span(ints, square)
-
-
-def _checked_span(ints: Sequence[int], square: bool = False) -> int:
-    """``sum(ints)``, once the support (squared for a planar walk) fits :data:`SUPPORT_BUDGET`."""
-    span = sum(ints)
-    width = 2 * span + 1
-    required = width * width if square else width
+def _check_support(ints: Sequence[int], square: bool = False) -> None:
+    """Refuse steps whose support (squared for a planar walk) exceeds :data:`SUPPORT_BUDGET`."""
+    required = (2 * sum(ints) + 1) ** (2 if square else 1)
     if required > SUPPORT_BUDGET:
         raise SupportBudgetError(
             f"exact support needs {required} points, exceeding the budget of {SUPPORT_BUDGET}",
             required=required,
             budget=SUPPORT_BUDGET,
         )
-    return span
 
 
-def _nonzero_slots(packed: int, slots: int, limbs: int) -> tuple[np.ndarray, list[int]]:
+def _running_laws(ints: Sequence[int], depth: int, square: bool = False):
+    """Yield the signed-sum law of ``ints[:n]`` as ``(packed, span)``, n = 1, 2, ...
+
+    ``prod(1 + z**s)`` at ``z = 2**bits``, ``bits`` the multiple of 64 above
+    ``depth``: slot ``j`` holds the weight of the value ``2j - span``, weights
+    up to ``2**depth`` never carry.  The support of the whole list (squared for
+    a planar walk) is checked against :data:`SUPPORT_BUDGET` first.
+    """
+    _check_support(ints, square)
+    bits = 64 * (depth // 64 + 1)
+    packed, span = 1, 0
+    for s in ints:
+        packed += packed << (bits * s)
+        span += s
+        yield packed, span
+
+
+def _weight_at(packed: int, span: int, t: int, depth: int) -> int:
+    """Weight of the value ``t`` in a law of :func:`_running_laws` at ``depth``."""
+    j = t + span  # the value t sits in slot j/2
+    if j & 1 or not 0 <= j <= 2 * span:
+        return 0
+    bits = 64 * (depth // 64 + 1)
+    return packed >> (bits * (j >> 1)) & ((1 << bits) - 1)
+
+
+def _nonzero_slots(packed: int, slots: int, depth: int) -> tuple[np.ndarray, list[int]]:
     """Indices and values of the nonzero slots among the first ``slots`` slots
-    of ``64*limbs`` bits of ``packed``, each decoded as whole 64-bit limbs."""
+    of a packing at ``depth``, each decoded as whole 64-bit limbs."""
+    limbs = depth // 64 + 1
     raw = packed.to_bytes(8 * limbs * slots, "little")
     words = np.frombuffer(raw, dtype="<u8").reshape(slots, limbs)
     j = np.flatnonzero(words.any(axis=1))
@@ -142,18 +158,11 @@ def _nonzero_slots(packed: int, slots: int, limbs: int) -> tuple[np.ndarray, lis
     return j, values.tolist()
 
 
-def _signed_sum_weights(ints: Sequence[int], span: int) -> tuple[list[int], list[int]]:
-    """Support values and weights of the signed sum of the integer steps.
-
-    The law is the polynomial ``prod(1 + z**s)``, slot ``j`` holding the
-    value ``2j - span``, evaluated at ``z = 2**(64*limbs)`` as one packed
-    integer: a weight is at most ``2**len(ints)``, so the slots never carry.
-    """
-    limbs = len(ints) // 64 + 1
-    packed = 1
-    for s in ints:
-        packed += packed << (64 * limbs * s)
-    j, weights = _nonzero_slots(packed, span + 1, limbs)
+def _signed_sum_weights(ints: Sequence[int], square: bool = False) -> tuple[list[int], list[int]]:
+    """Support values and weights of the signed sum of the integer steps."""
+    for packed, span in _running_laws(ints, len(ints), square):  # ints is nonempty
+        pass
+    j, weights = _nonzero_slots(packed, span + 1, len(ints))
     return (2 * j - span).tolist(), weights
 
 
@@ -164,8 +173,9 @@ def pmf_1d(d: Sequence) -> ExactPmf1D:
     of the scaled steps; the result carries exact rational masses with
     denominator ``2**len(d)``.
     """
-    fracs, ints, scale, span = _scaled_int_steps(d, "d")
-    values, weights = _signed_sum_weights(ints, span)
+    fracs = _as_positive_fractions(d, "d")
+    ints, scale = scaled_ints(fracs)
+    values, weights = _signed_sum_weights(ints)
     return ExactPmf1D(
         values=tuple(values if scale == 1 else (int_if_whole(Fraction(v, scale)) for v in values)),
         weights=tuple(weights),
@@ -181,8 +191,9 @@ def pmf_2d(a: Sequence) -> ExactPmf2D:
     ``±a[i]`` in both, with independent uniform signs, so ``u`` and ``v`` are
     independent copies of the signed sum and ``w(x, y) = w1(x+y) * w1(x-y)``.
     """
-    fracs, ints, scale, span = _scaled_int_steps(a, "a", square=True)
-    values, weights = _signed_sum_weights(ints, span)
+    fracs = _as_positive_fractions(a, "a")
+    ints, scale = scaled_ints(fracs)
+    values, weights = _signed_sum_weights(ints, square=True)
     u = np.array(values)
     # u and v share the parity of span, so every pair is a lattice point
     xs = ((u[:, None] + u[None, :]) // 2).ravel()
@@ -202,17 +213,12 @@ def pmf_2d(a: Sequence) -> ExactPmf2D:
 
 
 def _int_steps_only(d: Sequence) -> list[int]:
-    out = []
-    for i, v in enumerate(d):
-        f = Fraction(v)
+    d = list(d)
+    fracs = _as_positive_fractions(d, "d")
+    for i, f in enumerate(fracs):
         if f.denominator != 1:
-            raise ParameterError(f"d[{i}] must be an integer for modular arithmetic, got {v}")
-        if f <= 0:
-            raise ParameterError(f"d[{i}] must be > 0, got {v}")
-        out.append(f.numerator)
-    if not out:
-        raise ParameterError("d must be nonempty")
-    return out
+            raise ParameterError(f"d[{i}] must be an integer for modular arithmetic, got {d[i]}")
+    return [f.numerator for f in fracs]
 
 
 def mod_probability(d: Sequence, m: int, residue: int, *, method: str = "auto") -> Fraction:
@@ -243,15 +249,14 @@ def mod_probability_profile(d: Sequence, m: int) -> list[Fraction]:
     """Exact probabilities for every residue class mod ``m``, residue route.
 
     The law mod m is ``prod(z**s + z**-s) = z**-sum(d) * prod(1 + z**2s)``
-    modulo ``z**m - 1``, packed as in :func:`_signed_sum_weights` with slot r
+    modulo ``z**m - 1``, packed as in :func:`_running_laws` with slot r
     holding residue r: each step is one shift-add, with the slots past m
     folded back onto the first ones, and a last rotation by ``-sum(d)``.
     """
     ints = _int_steps_only(d)
     if m < 1:
         raise ParameterError("modulus m must be >= 1")
-    limbs = len(ints) // 64 + 1
-    bits = 64 * limbs
+    bits = 64 * (len(ints) // 64 + 1)
     mask = (1 << (bits * m)) - 1
 
     def fold(packed: int) -> int:  # slot m + i onto slot i; the slots never carry
@@ -262,7 +267,7 @@ def mod_probability_profile(d: Sequence, m: int) -> list[Fraction]:
         packed = fold(packed + (packed << (bits * (2 * s % m))))
     packed = fold(packed << (bits * (-sum(ints) % m)))
     weights = [0] * m
-    for r, w in zip(*_nonzero_slots(packed, m, limbs)):
+    for r, w in zip(*_nonzero_slots(packed, m, len(ints))):
         weights[r] = w
     total = 1 << len(ints)
     return [Fraction(w, total) for w in weights]
@@ -272,6 +277,14 @@ def sup_pmf(d: Sequence) -> Fraction:
     """Largest point mass of the signed-sum law of ``d``."""
     law = pmf_1d(d)
     return Fraction(max(law.weights), law.total)
+
+
+def sup_pmf_running(k_max: int) -> list[Fraction]:
+    """``sup_pmf(range(1, k + 1))`` for k = 1..k_max, from one running product:
+    the law of the steps 1..k is symmetric and unimodal (Stanley, SIAM J.
+    Algebraic Discrete Methods 1, 1980), so its largest mass is at 0 or 1."""
+    laws = enumerate(_running_laws(range(1, k_max + 1), k_max), 1)
+    return [Fraction(_weight_at(packed, span, span & 1, k_max), 1 << k) for k, (packed, span) in laws]
 
 
 def max_interval_probability(d: Sequence, half_width) -> tuple[Fraction, Number]:
@@ -292,7 +305,7 @@ def max_interval_probability(d: Sequence, half_width) -> tuple[Fraction, Number]
             raise PreconditionError(f"step d[{i}]={f} is smaller than the half-width D={D}")
     ints, scale = scaled_ints(fracs + [D])
     Ds = ints.pop()
-    vals, weights = _signed_sum_weights(ints, _checked_span(ints))
+    vals, weights = _signed_sum_weights(ints)
     best = 0
     best_right = vals[0]
     left = 0
@@ -319,40 +332,45 @@ def hit_probability_2d(a: Sequence, target: tuple[int, int], horizon: int) -> Fr
     target after step n in ``W_{0,n}(x+y) * W_{0,n}(x-y)`` of the ``4**n``
     direction choices, and back where it was after step m in
     ``W_{m,n}(0)**2`` of the ``4**(n-m)``, so the first visits at step n number
-    ``F_n = W_{0,n}(x+y) W_{0,n}(x-y) - sum_{0<m<n} F_m W_{m,n}(0)**2``.  Each
-    row m of counts is one running packed product ``prod(1 + z**s)`` in the
-    slots of :func:`_signed_sum_weights`.  The position at step 0 does not
-    count as a visit.
+    ``F_n = W_{0,n}(x+y) W_{0,n}(x-y) - sum_{0<m<n} F_m W_{m,n}(0)**2``.  For
+    steps of smallest period p, ``W_{m,n}(0)`` depends only on ``(m mod p,
+    n - m)`` (Spitzer, *Principles of Random Walk*, section 1), so one running
+    return row per phase serves every start of that phase (aperiodic steps:
+    p = horizon).  The position at step 0 does not count as a visit.
     """
     if horizon < 0:
         raise ParameterError("horizon must be >= 0")
     steps_list = list(a)
-    ints, scale = _scaled_int_steps(steps_list, "a", square=True)[1:3] if steps_list else ([], 1)
+    ints, scale = scaled_ints(_as_positive_fractions(steps_list, "a")) if steps_list else ([], 1)
+    _check_support(ints, square=True)
     if horizon > len(ints):
         raise ParameterError(f"horizon {horizon} exceeds the {len(ints)} provided step sizes")
     tx, ty = Fraction(target[0]) * scale, Fraction(target[1]) * scale
     if tx.denominator != 1 or ty.denominator != 1:
         return Fraction(0)
     tu, tv = int(tx + ty), int(tx - ty)
-    bits = 64 * (horizon // 64 + 1)  # a count is at most 2**horizon
-
-    def count(packed: int, span: int, t: int) -> int:
-        j = t + span  # the sum t sits in slot j/2
-        return 0 if j & 1 or not 0 <= j <= 2 * span else packed >> (bits * j // 2) & ((1 << bits) - 1)
-
-    # first[n] collects F_n, and is final once every row m < n is in
+    ints = ints[:horizon]
+    period = next((p for p in range(1, horizon) if ints[p] == ints[0] and ints[p:] == ints[:-p]), horizon)
+    # a count is at most 2**horizon; first[n] collects F_n, final once every row m < n is in
     first = [0] * (horizon + 1)
-    for m in range(horizon):
-        if m and not first[m]:
+    for n, (packed, span) in enumerate(_running_laws(ints, horizon), 1):
+        first[n] = _weight_at(packed, span, tu, horizon) * _weight_at(packed, span, tv, horizon)
+    rows: dict[int, list[int]] = {}  # by phase, while a later start of the phase needs it
+    for m in range(1, horizon):
+        last = m + period >= horizon  # no later start has this phase
+        row = rows.pop(m % period, None) if last else rows.get(m % period)
+        if not (f := first[m]):
             continue
-        packed, span = 1, 0
-        for n in range(m + 1, horizon + 1):
-            packed += packed << (bits * ints[n - 1])
-            span += ints[n - 1]
-            if m:
-                first[n] -= first[m] * count(packed, span, 0) ** 2
-            else:
-                first[n] = count(packed, span, tu) * count(packed, span, tv)
+        if row is None:
+            laws = _running_laws(ints[m:], horizon)
+            if last:  # a row used once is streamed, not kept
+                for n, (packed, span) in enumerate(laws, m + 1):
+                    if w := _weight_at(packed, span, 0, horizon):
+                        first[n] -= f * w * w
+                continue
+            row = rows[m % period] = [_weight_at(packed, span, 0, horizon) ** 2 for packed, span in laws]
+        for n, w in zip(range(m + 1, horizon + 1), row):
+            first[n] -= f * w
     num = 0
     for f in first[1:]:
         num = 4 * num + f
@@ -402,11 +420,4 @@ def hoeffding_tail(d: Sequence, t) -> HoeffdingTail:
 
 def parse_pmf1d_lines(lines: Iterable[str]) -> dict[Fraction, Fraction]:
     """Parse the two-column export format back into a value -> mass map."""
-    out: dict[Fraction, Fraction] = {}
-    for ln in lines:
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        val, mass = ln.split()
-        out[Fraction(val)] = Fraction(mass)
-    return out
+    return {Fraction(val): Fraction(mass) for val, mass in (ln.split() for _, ln in _data_lines(lines))}

@@ -142,6 +142,8 @@ def json_encode(obj):
     """The JSON form of a result: a dataclass becomes the dict of its fields,
     or their list when its class sets ``json_as_list``; a Fraction becomes its
     string and a tuple a list.  Other values pass through."""
+    if obj is None or isinstance(obj, (int, float, str)):  # the common leaves, first
+        return obj
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, (list, tuple)):

@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DecompositionError,
@@ -25,6 +25,7 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
+from .rng import json_encode
 
 Number = int | Fraction
 
@@ -134,24 +135,10 @@ class StepSequence:
 
     def to_config(self) -> dict:
         """Serializable description: family name plus exact parameters."""
-        return {"family": self.kind, "params": _encode_params(self.params)}
+        return {"family": self.kind, "params": json_encode(self.params)}
 
     def __repr__(self) -> str:
         return f"StepSequence(kind={self.kind!r}, params={self.params!r})"
-
-
-def _encode_value(v):
-    if isinstance(v, Fraction):
-        return str(v) if v.denominator != 1 else v.numerator
-    if isinstance(v, (list, tuple)):
-        return [_encode_value(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _encode_value(x) for k, x in v.items()}
-    return v
-
-
-def _encode_params(params: dict) -> dict:
-    return {k: _encode_value(v) for k, v in params.items()}
 
 
 def _decode_number(v, name: str = "value") -> Number:
@@ -202,7 +189,7 @@ def make_sequence(family: str, **params) -> StepSequence:
         def floor_power(n: int) -> int:
             return integer_nth_root(n**p, q)
 
-        return StepSequence("floor-power", {"gamma": gamma}, floor_power)
+        return StepSequence("floor-power", {"gamma": int_if_whole(gamma)}, floor_power)
 
     if family == "real-power":
         alpha = _fraction_param(params.get("alpha"), "alpha")
@@ -219,7 +206,7 @@ def make_sequence(family: str, **params) -> StepSequence:
             return Fraction(r, 1 << bits)
 
         return StepSequence(
-            "real-power", {"alpha": alpha, "precision_bits": bits}, real_power
+            "real-power", {"alpha": int_if_whole(alpha), "precision_bits": bits}, real_power
         )
 
     if family == "explicit-list":
@@ -294,15 +281,15 @@ def sequence_from_config(config: dict) -> StepSequence:
     return make_sequence(family, **params)
 
 
+def _data_lines(lines: Iterable[str]) -> list[tuple[int, str]]:
+    """``(line number, stripped text)`` of each line neither blank nor a ``#`` comment."""
+    return [(i, ln) for i, raw in enumerate(lines, 1) if (ln := raw.strip()) and not ln.startswith("#")]
+
+
 def load_explicit_list(path) -> StepSequence:
     """Read a one-value-per-line text file into an explicit-list sequence."""
-    values = []
     with open(path, "r", encoding="utf-8") as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            values.append(_decode_number(ln))
+        values = [_decode_number(ln) for _, ln in _data_lines(fh)]
     return make_sequence("explicit-list", values=values)
 
 

@@ -367,9 +367,8 @@ class HittingTimeResult:
 
 
 #: Largest axis-start radius whose report carries the exact hit probability.
-#: Reports beyond it keep ``exact = None``, so their bytes stay as recorded
-#: (r = 5 and r = 10 are pinned without one), and r = 10, at horizon 1000,
-#: would spend seconds in the exact renewal.
+#: The pinned report bytes hold it here: r = 5 and r = 10 are recorded with
+#: ``exact = None``, though the renewal gives r = 10 in well under a second.
 EXACT_RADIUS_CAP = 2
 
 
@@ -498,10 +497,8 @@ def sup_pmf_trend(
     for name, cap in (("ratio_cap", ratio_cap), ("slope_cap", slope_cap)):
         if not math.isfinite(cap):
             raise ParameterError(f"{name} must be finite, got {cap}")
-    rows = []
-    for k in range(1, k_max + 1):
-        sup = _exact.sup_pmf(list(range(1, k + 1)))
-        rows.append(TrendRow(k=k, sup=sup, ratio=float(sup) * k**1.5))
+    sups = enumerate(_exact.sup_pmf_running(k_max), 1)
+    rows = [TrendRow(k=k, sup=sup, ratio=float(sup) * k**1.5) for k, sup in sups]
     tail = [(math.log(r.k), r.ratio) for r in rows if r.k >= k_floor]
     slope: float | None = None
     if len(tail) >= 2:

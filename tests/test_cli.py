@@ -372,6 +372,15 @@ class TestReports:
         code = run_cli(["construct", "check-good", "--good-set", "2,4,6"])
         assert code == cli.EXIT_VERIFY_FAILED
 
+    @pytest.mark.parametrize("bad", ["abc", "1.5"])
+    def test_bad_good_set_file_line_fails_by_name(self, bad, tmp_path, capsys):
+        path = tmp_path / "good.txt"
+        path.write_text(f"# prefix\n2\n\n{bad}\n5\n", encoding="utf-8")
+        code = run_cli(["construct", "check-good", "--good-set-file", str(path)])
+        assert code == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"radwalk: error: {path}, line 4: expected an integer, got {bad!r}\n"
+
 
 #: A command whose report shows its defaults (residue 0, method auto).
 PLAIN_MOD = ["exact", "mod", "--d", "1,2,3", "--m", "3"]

@@ -1,5 +1,8 @@
 """Exact-distribution oracles: examples, invariants, and enumeration cross-checks."""
 
+import ast
+import hashlib
+import inspect
 import itertools
 import math
 from fractions import Fraction
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from radwalk import exact
+from radwalk import cli, construction, exact, rng, sequences, verify, walk
 from radwalk.errors import ParameterError, PreconditionError, SupportBudgetError
 from radwalk.sequences import scaled_ints
 
@@ -244,6 +247,22 @@ class TestModProbability:
         with pytest.raises(ParameterError):
             exact.mod_probability([HALF], 2, 0)
 
+    @pytest.mark.parametrize(
+        "d, message",
+        [
+            ([1, HALF], "d[1] must be an integer for modular arithmetic, got 1/2"),
+            ([3, 0.5], "d[1] must be an integer for modular arithmetic, got 0.5"),
+            ([1, 0], "d[1] must be > 0, got 0"),
+            ([-2, 1], "d[0] must be > 0, got -2"),
+            ([], "d must be nonempty"),
+        ],
+    )
+    def test_single_fault_named(self, d, message):
+        for call in (lambda: exact.mod_probability(d, 2, 0), lambda: exact.mod_probability_profile(d, 2)):
+            with pytest.raises(ParameterError) as exc:
+                call()
+            assert str(exc.value) == message
+
     def test_rejects_bad_residue(self):
         with pytest.raises(ParameterError):
             exact.mod_probability([1], 3, 3)
@@ -457,6 +476,123 @@ class TestHitProbability:
     def test_unit_walk_r5_pinned(self):
         assert exact.hit_probability_2d([1] * 125, (5, 0), 125) == UNIT_R5_HIT
         assert float(UNIT_R5_HIT) == pytest.approx(0.182309, abs=5e-7)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=1, max_value=3),
+                st.fractions(min_value=Fraction(1, 2), max_value=3, max_denominator=2),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.integers(0, 13),
+        st.integers(0, 2),
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    )
+    @example([2, 2, 3], 8, 0, (1, 0))
+    @example([HALF, 1], 7, 2, (Fraction(1, 2), 0))
+    @example([1], 12, 0, (2, 0))
+    def test_periodic_renewal_matches_dp(self, pattern, horizon, extra, target):
+        # tiled patterns have a period p < horizon, one return row per phase
+        a = (pattern * 16)[: horizon + extra]
+        assert exact.hit_probability_2d(a, target, horizon) == dp_hit_probability(a, target, horizon)
+        assert exact.hit_probability_2d(a, (0, 0), horizon) == dp_hit_probability(a, (0, 0), horizon)
+
+    @pytest.mark.parametrize(
+        "a, target, period",
+        [([1] * 40, (2, 0), 1), ([2, 2, 3] * 10, (1, 0), 3), ([2, 3, 5, 7] * 6 + [2], (0, 0), 4)],
+    )
+    def test_return_rows_one_per_phase(self, a, target, period, monkeypatch):
+        built = []
+        laws = exact._running_laws
+
+        def counting(ints, depth, square=False):
+            built.append(len(ints))
+            return laws(ints, depth, square)
+
+        monkeypatch.setattr(exact, "_running_laws", counting)
+        assert exact.hit_probability_2d(a, target, len(a)) == dp_hit_probability(a, target, len(a))
+        assert built[0] == len(a)  # the target row
+        assert 1 <= len(built) - 1 <= period
+
+    def test_unit_walk_r10_pinned(self):
+        # recorded from the one-row-per-start renewal; about 0.2031355
+        p = exact.hit_probability_2d([1] * 1000, (10, 0), 1000)
+        assert p.denominator == 2**1987
+        assert hashlib.sha256(str(p).encode()).hexdigest() == (
+            "c2664a1153c2c6a6ce2b3eb212ba906f83798df8be0df73a912e79593cec040c"
+        )
+        assert float(p) == pytest.approx(0.2031355, abs=5e-8)
+
+
+class TestEngine:
+    #: The functions that know the slot layout of the packed laws.
+    LAYOUT = {"_running_laws", "_weight_at", "_nonzero_slots", "mod_probability_profile"}
+
+    @staticmethod
+    def tree(mod):
+        return ast.parse(inspect.getsource(mod))
+
+    def test_one_shift_add_product(self):
+        """``packed += packed << ...`` lives in the engine and the folded residue product."""
+
+        def is_shift_add(n):
+            if isinstance(n, ast.AugAssign) and isinstance(n.op, ast.Add):
+                added = n.value
+            elif isinstance(n, ast.BinOp) and isinstance(n.op, ast.Add):
+                added = n.right
+            else:
+                return False
+            return isinstance(added, ast.BinOp) and isinstance(added.op, ast.LShift)
+
+        owners = {
+            fn.name
+            for mod in (cli, construction, exact, rng, sequences, verify, walk)
+            for fn in self.tree(mod).body
+            if isinstance(fn, ast.FunctionDef) and any(is_shift_add(n) for n in ast.walk(fn))
+        }
+        assert owners == {"_running_laws", "mod_probability_profile"}
+
+    def test_only_the_engine_knows_the_slot_layout(self):
+        """Elsewhere in exact and verify a shift only makes a power of two, and
+        neither verify nor the renewal computes with a law's span."""
+        for mod in (exact, verify):
+            tree = self.tree(mod)
+            layout = {
+                id(n) for fn in tree.body
+                if isinstance(fn, ast.FunctionDef) and fn.name in self.LAYOUT for n in ast.walk(fn)
+            }
+            for n in ast.walk(tree):
+                if id(n) not in layout and isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(
+                    n.op, (ast.LShift, ast.RShift)
+                ):
+                    assert isinstance(n, ast.BinOp) and getattr(n.left, "value", None) == 1, ast.unparse(n)
+        (renewal,) = [fn for fn in self.tree(exact).body if getattr(fn, "name", "") == "hit_probability_2d"]
+        for tree in (self.tree(verify), renewal):
+            for n in ast.walk(tree):
+                operands = [getattr(n, f, None) for f in ("left", "right", "target", "value")]
+                operands += getattr(n, "comparators", [])
+                if isinstance(n, (ast.BinOp, ast.AugAssign, ast.Compare)):
+                    assert "span" not in {getattr(x, "id", None) for x in operands}, ast.unparse(n)
+        used = {n.attr for n in ast.walk(self.tree(verify)) if isinstance(n, ast.Attribute)}
+        assert not used & {"_running_laws", "_weight_at", "_nonzero_slots", "_signed_sum_weights", "sup_pmf"}
+
+    @pytest.mark.parametrize("k_max", [1, 2, 7, 64, 65, 200])
+    def test_running_sup_matches_full_decode(self, k_max):
+        sups = exact.sup_pmf_running(k_max)
+        assert len(sups) == k_max
+        for k in {min(k, k_max) for k in (1, 2, 3, k_max // 2 or 1, k_max)}:
+            assert sups[k - 1] == exact.sup_pmf(range(1, k + 1))
+
+    def test_budget_before_the_first_shift(self, monkeypatch):
+        monkeypatch.setattr(exact, "SUPPORT_BUDGET", 13)
+        laws = exact._running_laws([1, 2, 3, 1], 4)
+        with pytest.raises(SupportBudgetError) as exc:
+            next(laws)
+        assert (exc.value.required, exc.value.budget) == (15, 13)
+        assert len(list(exact._running_laws([1, 2, 3], 3))) == 3
 
 
 class TestHoeffdingTail:

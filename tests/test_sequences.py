@@ -98,6 +98,8 @@ class TestSerialization:
             ("explicit-list", {"values": [1, Fraction(5, 2), 3]}),
             ("explicit-block", {"scale": "exact"}),
             ("explicit-block", {"scale": "scaled"}),
+            ("floor-power", {"gamma": 2}),
+            ("real-power", {"alpha": 1}),
         ],
     )
     def test_config_roundtrip(self, family, params):
@@ -108,6 +110,19 @@ class TestSerialization:
         assert s2.to_config() == config
         n_probe = min(4, s.length or 4)
         assert s2.prefix(n_probe) == s.prefix(n_probe)
+
+    @pytest.mark.parametrize(
+        "family, params, config",
+        [
+            ("floor-power", {"gamma": Fraction(4, 2)}, {"gamma": 2}),
+            ("floor-power", {"gamma": "3/2"}, {"gamma": "3/2"}),
+            ("real-power", {"alpha": 1}, {"alpha": 1, "precision_bits": 64}),
+            ("constant", {"value": "6/3"}, {"value": 2}),
+            ("explicit-list", {"values": [2, "5/2"]}, {"values": [2, "5/2"]}),
+        ],
+    )
+    def test_whole_numbers_stay_ints(self, family, params, config):
+        assert sq.make_sequence(family, **params).to_config() == {"family": family, "params": config}
 
     def test_scaled_block_growth_names(self):
         s = sq.make_sequence("explicit-block", scale="scaled", growth="default-pow2")

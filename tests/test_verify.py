@@ -2,13 +2,14 @@
 
 import math
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from radwalk import exact, rng, verify as vf
-from radwalk.errors import ParameterError, PreconditionError
+from radwalk.errors import ParameterError, PreconditionError, SupportBudgetError
 
 
 class TestDrift:
@@ -404,3 +405,16 @@ class TestSupPmfTrend:
     def test_growth_detected(self):
         rep = vf.sup_pmf_trend(32, ratio_cap=0.6)
         assert not rep.passed
+
+    def test_rows_match_full_decode(self):
+        rep = vf.sup_pmf_trend(40)
+        for k in range(1, 41):
+            assert rep.rows[k - 1].sup == exact.sup_pmf(range(1, k + 1))
+
+    def test_budget_refused_before_any_law(self):
+        # the span of 1..4000 is 8 002 000: the support is checked for k_max up front,
+        # where a law-per-k route would first build 3161 laws, the last about 1.7 GB
+        t0 = time.perf_counter()
+        with pytest.raises(SupportBudgetError, match="needs 16004001 points"):
+            vf.sup_pmf_trend(4000)
+        assert time.perf_counter() - t0 < 1.0

@@ -21,7 +21,8 @@ O(horizon**2) products of counts.
 Derived quantities used by the verification module (mod-m probabilities,
 sliding-interval suprema, maximal point masses) are computed from the same
 exact representations.  The engine checks the support of the steps it is
-given against :data:`SUPPORT_BUDGET` before its first shift.
+given (for a 1-D law, times the 64-bit limbs of one packed slot) against
+:data:`SUPPORT_BUDGET` before its first shift.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from .errors import ParameterError, PreconditionError, SupportBudgetError
 from .rng import json_encode
 from .sequences import _data_lines, int_if_whole, scaled_ints
 
-#: Cap on the number of exact support points a single computation may allocate.
+#: Cap on the exact support points a single computation may allocate; a 1-D
+#: law's points count once per 64-bit limb of a packed slot (one below 64 steps).
 SUPPORT_BUDGET = 10_000_000
 
 Number = int | Fraction
@@ -108,12 +110,18 @@ class ExactPmf2D:
         return [f"{x} {y} {m.numerator}/{m.denominator}" for (x, y), m in zip(self.points, masses)]
 
 
-def _check_support(ints: Sequence[int], square: bool = False) -> None:
-    """Refuse steps whose support (squared for a planar walk) exceeds :data:`SUPPORT_BUDGET`."""
-    required = (2 * sum(ints) + 1) ** (2 if square else 1)
+def _check_support(ints: Sequence[int], square: bool = False, depth: int = 0) -> None:
+    """Refuse steps whose support exceeds :data:`SUPPORT_BUDGET`: for a 1-D law
+    its points times the 64-bit limbs of a slot packed at ``depth``, for a
+    planar walk the squared support, which outnumbers the limbs of its 1-D
+    factors (``2 * sum + 1 > depth // 64 + 1``)."""
+    points = (2 * sum(ints) + 1) ** (2 if square else 1)
+    limbs = 1 if square else depth // 64 + 1
+    required = points * limbs
     if required > SUPPORT_BUDGET:
+        per_slot = f" x {limbs} 64-bit limbs = {required}" if limbs > 1 else ""
         raise SupportBudgetError(
-            f"exact support needs {required} points, exceeding the budget of {SUPPORT_BUDGET}",
+            f"exact support needs {points} points{per_slot}, exceeding the budget of {SUPPORT_BUDGET}",
             required=required,
             budget=SUPPORT_BUDGET,
         )
@@ -124,10 +132,10 @@ def _running_laws(ints: Sequence[int], depth: int, square: bool = False):
 
     ``prod(1 + z**s)`` at ``z = 2**bits``, ``bits`` the multiple of 64 above
     ``depth``: slot ``j`` holds the weight of the value ``2j - span``, weights
-    up to ``2**depth`` never carry.  The support of the whole list (squared for
-    a planar walk) is checked against :data:`SUPPORT_BUDGET` first.
+    up to ``2**depth`` never carry.  The support of the whole list is checked
+    against :data:`SUPPORT_BUDGET` first, by :func:`_check_support`.
     """
-    _check_support(ints, square)
+    _check_support(ints, square, depth)
     bits = 64 * (depth // 64 + 1)
     packed, span = 1, 0
     for s in ints:
@@ -342,7 +350,7 @@ def hit_probability_2d(a: Sequence, target: tuple[int, int], horizon: int) -> Fr
         raise ParameterError("horizon must be >= 0")
     steps_list = list(a)
     ints, scale = scaled_ints(_as_positive_fractions(steps_list, "a")) if steps_list else ([], 1)
-    _check_support(ints, square=True)
+    _check_support(ints[:horizon], square=True)  # the steps walked
     if horizon > len(ints):
         raise ParameterError(f"horizon {horizon} exceeds the {len(ints)} provided step sizes")
     tx, ty = Fraction(target[0]) * scale, Fraction(target[1]) * scale

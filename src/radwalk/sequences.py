@@ -8,7 +8,15 @@ exponential block sequence whose sub-block lengths are powers ``2**(2**e)``.
 
 Integer families always return exact ints; the real-power family returns
 exact dyadic rationals at a declared precision.  Evaluation is pure: the same
-index always yields the same value.
+index always yields the same value.  Families whose values come in runs
+(explicit lists, the block sequence, construction plans, and floor-power with
+``gamma < 1``, where the value v first appears at ``ceil(v**(1/gamma))``) fill
+prefixes run by run.
+
+The three scans (run-length, doubling, (r, s)-monotonicity) are array code on
+one exact array of the prefix scaled to integers: int64 when every product a
+scan forms fits, an object array of the same Python ints otherwise, so no
+comparison is ever rounded.
 """
 
 from __future__ import annotations
@@ -18,6 +26,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import (
     DecompositionError,
@@ -74,6 +84,23 @@ def scaled_ints(values: Sequence[Number]) -> tuple[list[int], int]:
     their denominators, as ints."""
     scale = math.lcm(*{v.denominator for v in values})
     return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _exact_array(values: Sequence[Number], factor: int = 1) -> tuple[np.ndarray, int]:
+    """``(A, scale)``: :func:`scaled_ints` of ``values`` as an array.
+
+    ``A`` is int64 when ``factor * A[i]`` fits in int64 for every i, ``factor``
+    being the largest multiplier the caller's scan applies, and an object
+    array of the same Python ints otherwise.
+    """
+    A = np.array(values)
+    if A.dtype == np.int64:  # whole values that fit; 2**63 and up come out float64 or object
+        scale = 1
+    else:
+        ints, scale = scaled_ints(values)
+        A = np.array(ints, dtype=object)
+    fits = factor * max(int(A.max()), -int(A.min())) < 1 << 63
+    return A.astype(np.int64 if fits else object, copy=False), scale
 
 
 def _fraction_param(value, name: str) -> Fraction:
@@ -189,7 +216,18 @@ def make_sequence(family: str, **params) -> StepSequence:
         def floor_power(n: int) -> int:
             return integer_nth_root(n**p, q)
 
-        return StepSequence("floor-power", {"gamma": int_if_whole(gamma)}, floor_power)
+        def runs() -> Iterator[tuple[int, int]]:
+            # below gamma = 1 the values climb by at most 1, and v first
+            # appears at the least n with n**p >= v**q
+            first = 1
+            for v in itertools.count(1):
+                nxt = integer_nth_root((v + 1) ** q - 1, p) + 1
+                yield v, nxt - first
+                first = nxt
+
+        return StepSequence(
+            "floor-power", {"gamma": int_if_whole(gamma)}, floor_power, runs=runs if p < q else None
+        )
 
     if family == "real-power":
         alpha = _fraction_param(params.get("alpha"), "alpha")
@@ -213,13 +251,16 @@ def make_sequence(family: str, **params) -> StepSequence:
         raw = params.get("values")
         if not raw:
             raise ParameterError("explicit-list requires a nonempty values list")
-        vals: list[Number] = []
-        for i, v in enumerate(raw):
-            f = _fraction_param(v, f"values[{i}]")
-            if f <= 0:
-                raise ParameterError(f"values[{i}] must be > 0, got {v}")
-            vals.append(int_if_whole(f))
-        tup = tuple(vals)
+        if type(raw) in (list, tuple) and set(map(type, raw)) == {int} and min(raw) > 0:
+            tup = tuple(raw)  # already exact and positive
+        else:
+            vals: list[Number] = []
+            for i, v in enumerate(raw):
+                f = _fraction_param(v, f"values[{i}]")
+                if f <= 0:
+                    raise ParameterError(f"values[{i}] must be > 0, got {v}")
+                vals.append(int_if_whole(f))
+            tup = tuple(vals)
         return StepSequence(
             "explicit-list",
             {"values": list(tup)},
@@ -288,8 +329,13 @@ def _data_lines(lines: Iterable[str]) -> list[tuple[int, str]]:
 
 def load_explicit_list(path) -> StepSequence:
     """Read a one-value-per-line text file into an explicit-list sequence."""
+    values = []
     with open(path, "r", encoding="utf-8") as fh:
-        values = [_decode_number(ln) for _, ln in _data_lines(fh)]
+        for i, ln in _data_lines(fh):
+            try:
+                values.append(_decode_number(ln))
+            except ParameterError as exc:
+                raise ParameterError(f"{path}, line {i}: {exc}") from None
     return make_sequence("explicit-list", values=values)
 
 
@@ -326,12 +372,14 @@ def run_length_decompose(seq: StepSequence, n: int) -> RunLengthDecomposition:
     if n < 1:
         raise ParameterError("prefix length must be >= 1")
     vals = seq.prefix(n if seq.length is None else min(n, seq.length))
-    ints, scale = scaled_ints(vals)
+    A, scale = _exact_array(vals)
     # the first fault in index order: a value that is not whole, or one below
     # the whole value before it; then the end of a finite sequence
-    whole = len(vals) if scale == 1 else next(i for i, a in enumerate(vals) if a.denominator != 1)
-    i = next((i for i, (a, b) in enumerate(zip(ints, ints[1:whole]), 2) if b < a), None)
-    if i is not None:
+    whole = len(vals) if scale == 1 else int(np.flatnonzero(A % scale)[0])
+    head = A[:whole]
+    descents = np.flatnonzero(head[1:] < head[:-1])
+    if descents.size:
+        i = int(descents[0]) + 2
         raise DecompositionError(
             f"prefix is not non-decreasing at index {i}: {vals[i - 1]} < {vals[i - 2]}", index=i
         )
@@ -341,9 +389,11 @@ def run_length_decompose(seq: StepSequence, n: int) -> RunLengthDecomposition:
         )
     if len(vals) < n:
         seq.value(len(vals) + 1)  # raises
-    starts = [1] + [i for i, (a, b) in enumerate(zip(ints, ints[1:]), 2) if b != a]
-    mult = [b - a for a, b in zip(starts, starts[1:] + [n + 1])]
-    return RunLengthDecomposition(tuple(ints[s - 1] for s in starts), tuple(mult), tuple(starts))
+    starts = np.append(0, np.flatnonzero(A[1:] != A[:-1]) + 1)
+    mult = np.diff(starts, append=n)
+    return RunLengthDecomposition(
+        tuple(A[starts].tolist()), tuple(mult.tolist()), tuple((starts + 1).tolist())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +451,14 @@ def extract_doubling_subsequence(
         raise ParameterError("n must be >= 1")
     vals = seq.prefix(n)
     # The scan compares s * a_j as integers, s being the lcm of the
-    # denominators of the values and, once C is known, of C.
-    ints, den = scaled_ints(vals)
-    for i, w in enumerate(ints):
-        if w < den:
-            raise PreconditionError(f"a_{i + 1} = {vals[i]} < 1; extraction requires a_m >= 1")
-    measured = Fraction(max((abs(b - a) for a, b in zip(ints, ints[1:])), default=0), den)
+    # denominators of the values and, once C is known, of C; 2 * A fits the
+    # gaps and the doubled values.
+    A, den = _exact_array(vals, 2)
+    short = np.flatnonzero(A < den)
+    if short.size:
+        i = int(short[0])
+        raise PreconditionError(f"a_{i + 1} = {vals[i]} < 1; extraction requires a_m >= 1")
+    measured = Fraction(int(np.abs(np.diff(A)).max(initial=0)), den)
     if gap_bound is None:
         C = measured
     else:
@@ -418,15 +470,31 @@ def extract_doubling_subsequence(
                 f"prefix has a consecutive gap {measured} exceeding the supplied bound {C}"
             )
     up = C.denominator // math.gcd(den, C.denominator)
-    ints = [w * up for w in ints] if up > 1 else ints
+    if up > 1:
+        fits = A.dtype == object or 2 * up * int(A.max()) < 1 << 63
+        A = (A if fits else A.astype(object)) * up
+    doubled = 2 * A
     two_c = 2 * C.numerator * (den * up // C.denominator)
-    # One descending pass picks, below each pick, the largest j with a_j in
-    # (cur/2 - C, cur/2], that is with 2*s*a_j in (s*cur - 2*s*C, s*cur].
+    # Below each pick, the largest j with a_j in (cur/2 - C, cur/2], that is
+    # with 2*s*a_j in (s*cur - 2*s*C, s*cur], found in windows that double in
+    # size downwards: O(n) array work over all picks.  Every 2*s*a_j is > 0.
     picked = [n]
-    for j in range(n - 1, 0, -1):
-        cur = ints[picked[-1] - 1]
-        if cur - two_c < 2 * ints[j - 1] <= cur:
-            picked.append(j)
+    top = n - 1  # candidates are the 0-based positions below top
+    while top > 0:
+        cur = int(A[picked[-1] - 1])
+        lo = max(cur - two_c, 0)
+        width, hit = 64, None
+        while top > 0 and hit is None:
+            window = doubled[max(top - width, 0) : top]
+            found = np.flatnonzero((window > lo) & (window <= cur))
+            if found.size:
+                hit = top - window.size + int(found[-1])
+            top -= window.size
+            width *= 2
+        if hit is None:
+            break
+        picked.append(hit + 1)
+        top = hit
     indices = tuple(reversed(picked))
     return DoublingCertificate(
         indices=indices,
@@ -465,24 +533,24 @@ def check_rs_monotone(seq: StepSequence, r, s, n_max: int) -> MonotonicityReport
     if n_max < 2:
         raise ParameterError("n_max must be >= 2")
     # a_n > s * a_m compares as q * A_n > p * A_m, with s = p/q and the A the
-    # values scaled to ints
-    ints, _ = scaled_ints(seq.prefix(n_max))
-    left = [a * sf.denominator for a in ints]
-    right = [a * sf.numerator for a in ints]
-    # suffix minima let most indices pass in O(1)
-    sufmin = list(itertools.accumulate(reversed(right), min))[::-1]
+    # values scaled to ints; p >= q bounds both products
+    A, _ = _exact_array(seq.prefix(n_max), sf.numerator)
+    left, right = A * sf.denominator, A * sf.numerator
+    # suffix minima let most indices pass at once; only n <= n_max / r have
+    # an m = ceil(r * n) in range
+    sufmin = np.minimum.accumulate(right[::-1])[::-1]
+    k = n_max * rf.denominator // rf.numerator
+    n = np.arange(1, k + 1, dtype=np.int64 if rf.numerator * n_max < 1 << 63 else object)
+    m0 = (-(-rf.numerator * n // rf.denominator)).astype(np.int64)
     violations: list[tuple[int, int]] = []
-    for n in range(1, n_max + 1):
-        m0 = -(-rf.numerator * n // rf.denominator)  # ceil(r * n)
-        if m0 > n_max:
-            break
-        a = left[n - 1]
-        if a > sufmin[m0 - 1]:
-            violations.extend((n, m) for m in range(m0, n_max + 1) if a > right[m - 1])
+    for i in np.flatnonzero(left[:k] > sufmin[m0 - 1]).tolist():
+        start = int(m0[i])
+        ms = np.flatnonzero(right[start - 1 :] < left[i]) + start
+        violations.extend(zip([i + 1] * ms.size, ms.tolist()))
     if not violations:
         clean_from: int | None = 1
     else:
-        worst = max(n for n, _ in violations)
+        worst = violations[-1][0]  # the violations come in order of n
         clean_from = worst + 1 if worst < n_max else None
     return MonotonicityReport(
         r=rf,

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -380,6 +381,24 @@ class TestReports:
         assert code == cli.EXIT_ERROR
         err = capsys.readouterr().err
         assert err == f"radwalk: error: {path}, line 4: expected an integer, got {bad!r}\n"
+
+    @pytest.mark.parametrize("bad", ["abc", "1/0"])
+    def test_bad_explicit_list_line_fails_by_name(self, bad, tmp_path, capsys):
+        path = tmp_path / "steps.txt"
+        path.write_text(f"1\n{bad}\n2\n", encoding="utf-8")
+        code = run_cli(["simulate", "--seq-list", str(path), "--n", "1"])
+        assert code == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"radwalk: error: {path}, line 2: value must be a rational number, got {bad!r}\n"
+
+    def test_suppmf_budget_counts_limbs(self, capsys):
+        # the last law would be 4501501 slots of 47 limbs, about 1.7 GB: refused before any shift
+        t0 = time.perf_counter()
+        code = run_cli(["verify", "suppmf", "--k-max", "3000"])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "needs 9003001 points x 47 64-bit limbs = 423141047, exceeding the budget" in err
 
 
 #: A command whose report shows its defaults (residue 0, method auto).

@@ -434,6 +434,11 @@ class TestHitProbability:
         with pytest.raises(ParameterError):
             exact.hit_probability_2d([1, 1], (0, 0), 3)
 
+    def test_budget_counts_only_the_steps_walked(self):
+        # the squared support of all six steps is 4000044000121 points, of the five walked 121
+        want = exact.hit_probability_2d([1] * 5, (1, 0), 5)
+        assert exact.hit_probability_2d([1] * 5 + [10**6], (1, 0), 5) == want
+
     def test_first_passage_vs_enumeration(self):
         # oracle: fraction of 4^3 paths visiting (1,0) at step >= 1
         dirs = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -593,6 +598,16 @@ class TestEngine:
             next(laws)
         assert (exc.value.required, exc.value.budget) == (15, 13)
         assert len(list(exact._running_laws([1, 2, 3], 3))) == 3
+
+    @pytest.mark.parametrize("depth, limbs", [(63, 1), (64, 2), (130, 3)])
+    def test_budget_counts_the_limbs_of_a_slot(self, depth, limbs, monkeypatch):
+        # 64 unit steps: 129 points, each slot packed in depth // 64 + 1 limbs
+        monkeypatch.setattr(exact, "SUPPORT_BUDGET", 129 * limbs)
+        assert len(list(exact._running_laws([1] * 64, depth))) == 64
+        monkeypatch.setattr(exact, "SUPPORT_BUDGET", 129 * limbs - 1)
+        with pytest.raises(SupportBudgetError) as exc:
+            next(exact._running_laws([1] * 64, depth))
+        assert (exc.value.required, exc.value.budget) == (129 * limbs, 129 * limbs - 1)
 
 
 class TestHoeffdingTail:

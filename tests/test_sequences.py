@@ -1,5 +1,8 @@
 """Step-sequence families and their structural analyses."""
 
+import ast
+import inspect
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -658,3 +661,319 @@ class TestBlockSequence:
         )
         with pytest.raises(ParameterError):
             s.prefix(2000)  # 4**(k+i) grows strictly but far slower than squaring
+
+
+# ---------------------------------------------------------------------------
+# The integer scans that the array scans replaced, kept as references
+# ---------------------------------------------------------------------------
+
+
+def int_scan_run_length(seq, n):
+    if n < 1:
+        raise ParameterError("prefix length must be >= 1")
+    vals = seq.prefix(n if seq.length is None else min(n, seq.length))
+    ints, scale = sq.scaled_ints(vals)
+    whole = len(vals) if scale == 1 else next(i for i, a in enumerate(vals) if a.denominator != 1)
+    i = next((i for i, (a, b) in enumerate(zip(ints, ints[1:whole]), 2) if b < a), None)
+    if i is not None:
+        raise DecompositionError(
+            f"prefix is not non-decreasing at index {i}: {vals[i - 1]} < {vals[i - 2]}", index=i
+        )
+    if whole < len(vals):
+        raise DecompositionError(
+            f"value at index {whole + 1} is not an integer: {vals[whole]}", index=whole + 1
+        )
+    if len(vals) < n:
+        seq.value(len(vals) + 1)
+    starts = [1] + [i for i, (a, b) in enumerate(zip(ints, ints[1:]), 2) if b != a]
+    mult = [b - a for a, b in zip(starts, starts[1:] + [n + 1])]
+    return sq.RunLengthDecomposition(tuple(ints[s - 1] for s in starts), tuple(mult), tuple(starts))
+
+
+def int_scan_doubling(seq, n, gap_bound=None):
+    if n < 1:
+        raise ParameterError("n must be >= 1")
+    vals = seq.prefix(n)
+    ints, den = sq.scaled_ints(vals)
+    for i, w in enumerate(ints):
+        if w < den:
+            raise PreconditionError(f"a_{i + 1} = {vals[i]} < 1; extraction requires a_m >= 1")
+    measured = Fraction(max((abs(b - a) for a, b in zip(ints, ints[1:])), default=0), den)
+    if gap_bound is None:
+        C = measured
+    else:
+        C = Fraction(gap_bound)
+        if C < 0:
+            raise ParameterError("gap bound C must be >= 0")
+        if measured > C:
+            raise PreconditionError(
+                f"prefix has a consecutive gap {measured} exceeding the supplied bound {C}"
+            )
+    up = C.denominator // math.gcd(den, C.denominator)
+    ints = [w * up for w in ints] if up > 1 else ints
+    two_c = 2 * C.numerator * (den * up // C.denominator)
+    picked = [n]
+    for j in range(n - 1, 0, -1):
+        cur = ints[picked[-1] - 1]
+        if cur - two_c < 2 * ints[j - 1] <= cur:
+            picked.append(j)
+    indices = tuple(reversed(picked))
+    return sq.DoublingCertificate(indices, C, sq._log2_ratio(len(indices), Fraction(vals[n - 1])))
+
+
+def int_scan_rs_monotone(seq, r, s, n_max):
+    rf, sf = sq._fraction_param(r, "r"), sq._fraction_param(s, "s")
+    if rf < 1 or sf < 1:
+        raise ParameterError("r and s must both be >= 1")
+    if n_max < 2:
+        raise ParameterError("n_max must be >= 2")
+    ints, _ = sq.scaled_ints(seq.prefix(n_max))
+    left = [a * sf.denominator for a in ints]
+    right = [a * sf.numerator for a in ints]
+    sufmin = list(itertools.accumulate(reversed(right), min))[::-1]
+    violations = []
+    for n in range(1, n_max + 1):
+        m0 = -(-rf.numerator * n // rf.denominator)
+        if m0 > n_max:
+            break
+        a = left[n - 1]
+        if a > sufmin[m0 - 1]:
+            violations.extend((n, m) for m in range(m0, n_max + 1) if a > right[m - 1])
+    if not violations:
+        clean_from = 1
+    else:
+        worst = max(n for n, _ in violations)
+        clean_from = worst + 1 if worst < n_max else None
+    return sq.MonotonicityReport(rf, sf, n_max, tuple(violations), not violations, clean_from)
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return exc
+
+
+def assert_same_outcome(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, Exception):
+        assert str(got) == str(want)
+        assert getattr(got, "index", None) == getattr(want, "index", None)
+    else:
+        assert got == want and repr(got) == repr(want)
+
+
+#: Values of every kind the array scans must treat exactly: small ints,
+#: fractions (some below 1), and ints near and past 2**62 and 2**63, where the
+#: int64 array gives way to the object fallback.
+SCAN_VALUES = st.one_of(
+    st.integers(1, 40),
+    st.fractions(min_value=Fraction(1, 3), max_value=40, max_denominator=7),
+    st.integers(2**62 - 40, 2**62 + 40),
+    st.integers(2**63 - 3, 2**63 + 3),
+)
+#: r and s at least 1, some with numerators near 2**40 or 2**62.
+RS_PARAMS = st.one_of(
+    st.fractions(min_value=1, max_value=4, max_denominator=9),
+    st.builds(Fraction, st.integers(2**40, 2**40 + 99), st.integers(2**39, 2**40)),
+    st.builds(Fraction, st.integers(2**62, 2**62 + 99), st.integers(2**61, 2**62)),
+)
+
+
+def scan_sequence(values, sort):
+    return sq.make_sequence("explicit-list", values=sorted(values) if sort else values)
+
+
+class TestArrayScansAgainstIntScans:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(SCAN_VALUES, min_size=1, max_size=30), st.booleans(), st.integers(0, 33))
+    def test_run_length(self, values, sort, n):
+        seq = scan_sequence(values, sort)
+        assert_same_outcome(outcome(sq.run_length_decompose, seq, n), outcome(int_scan_run_length, seq, n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(SCAN_VALUES, min_size=1, max_size=30),
+        st.booleans(),
+        st.integers(0, 33),
+        st.one_of(st.none(), st.integers(-1, 50), st.fractions(0, 50, max_denominator=7),
+                  st.integers(2**61, 2**65)),
+    )
+    def test_doubling(self, values, sort, n, gap_bound):
+        seq = scan_sequence(values, sort)
+        want = outcome(int_scan_doubling, seq, n)
+        assert_same_outcome(outcome(sq.extract_doubling_subsequence, seq, n), want)
+        bounds = [gap_bound]
+        if isinstance(want, sq.DoublingCertificate):  # just below, at and above the measured gap
+            bounds += [want.gap_bound - Fraction(1, 5), want.gap_bound, want.gap_bound + Fraction(1, 3)]
+        for c in bounds:
+            assert_same_outcome(
+                outcome(sq.extract_doubling_subsequence, seq, n, c), outcome(int_scan_doubling, seq, n, c)
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(SCAN_VALUES, min_size=1, max_size=30),
+        st.booleans(),
+        st.integers(1, 33),
+        RS_PARAMS,
+        RS_PARAMS,
+    )
+    def test_rs_monotone(self, values, sort, n_max, r, s_param):
+        seq = scan_sequence(values, sort)
+        assert_same_outcome(
+            outcome(sq.check_rs_monotone, seq, r, s_param, n_max),
+            outcome(int_scan_rs_monotone, seq, r, s_param, n_max),
+        )
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1],
+            [2**62, 2**62 + 1, 2**63 + 5],  # past int64: the object fallback
+            [2**61 + 1, 2**62, 3 * 2**61],  # fits int64, but not twice the values
+            [1, 2**62, 2**62 + 2**61, Fraction(2**63 + 1, 2)],
+        ],
+    )
+    def test_values_near_the_int64_edge(self, values):
+        seq = sq.make_sequence("explicit-list", values=values)
+        n = len(values)
+        for got, want in (
+            (outcome(sq.run_length_decompose, seq, n), outcome(int_scan_run_length, seq, n)),
+            (outcome(sq.extract_doubling_subsequence, seq, n), outcome(int_scan_doubling, seq, n)),
+            (
+                outcome(sq.extract_doubling_subsequence, seq, n, Fraction(2**62, 3)),
+                outcome(int_scan_doubling, seq, n, Fraction(2**62, 3)),
+            ),
+            (
+                outcome(sq.check_rs_monotone, seq, 1, Fraction(2**40 + 1, 2**40), max(n, 2)),
+                outcome(int_scan_rs_monotone, seq, 1, Fraction(2**40 + 1, 2**40), max(n, 2)),
+            ),
+        ):
+            assert_same_outcome(got, want)
+
+    @pytest.mark.parametrize("gamma", [Fraction(1, 2), Fraction(2, 3), 1, Fraction(3, 2)])
+    def test_long_prefixes(self, gamma):
+        # the doubling windows cross many 64-wide steps, and rs sees long runs
+        seq = sq.make_sequence("floor-power", gamma=gamma)
+        for n in (1, 63, 64, 65, 3000):
+            assert_same_outcome(outcome(sq.extract_doubling_subsequence, seq, n),
+                                outcome(int_scan_doubling, seq, n))
+            assert_same_outcome(outcome(sq.run_length_decompose, seq, n), outcome(int_scan_run_length, seq, n))
+        spiky = sq.make_sequence("explicit-list", values=[1, 5, 2, 9, 3, 3, 1, 7] * 50)
+        for r, s_param in ((1, 1), (2, Fraction(3, 2)), (Fraction(5, 4), 3)):
+            assert_same_outcome(outcome(sq.check_rs_monotone, spiky, r, s_param, 400),
+                                outcome(int_scan_rs_monotone, spiky, r, s_param, 400))
+
+    def test_scans_are_array_code(self):
+        """The scans run on _exact_array, with no per-index Python loop."""
+        scans = {"run_length_decompose", "extract_doubling_subsequence", "check_rs_monotone"}
+        tree = ast.parse(inspect.getsource(sq))
+        found = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name in scans}
+        assert set(found) == scans
+        for name, fn in found.items():
+            called = {getattr(node.func, "id", getattr(node.func, "attr", "")) for node in ast.walk(fn)
+                      if isinstance(node, ast.Call)}
+            assert "scaled_ints" not in called and "_exact_array" in called, name
+            loops = [node.iter for node in ast.walk(fn) if isinstance(node, (ast.For, ast.comprehension))]
+            per_index = [ast.unparse(it) for it in loops
+                         if isinstance(it, ast.Call) and getattr(it.func, "id", "") in {"range", "zip", "enumerate"}]
+            assert not per_index, (name, per_index)
+
+
+# ---------------------------------------------------------------------------
+# Floor-power runs and the explicit-list fast path
+# ---------------------------------------------------------------------------
+
+RUN_GAMMAS = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 4), Fraction(5, 7)]
+
+
+class TestFloorPowerRuns:
+    @pytest.mark.parametrize("gamma", RUN_GAMMAS)
+    def test_prefix_and_runs_match_per_index(self, gamma):
+        seq = sq.make_sequence("floor-power", gamma=gamma)
+        want = [seq.value(i) for i in range(1, 5001)]
+        for n in (0, 1, 2, 3, 17, 64, 1000, 4999, 5000):
+            assert seq.prefix(n) == want[:n]
+        flat = list(itertools.chain.from_iterable(
+            [v] * count for v, count in itertools.islice(seq.iter_runs(), want[-1])
+        ))
+        assert flat[:5000] == want
+
+    @pytest.mark.parametrize("gamma", RUN_GAMMAS)
+    def test_runs_at_a_large_n(self, gamma):
+        # every run of the first 10**6 terms starts where the value first
+        # reaches v and ends where it last is v
+        seq = sq.make_sequence("floor-power", gamma=gamma)
+        first = 1
+        for v, count in seq.iter_runs():
+            assert count >= 1 and seq(first) == v and seq(first + count - 1) == v
+            assert first == 1 or seq(first - 1) == v - 1
+            first += count
+            if first > 10**6:
+                break
+        n = 10**6
+        assert seq.prefix(n)[-50:] == [seq(i) for i in range(n - 49, n + 1)]
+
+    @pytest.mark.parametrize("gamma", [1, Fraction(3, 2), 2])
+    def test_no_runs_from_gamma_one(self, gamma):
+        with pytest.raises(ParameterError, match="has no run iterator"):
+            sq.make_sequence("floor-power", gamma=gamma).iter_runs()
+
+
+def loop_explicit_values(raw):
+    """The per-value loop the explicit-list fast path skips for positive ints."""
+    if not raw:
+        raise ParameterError("explicit-list requires a nonempty values list")
+    vals = []
+    for i, v in enumerate(raw):
+        f = sq._fraction_param(v, f"values[{i}]")
+        if f <= 0:
+            raise ParameterError(f"values[{i}] must be > 0, got {v}")
+        vals.append(sq.int_if_whole(f))
+    return tuple(vals)
+
+
+def explicit_values(raw):
+    seq = sq.make_sequence("explicit-list", values=raw)
+    values = tuple(seq.prefix(seq.length))
+    assert seq.to_config() == {"family": "explicit-list", "params": sq.json_encode({"values": list(values)})}
+    return values
+
+
+class TestExplicitListFastPath:
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            [True, 2],
+            [1, False],
+            [0, 1],
+            [3, -2],
+            ["3", 1],
+            [1, "1/2"],
+            ["abc"],
+            [Fraction(4, 2), 3],
+            [Fraction(1, 2), 3],
+            [2**70, 1],
+            (5, 1, 2),
+            [],
+        ],
+    )
+    def test_matches_the_loop(self, raw):
+        got, want = outcome(explicit_values, raw), outcome(loop_explicit_values, raw)
+        assert_same_outcome(got, want)
+        if not isinstance(want, Exception):
+            assert [type(v) for v in got] == [type(v) for v in want]
+
+    def test_generators_take_the_loop(self):
+        assert explicit_values(v for v in (3, 1, 2)) == (3, 1, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-2, 9), st.booleans(), st.fractions(-1, 5, max_denominator=4),
+                              st.sampled_from(["2", "7/2", "x", "0"])), min_size=1, max_size=12))
+    def test_any_list_matches_the_loop(self, raw):
+        got, want = outcome(explicit_values, raw), outcome(loop_explicit_values, raw)
+        assert_same_outcome(got, want)
+        if not isinstance(want, Exception):
+            assert [type(v) for v in got] == [type(v) for v in want]

@@ -39,8 +39,8 @@ import numpy as np
 from . import rng as _rng
 from .errors import CoprimalityError, ExhaustionError, ParameterError
 from .rng import json_decode, json_encode, wilson_interval
-from .sequences import StepSequence, _data_lines
-from .walk import INT64_STEP_SUM, _hits, _walk_trials
+from .sequences import INT64_STEP_SUM, StepSequence, _data_lines
+from .walk import _hits, _walk_trials
 
 
 @dataclass(frozen=True)
@@ -224,6 +224,10 @@ class N0Estimate:
     from_json_dict = classmethod(json_decode)
 
 
+#: Disks of at most this many targets report every target's Wilson lower bound.
+PER_TARGET_REPORT_CAP = 64
+
+
 def _doubling_grid(start: int, cap: int) -> list[int]:
     grid = []
     h = start
@@ -266,7 +270,6 @@ def estimate_N0(
     horizon_start: int = 16,
     horizon_cap: int = 1 << 14,
     target_budget: int = 20_000,
-    per_target_report_cap: int = 64,
     workers: int = 1,
 ) -> N0Estimate:
     """Search a doubling horizon grid for the smallest certified N0.
@@ -335,7 +338,7 @@ def estimate_N0(
     final_g = len(grid) - 1 if chosen_g is None else chosen_g
     worst_idx = int(np.argmin(successes[:, final_g]))
     per_target = None
-    if len(targets) <= per_target_report_cap:
+    if len(targets) <= PER_TARGET_REPORT_CAP:
         per_target = tuple(
             (t, lb(int(successes[i, final_g]))) for i, t in enumerate(targets)
         )
@@ -421,12 +424,14 @@ class ConstructionPlan:
                     yield rp.pair.b1, rp.pair.c1
                     yield rp.pair.b2, rp.pair.c2
 
+        top = max((max(rp.pair.b1, rp.pair.b2) for rp in rounds), default=0)
         return StepSequence(
             "from-construction-plan",
             {"plan": self.to_json_dict()},
             evaluate,
             length=self.n_end,
             runs=runs,
+            lattice=lambda n: (_plan_steps(rounds)[:n], 1) if top * n <= INT64_STEP_SUM else None,
         )
 
     to_json_dict = json_encode

@@ -20,9 +20,11 @@ O(horizon**2) products of counts.
 
 Derived quantities used by the verification module (mod-m probabilities,
 sliding-interval suprema, maximal point masses) are computed from the same
-exact representations.  The engine checks the support of the steps it is
-given (for a 1-D law, times the 64-bit limbs of one packed slot) against
-:data:`SUPPORT_BUDGET` before its first shift.
+exact representations.  Step lists are checked by the package's one step
+validator, in :mod:`radwalk.sequences`.  The engine checks the support of the
+steps it is given (for a 1-D law, times the 64-bit limbs of one packed slot),
+and the residue route its m slots, against :data:`SUPPORT_BUDGET` before its
+first shift.
 """
 
 from __future__ import annotations
@@ -36,25 +38,13 @@ import numpy as np
 
 from .errors import ParameterError, PreconditionError, SupportBudgetError
 from .rng import json_encode
-from .sequences import _data_lines, int_if_whole, scaled_ints
+from .sequences import _data_lines, _positive_steps, int_if_whole, scaled_ints
 
 #: Cap on the exact support points a single computation may allocate; a 1-D
 #: law's points count once per 64-bit limb of a packed slot (one below 64 steps).
 SUPPORT_BUDGET = 10_000_000
 
 Number = int | Fraction
-
-
-def _as_positive_fractions(values: Iterable, what: str) -> list[Fraction]:
-    out = []
-    for i, v in enumerate(values):
-        f = Fraction(v)
-        if f.numerator <= 0:
-            raise ParameterError(f"{what}[{i}] must be > 0, got {v}")
-        out.append(f)
-    if not out:
-        raise ParameterError(f"{what} must be nonempty")
-    return out
 
 
 @dataclass(frozen=True)
@@ -110,13 +100,11 @@ class ExactPmf2D:
         return [f"{x} {y} {m.numerator}/{m.denominator}" for (x, y), m in zip(self.points, masses)]
 
 
-def _check_support(ints: Sequence[int], square: bool = False, depth: int = 0) -> None:
-    """Refuse steps whose support exceeds :data:`SUPPORT_BUDGET`: for a 1-D law
-    its points times the 64-bit limbs of a slot packed at ``depth``, for a
-    planar walk the squared support, which outnumbers the limbs of its 1-D
-    factors (``2 * sum + 1 > depth // 64 + 1``)."""
-    points = (2 * sum(ints) + 1) ** (2 if square else 1)
-    limbs = 1 if square else depth // 64 + 1
+def _check_support(points: int, limbs: int = 1) -> None:
+    """Refuse ``points`` packed slots of ``limbs`` 64-bit limbs each beyond
+    :data:`SUPPORT_BUDGET`.  A planar walk is charged its squared support and
+    one limb: that outnumbers the limbs of its 1-D factors
+    (``2 * sum + 1 > depth // 64 + 1``)."""
     required = points * limbs
     if required > SUPPORT_BUDGET:
         per_slot = f" x {limbs} 64-bit limbs = {required}" if limbs > 1 else ""
@@ -135,7 +123,7 @@ def _running_laws(ints: Sequence[int], depth: int, square: bool = False):
     up to ``2**depth`` never carry.  The support of the whole list is checked
     against :data:`SUPPORT_BUDGET` first, by :func:`_check_support`.
     """
-    _check_support(ints, square, depth)
+    _check_support((2 * sum(ints) + 1) ** (2 if square else 1), 1 if square else depth // 64 + 1)
     bits = 64 * (depth // 64 + 1)
     packed, span = 1, 0
     for s in ints:
@@ -181,14 +169,14 @@ def pmf_1d(d: Sequence) -> ExactPmf1D:
     of the scaled steps; the result carries exact rational masses with
     denominator ``2**len(d)``.
     """
-    fracs = _as_positive_fractions(d, "d")
-    ints, scale = scaled_ints(fracs)
+    steps = _positive_steps(d, "d")
+    ints, scale = scaled_ints(steps)
     values, weights = _signed_sum_weights(ints)
     return ExactPmf1D(
         values=tuple(values if scale == 1 else (int_if_whole(Fraction(v, scale)) for v in values)),
         weights=tuple(weights),
         total=1 << len(ints),
-        steps=tuple(int_if_whole(f) for f in fracs),
+        steps=tuple(steps),
     )
 
 
@@ -199,8 +187,8 @@ def pmf_2d(a: Sequence) -> ExactPmf2D:
     ``±a[i]`` in both, with independent uniform signs, so ``u`` and ``v`` are
     independent copies of the signed sum and ``w(x, y) = w1(x+y) * w1(x-y)``.
     """
-    fracs = _as_positive_fractions(a, "a")
-    ints, scale = scaled_ints(fracs)
+    steps = _positive_steps(a, "a")
+    ints, scale = scaled_ints(steps)
     values, weights = _signed_sum_weights(ints, square=True)
     u = np.array(values)
     # u and v share the parity of span, so every pair is a lattice point
@@ -216,17 +204,17 @@ def pmf_2d(a: Sequence) -> ExactPmf2D:
         points=tuple(zip(xs, ys)),
         weights=tuple(np.multiply.outer(w, w).ravel()[order].tolist()),
         total=1 << (2 * len(ints)),
-        steps=tuple(int_if_whole(f) for f in fracs),
+        steps=tuple(steps),
     )
 
 
 def _int_steps_only(d: Sequence) -> list[int]:
     d = list(d)
-    fracs = _as_positive_fractions(d, "d")
-    for i, f in enumerate(fracs):
+    steps = _positive_steps(d, "d")
+    for i, f in enumerate(steps):
         if f.denominator != 1:
             raise ParameterError(f"d[{i}] must be an integer for modular arithmetic, got {d[i]}")
-    return [f.numerator for f in fracs]
+    return steps
 
 
 def mod_probability(d: Sequence, m: int, residue: int, *, method: str = "auto") -> Fraction:
@@ -264,6 +252,7 @@ def mod_probability_profile(d: Sequence, m: int) -> list[Fraction]:
     ints = _int_steps_only(d)
     if m < 1:
         raise ParameterError("modulus m must be >= 1")
+    _check_support(m, len(ints) // 64 + 1)
     bits = 64 * (len(ints) // 64 + 1)
     mask = (1 << (bits * m)) - 1
 
@@ -307,11 +296,11 @@ def max_interval_probability(d: Sequence, half_width) -> tuple[Fraction, Number]
     D = Fraction(half_width)
     if D <= 0:
         raise ParameterError("half-width D must be > 0")
-    fracs = _as_positive_fractions(d, "d")
-    for i, f in enumerate(fracs):
+    steps = _positive_steps(d, "d")
+    for i, f in enumerate(steps):
         if f < D:
             raise PreconditionError(f"step d[{i}]={f} is smaller than the half-width D={D}")
-    ints, scale = scaled_ints(fracs + [D])
+    ints, scale = scaled_ints(steps + [D])
     Ds = ints.pop()
     vals, weights = _signed_sum_weights(ints)
     best = 0
@@ -349,8 +338,8 @@ def hit_probability_2d(a: Sequence, target: tuple[int, int], horizon: int) -> Fr
     if horizon < 0:
         raise ParameterError("horizon must be >= 0")
     steps_list = list(a)
-    ints, scale = scaled_ints(_as_positive_fractions(steps_list, "a")) if steps_list else ([], 1)
-    _check_support(ints[:horizon], square=True)  # the steps walked
+    ints, scale = scaled_ints(_positive_steps(steps_list, "a")) if steps_list else ([], 1)
+    _check_support((2 * sum(ints[:horizon]) + 1) ** 2)  # the steps walked
     if horizon > len(ints):
         raise ParameterError(f"horizon {horizon} exceeds the {len(ints)} provided step sizes")
     tx, ty = Fraction(target[0]) * scale, Fraction(target[1]) * scale
@@ -408,11 +397,11 @@ def hoeffding_tail(d: Sequence, t) -> HoeffdingTail:
     tf = Fraction(t)
     if tf <= 0:
         raise ParameterError("threshold t must be > 0")
-    fracs = _as_positive_fractions(d, "d")
-    ssq = sum(f * f for f in fracs)
+    steps = _positive_steps(d, "d")
+    ssq = sum(Fraction(f) * f for f in steps)
     raw = 2.0 * math.exp(-float(tf * tf) / float(2 * ssq))
     try:
-        law = pmf_1d(fracs)
+        law = pmf_1d(steps)
     except SupportBudgetError:
         exact = None
     else:

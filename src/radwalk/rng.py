@@ -258,9 +258,13 @@ def wilson_interval(successes: int, trials: int, level: float = 0.95) -> Confide
     return ConfidenceInterval(low, high, "wilson", level)
 
 
-def chunk_ranges(trials: int, chunk_size: int = 256) -> list[range]:
-    """Split trial indices 0..trials-1 into contiguous chunks."""
-    return [range(lo, min(lo + chunk_size, trials)) for lo in range(0, trials, chunk_size)]
+#: Trials per chunk of :func:`map_trial_chunks`.
+TRIAL_CHUNK = 256
+
+
+def chunk_ranges(trials: int) -> list[range]:
+    """Split trial indices 0..trials-1 into contiguous chunks of :data:`TRIAL_CHUNK`."""
+    return [range(lo, min(lo + TRIAL_CHUNK, trials)) for lo in range(0, trials, TRIAL_CHUNK)]
 
 
 def map_trial_chunks(

@@ -16,7 +16,9 @@ prefixes run by run.
 The three scans (run-length, doubling, (r, s)-monotonicity) are array code on
 one exact array of the prefix scaled to integers: int64 when every product a
 scan forms fits, an object array of the same Python ints otherwise, so no
-comparison is ever rounded.
+comparison is ever rounded.  That conversion, or a family's closed form, also
+gives :meth:`StepSequence.lattice`, the integer steps of every walk, and
+:func:`_positive_steps` checks every step list the package is given.
 """
 
 from __future__ import annotations
@@ -49,6 +51,10 @@ FAMILY_PARAMS = {
     "explicit-list": ("values",),
 }
 FAMILIES = tuple(FAMILY_PARAMS)
+
+#: Largest step sum of an int64 :meth:`StepSequence.lattice`, so that walk
+#: positions and their rotated coordinates stay in range.
+INT64_STEP_SUM = 1 << 62
 
 #: Exponent-bit budget for materializing block-sequence lengths 2**(2**e):
 #: 2**e may not exceed this many bits.  The default covers blocks k <= 4.
@@ -106,8 +112,24 @@ def _exact_array(values: Sequence[Number], factor: int = 1) -> tuple[np.ndarray,
 def _fraction_param(value, name: str) -> Fraction:
     try:
         return Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise ParameterError(f"{name} must be a rational number, got {value!r}") from exc
+
+
+def _positive_steps(values: Iterable, what: str) -> list[Number]:
+    """The step sizes ``values`` as exact ints and Fractions; the first one that
+    is not a rational > 0, or an empty list, fails by name as ``what[i]``."""
+    if type(values) in (list, tuple) and set(map(type, values)) == {int} and min(values) > 0:
+        return list(values)  # already exact and positive
+    out: list[Number] = []
+    for i, v in enumerate(values):
+        f = _fraction_param(v, f"{what}[{i}]")
+        if f <= 0:
+            raise ParameterError(f"{what}[{i}] must be > 0, got {v}")
+        out.append(int_if_whole(f))
+    if not out:
+        raise ParameterError(f"{what} must be nonempty")
+    return out
 
 
 class StepSequence:
@@ -121,6 +143,7 @@ class StepSequence:
         length: int | None = None,
         runs: Callable[[], Iterator[tuple[Number, int]]] | None = None,
         values: tuple[Number, ...] | None = None,
+        lattice: Callable[[int], tuple[np.ndarray, int] | None] | None = None,
     ):
         self.kind = kind
         self.params = params
@@ -128,6 +151,7 @@ class StepSequence:
         self.length = length  # None means unbounded
         self._runs = runs
         self._values = values  # every term, for a finite list
+        self._lattice = lattice  # the closed form of lattice(n), or None where it does not apply
 
     def value(self, n: int) -> Number:
         if n < 1:
@@ -153,6 +177,29 @@ class StepSequence:
             value, count = next(runs)
             out.extend([value] * min(count, n - len(out)))
         return out
+
+    def lattice(self, n: int) -> tuple[np.ndarray, int]:
+        """``(A, scale)``: the steps ``a_1..a_n`` times ``scale`` as ints, int64
+        when their sum is at most :data:`INT64_STEP_SUM`, else Python ints in an
+        object array.  ``scale`` is the lcm of their denominators (for
+        real-power, ``2**precision_bits``): 1 exactly when every a_i is an int."""
+        if n < 0:
+            raise ParameterError("horizon must be >= 0")
+        if self.length is not None and n > self.length:
+            raise ParameterError(f"horizon {n} exceeds the sequence length {self.length}")
+        if n == 0:
+            return np.zeros(0, dtype=np.int64), 1
+        try:
+            closed = self._lattice(n) if self._lattice else None
+            if closed is not None:
+                return closed
+            A, scale = _exact_array(self.prefix(n))
+            # n times the largest step bounds the sum; past it, the exact sum decides
+            if A.dtype == np.int64 and n * int(A.max()) > INT64_STEP_SUM:
+                A = A if sum(A.tolist()) <= INT64_STEP_SUM else A.astype(object)
+            return A, scale
+        except MemoryError:
+            raise ParameterError(f"horizon {n}: the step array does not fit in memory") from None
 
     def iter_runs(self) -> Iterator[tuple[Number, int]]:
         """Yield (value, run length) pairs in order, where available."""
@@ -204,8 +251,12 @@ def make_sequence(family: str, **params) -> StepSequence:
         c = _fraction_param(params.get("value", 1), "value")
         if c <= 0:
             raise ParameterError("constant value must be > 0")
-        cv = int_if_whole(c)
-        return StepSequence("constant", {"value": cv}, lambda n: cv)
+        cv, p = int_if_whole(c), c.numerator
+
+        def constant_lattice(n: int) -> tuple[np.ndarray, int]:
+            return np.full(n, p, dtype=np.int64 if p * n <= INT64_STEP_SUM else object), c.denominator
+
+        return StepSequence("constant", {"value": cv}, lambda n: cv, lattice=constant_lattice)
 
     if family == "floor-power":
         gamma = _fraction_param(params.get("gamma"), "gamma")
@@ -225,8 +276,15 @@ def make_sequence(family: str, **params) -> StepSequence:
                 yield v, nxt - first
                 first = nxt
 
+        def power_lattice(n: int) -> tuple[np.ndarray, int] | None:
+            # n * n**p bounds the sum; past it, the prefix conversion decides
+            if q == 1 and n ** (p + 1) <= INT64_STEP_SUM:
+                return np.arange(1, n + 1, dtype=np.int64) ** p, 1
+            return None
+
         return StepSequence(
-            "floor-power", {"gamma": int_if_whole(gamma)}, floor_power, runs=runs if p < q else None
+            "floor-power", {"gamma": int_if_whole(gamma)}, floor_power,
+            runs=runs if p < q else None, lattice=power_lattice,
         )
 
     if family == "real-power":
@@ -238,29 +296,25 @@ def make_sequence(family: str, **params) -> StepSequence:
             raise ParameterError("precision_bits must be a positive int")
         p, q = alpha.numerator, alpha.denominator
 
-        def real_power(n: int) -> Fraction:
+        def scaled_root(n: int) -> int:
             # floor(n**(p/q) * 2**bits) = floor((n**p << bits*q) ** (1/q))
-            r = integer_nth_root(n**p << (bits * q), q)
-            return Fraction(r, 1 << bits)
+            return integer_nth_root(n**p << (bits * q), q)
+
+        def root_lattice(n: int) -> tuple[np.ndarray, int]:
+            roots = [scaled_root(i) for i in range(1, n + 1)]
+            dtype = np.int64 if sum(roots) <= INT64_STEP_SUM else object
+            return np.array(roots, dtype=dtype), 1 << bits
 
         return StepSequence(
-            "real-power", {"alpha": int_if_whole(alpha), "precision_bits": bits}, real_power
+            "real-power", {"alpha": int_if_whole(alpha), "precision_bits": bits},
+            lambda n: Fraction(scaled_root(n), 1 << bits), lattice=root_lattice,
         )
 
     if family == "explicit-list":
         raw = params.get("values")
         if not raw:
             raise ParameterError("explicit-list requires a nonempty values list")
-        if type(raw) in (list, tuple) and set(map(type, raw)) == {int} and min(raw) > 0:
-            tup = tuple(raw)  # already exact and positive
-        else:
-            vals: list[Number] = []
-            for i, v in enumerate(raw):
-                f = _fraction_param(v, f"values[{i}]")
-                if f <= 0:
-                    raise ParameterError(f"values[{i}] must be > 0, got {v}")
-                vals.append(int_if_whole(f))
-            tup = tuple(vals)
+        tup = tuple(_positive_steps(raw, "values"))
         return StepSequence(
             "explicit-list",
             {"values": list(tup)},
@@ -333,7 +387,9 @@ def load_explicit_list(path) -> StepSequence:
     with open(path, "r", encoding="utf-8") as fh:
         for i, ln in _data_lines(fh):
             try:
-                values.append(_decode_number(ln))
+                values.append(v := _decode_number(ln))
+                if v <= 0:
+                    raise ParameterError(f"value must be > 0, got {v}")
             except ParameterError as exc:
                 raise ParameterError(f"{path}, line {i}: {exc}") from None
     return make_sequence("explicit-list", values=values)

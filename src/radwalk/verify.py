@@ -32,7 +32,8 @@ from . import exact as _exact
 from . import rng as _rng
 from .errors import ParameterError, PreconditionError
 from .rng import ConfidenceInterval, json_encode, wilson_interval
-from .walk import INT64_STEP_SUM, _hits, _walk_trials
+from .sequences import INT64_STEP_SUM
+from .walk import _hits, _walk_trials
 
 #: Value assigned to the log potential at the origin.
 ORIGIN_POTENTIAL = -5.0
@@ -192,7 +193,7 @@ class DriftGridReport:
     to_json_dict = json_encode
 
 
-def verify_supermartingale(radius: int, *, tol: float = DRIFT_AGREEMENT_TOL) -> DriftGridReport:
+def verify_supermartingale(radius: int) -> DriftGridReport:
     """Check Delta <= 0 (exactly) and the two-route agreement on the grid.
 
     A violation makes the report fail; nothing raises.
@@ -250,7 +251,7 @@ def verify_supermartingale(radius: int, *, tol: float = DRIFT_AGREEMENT_TOL) -> 
     max_gap = max(0.0, gaps.max())
     best = int(np.argmax(delta_closed))
     x, y = divmod(int(np.flatnonzero(inside)[best]), 2 * radius + 1)
-    passed = nonpositive and identity_failures == 0 and max_gap <= tol and equality_ok
+    passed = nonpositive and identity_failures == 0 and max_gap <= DRIFT_AGREEMENT_TOL and equality_ok
     return DriftGridReport(
         radius=radius,
         points=len(delta_closed),

@@ -16,7 +16,10 @@ depend on batching or worker count.
 
 All walks, here and in :mod:`radwalk.construction` and :mod:`radwalk.verify`,
 run through one kernel, :func:`rotated_paths`, in the rotated coordinates
-``u = x + y`` and ``v = x - y``: each step moves both by ``+-a_n``.
+``u = x + y`` and ``v = x - y``: each step moves both by ``+-a_n``.  A
+sequence's walk takes the ints of :meth:`StepSequence.lattice`, its steps
+times the lcm of their denominators: positions are divided back only for a
+visitor and the final state, and a target is scaled to the same lattice.
 :func:`simulate` streams one walk through it a chunk of codes at a time and
 calls its visitor once per chunk with a :class:`WalkBlock` of consecutive
 steps: their exact positions, step sizes and direction codes.  Every Monte
@@ -37,7 +40,7 @@ import numpy as np
 from . import rng as _rng
 from .errors import ConsistencyError, ParameterError, PositionOverflowError
 from .rng import ConfidenceInterval, wilson_interval
-from .sequences import RunLengthDecomposition, StepSequence, run_length_decompose, scaled_ints
+from .sequences import RunLengthDecomposition, StepSequence, run_length_decompose
 
 @dataclass(frozen=True)
 class PositionPolicy:
@@ -156,47 +159,12 @@ class TrajectoryRecorder:
             fh.write("%s,%s,%s,%s,%s,%s\r\n" * len(chunk) % tuple(chain.from_iterable(chunk)))
 
 
-#: Largest step sum the int64 kernels accept, so that u and v stay in range.
-INT64_STEP_SUM = 1 << 62
-
 #: Codes per read of a streamed walk in :func:`simulate` (even, see :func:`_stream_codes`).
 STREAM_CHUNK = 1 << 15
 
 #: Trials x steps of one batch of walks in :func:`rotated_paths`: walks with
 #: short horizons run as (rows x n) arrays of at most this many steps.
 BATCH_STEPS = 1 << 16
-
-
-def _step_array(seq: StepSequence, n: int) -> np.ndarray:
-    """Steps a_1..a_n: int64 when all are ints summing to at most
-    :data:`INT64_STEP_SUM`, else an object array of the exact values.
-
-    The constant, integer-gamma floor-power and plan families are built in
-    closed form, and an explicit list is sliced, without a call per index.
-    """
-    if n < 0:
-        raise ParameterError("horizon must be >= 0")
-    if seq.length is not None and n > seq.length:
-        raise ParameterError(f"horizon {n} exceeds the sequence length {seq.length}")
-    params = seq.params
-    if seq.kind == "constant":
-        c = params["value"]
-        fits = isinstance(c, int) and c * n <= INT64_STEP_SUM
-        return np.full(n, c, dtype=np.int64 if fits else object)
-    if seq.kind == "floor-power" and params["gamma"].denominator == 1:
-        # n * n**q bounds the sum; past it, the exact check below decides
-        q = params["gamma"].numerator
-        if n ** (q + 1) <= INT64_STEP_SUM:
-            return np.arange(1, n + 1, dtype=np.int64) ** q
-    if seq.kind == "from-construction-plan":
-        from .construction import ConstructionPlan, _plan_steps  # it imports this module
-        rounds = ConstructionPlan.from_json_dict(params["plan"]).rounds
-        if rounds and max(max(r.pair.b1, r.pair.b2) for r in rounds) * n <= INT64_STEP_SUM:
-            return _plan_steps(rounds)[:n]
-    steps = seq.prefix(n)
-    if all(isinstance(a, int) for a in steps) and sum(steps) <= INT64_STEP_SUM:
-        return np.array(steps, dtype=np.int64)
-    return np.array(steps, dtype=object)
 
 
 def rotated_paths(
@@ -207,7 +175,7 @@ def rotated_paths(
     after step ``k + 1`` of trial ``batch[r]``.
 
     ``codes_of(trial)`` gives a trial's direction codes; ``steps`` is int64
-    with a sum <= :data:`INT64_STEP_SUM`, or exact objects.  Code
+    with a sum <= :data:`~radwalk.sequences.INT64_STEP_SUM`, or exact objects.  Code
     ``c = 2*b1 + b0`` moves ``u`` by ``a * (1 - 2*b0)`` and ``v`` by
     ``a * (1 - 2*(b0 ^ b1))``: +e1 by ``(a, a)``, -e1 by ``(-a, -a)``, +e2 by
     ``(a, -a)``, -e2 by ``(-a, a)``.  A batch holds at most
@@ -304,15 +272,13 @@ def simulate(
     When step ``i`` leaves the width, the visitor has seen exactly steps
     1..i-1 and :class:`PositionOverflowError` is raised with ``step=i``.
     """
-    steps = _step_array(seq, n)
-    # Fractional steps walk as integers scaled by the lcm of their
-    # denominators; positions are Fractions from the first of them on.
-    exact = steps.tolist() if steps.dtype == object else []
-    first = next((k for k, a in enumerate(exact) if not isinstance(a, int)), n)
-    scaled, scale = scaled_ints(exact)
-    walked = steps if first == n else np.array(
-        scaled, dtype=np.int64 if sum(scaled) <= INT64_STEP_SUM else object
-    )
+    walked, scale = seq.lattice(n)
+    # Positions are Fractions from the first step whose value is not an int on:
+    # a scale above 1 says there is one, and only a visitor needs to know where.
+    steps, first = walked, n if scale == 1 else 0
+    if scale != 1 and visitor is not None:
+        steps = np.array(seq.prefix(n), dtype=object)
+        first = next(k for k, a in enumerate(steps.tolist()) if not isinstance(a, int))
     unscale = np.frompyfunc(lambda p: Fraction(int(p), scale), 1, 1)
     limit = None if policy.bound is None or policy.promote else policy.bound * scale
     limit = limit if limit is not None and int(walked.sum()) > limit else None  # |S_k| <= sum
@@ -420,13 +386,19 @@ def monte_carlo_return(
     level: float = 0.95,
     workers: int = 1,
 ) -> MonteCarloEstimate:
-    """Estimate the probability of visiting ``target`` at some step 1..n."""
+    """Estimate the probability of visiting ``target`` at some step 1..n.
+
+    The walk runs on the steps' lattice ints; a target off that lattice is
+    never visited."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    tu, tv = target[0] + target[1], target[0] - target[1]
+    _rng.TrialStream(master_seed)  # the seed fails by name before the steps are built
+    walked, scale = seq.lattice(n)
+    tu, tv = (Fraction(t) * scale for t in (target[0] + target[1], target[0] - target[1]))
+    on_lattice = tu.denominator == tv.denominator == 1
     successes = _walk_trials(
-        n, lambda: _step_array(seq, n), trials, master_seed,
-        lambda batch, u, v: _hits(u, v, tu, tv), workers=workers,
+        n, lambda: walked, trials, master_seed,
+        lambda batch, u, v: _hits(u, v, int(tu), int(tv)) if on_lattice else 0, workers=workers,
     )
     ci = wilson_interval(successes, trials, level)
     params = {"horizon": n, "target": list(target), "sequence": seq.to_config()}

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from radwalk import cli, verify
+from radwalk import cli, sequences, verify
 from radwalk.errors import ParameterError
 
 CONST1 = '{"family":"constant","params":{"value":1}}'
@@ -164,6 +164,20 @@ class TestExitCodes:
         assert run_cli(["verify", "hitting", "--r", "1665", "--trials", "3"]) == cli.EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("radwalk: error: horizon 4615754625: the walk arrays do not fit")
+
+    def test_unallocatable_step_array_fails_by_name(self, monkeypatch, capsys):
+        # 10**12 int64 steps need 7.3 TiB: the allocation is refused, not made
+        class NoFull:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def full(self, *args, **kwargs):
+                raise MemoryError
+
+        monkeypatch.setattr(sequences, "np", NoFull())
+        assert run_cli(["simulate", "--seq", CONST1, "--n", str(10**12)]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "radwalk: error: horizon 1000000000000: the step array does not fit in memory\n"
 
     def test_unknown_command_fails_by_name(self):
         for command in ("bogus", "exact.bogus", "simulate.x"):
@@ -390,6 +404,14 @@ class TestReports:
         assert code == cli.EXIT_ERROR
         err = capsys.readouterr().err
         assert err == f"radwalk: error: {path}, line 2: value must be a rational number, got {bad!r}\n"
+
+    def test_non_positive_explicit_list_line_fails_by_name(self, tmp_path, capsys):
+        path = tmp_path / "steps.txt"
+        path.write_text("1\n0\n2\n", encoding="utf-8")
+        code = run_cli(["simulate", "--seq-list", str(path), "--n", "1"])
+        assert code == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"radwalk: error: {path}, line 2: value must be > 0, got 0\n"
 
     def test_suppmf_budget_counts_limbs(self, capsys):
         # the last law would be 4501501 slots of 47 limbs, about 1.7 GB: refused before any shift

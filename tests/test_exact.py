@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -255,6 +256,8 @@ class TestModProbability:
             ([1, 0], "d[1] must be > 0, got 0"),
             ([-2, 1], "d[0] must be > 0, got -2"),
             ([], "d must be nonempty"),
+            (["abc"], "d[0] must be a rational number, got 'abc'"),
+            ([2, math.nan], "d[1] must be a rational number, got nan"),
         ],
     )
     def test_single_fault_named(self, d, message):
@@ -262,6 +265,26 @@ class TestModProbability:
             with pytest.raises(ParameterError) as exc:
                 call()
             assert str(exc.value) == message
+
+    @pytest.mark.parametrize("bad, message", [("abc", "'abc'"), (math.nan, "nan"), (math.inf, "inf")])
+    def test_every_oracle_names_a_non_number(self, bad, message):
+        for call in (
+            lambda: exact.pmf_1d([1, bad]), lambda: exact.pmf_2d([1, bad]),
+            lambda: exact.max_interval_probability([1, bad], 1), lambda: exact.hoeffding_tail([1, bad], 1),
+            lambda: exact.hit_probability_2d([1, bad], (0, 0), 1),
+        ):
+            with pytest.raises(ParameterError, match=f"^[ad]\\[1\\] must be a rational number, got {message}$"):
+                call()
+
+    def test_profile_budget_counts_slots(self):
+        # 10**8 residue slots of one limb would take 800 MB: refused before any shift
+        t0 = time.perf_counter()
+        with pytest.raises(SupportBudgetError, match="needs 100000000 points, exceeding") as exc:
+            exact.mod_probability_profile([1], 10**8)
+        assert time.perf_counter() - t0 < 1.0
+        assert (exc.value.required, exc.value.budget) == (10**8, exact.SUPPORT_BUDGET)
+        with pytest.raises(SupportBudgetError, match=r"needs 5000000 points x 3 64-bit limbs = 15000000"):
+            exact.mod_probability_profile([1] * 128, 5 * 10**6)
 
     def test_rejects_bad_residue(self):
         with pytest.raises(ParameterError):

@@ -225,6 +225,8 @@ class TestMonteCarloReturn:
             assert got.successes == want
             got = wk.monte_carlo_return(huge, 6, trials, seed, (1 << 61, 1 << 61))
             assert got.successes == want
+            # off the lattice of the steps: never visited
+            assert wk.monte_carlo_return(halves, 6, trials, seed, (Fraction(1, 4), 0)).successes == 0
 
     def test_python_fallback_for_fractional_steps(self):
         seq = sq.make_sequence("explicit-list", values=[Fraction(1, 2), Fraction(1, 2)])
@@ -234,6 +236,8 @@ class TestMonteCarloReturn:
 
 
 class TestStepArray:
+    """The steps every walk takes: ``StepSequence.lattice``."""
+
     @pytest.mark.parametrize(
         "seq",
         [
@@ -247,17 +251,18 @@ class TestStepArray:
     )
     def test_closed_forms_match_values(self, seq):
         for n in (0, 1, 2, 239):
-            arr = wk._step_array(seq, n)
-            assert arr.dtype == np.int64
+            arr, scale = seq.lattice(n)
+            assert arr.dtype == np.int64 and scale == 1
             assert arr.tolist() == [seq.value(i) for i in range(1, n + 1)]
 
     def test_int64_bound_is_exact(self):
         def dtype(seq, n):
-            arr = wk._step_array(seq, n)
+            arr, scale = seq.lattice(n)
+            assert scale == 1
             assert arr.tolist() == [seq.value(i) for i in range(1, n + 1)]
             return arr.dtype
 
-        limit = wk.INT64_STEP_SUM
+        limit = sq.INT64_STEP_SUM
         assert dtype(sq.make_sequence("constant", value=limit // 4), 4) == np.int64
         assert dtype(sq.make_sequence("constant", value=limit // 4 + 1), 4) == object
         # 1 + 2**61 fits, 1 + 2**62 does not; one step of 1**q always does
@@ -270,22 +275,26 @@ class TestStepArray:
         assert dtype(sq.make_sequence("explicit-list", values=[limit, 1]), 2) == object
 
     def test_explicit_lists_are_sliced(self):
-        limit = wk.INT64_STEP_SUM
-        for values, n, dtype in (
-            ([3, 1, 4, 1, 5], 4, np.int64),
-            ([limit, 1, 2], 3, object),
-            ([2, Fraction(1, 3), 5], 3, object),
+        limit = sq.INT64_STEP_SUM
+        for values, n, dtype, scale in (
+            ([3, 1, 4, 1, 5], 4, np.int64, 1),
+            ([limit, 1, 2], 3, object, 1),
+            ([2, Fraction(1, 3), 5], 3, np.int64, 3),
+            ([Fraction(1, 2), 2**62, Fraction(1, 3)], 3, object, 6),
         ):
-            arr = wk._step_array(sq.make_sequence("explicit-list", values=values), n)
-            assert arr.dtype == dtype
-            assert arr.tolist() == values[:n]
-            assert [type(a) for a in arr.tolist()] == [type(a) for a in values[:n]]
+            arr, got_scale = sq.make_sequence("explicit-list", values=values).lattice(n)
+            assert (arr.dtype, got_scale) == (dtype, scale)
+            assert arr.tolist() == [v * scale for v in values[:n]]
+            assert {type(a) for a in arr.tolist()} == {int}
 
     def test_fractional_steps_stay_exact(self):
         half = sq.make_sequence("constant", value=Fraction(1, 2))
-        assert wk._step_array(half, 3).tolist() == [Fraction(1, 2)] * 3
+        assert half.lattice(3)[0].tolist() == [1] * 3 and half.lattice(3)[1] == 2
         root = sq.make_sequence("real-power", alpha=Fraction(1, 2))
-        assert wk._step_array(root, 3).tolist() == [root.value(i) for i in (1, 2, 3)]
+        for n in (1, 3):  # the scale is 2**64 also where every value is whole
+            arr, scale = root.lattice(n)
+            assert scale == 1 << 64
+            assert [Fraction(a, scale) for a in arr.tolist()] == [root.value(i) for i in range(1, n + 1)]
 
     def test_plan_steps_match_values(self):
         p23, p35 = cn.positive_bezout(2, 3), cn.positive_bezout(3, 5)
@@ -296,17 +305,30 @@ class TestStepArray:
             for n in (0, 1, 4, r0.n_end - 1, r0.n_end + 3, seq.length):
                 if n > seq.length:
                     continue
-                arr = wk._step_array(seq, n)
-                assert arr.dtype == np.int64
+                arr, scale = seq.lattice(n)
+                assert arr.dtype == np.int64 and scale == 1
                 assert arr.tolist() == [seq.value(i) for i in range(1, n + 1)]
         pattern = p23.pattern() * 7 + p35.pattern() * 5
         assert [seq.value(i) for i in range(1, seq.length + 1)] == pattern
 
     def test_horizon_checked(self):
-        with pytest.raises(ParameterError):
-            wk._step_array(CONST1, -1)
-        with pytest.raises(ParameterError):
-            wk._step_array(sq.make_sequence("explicit-list", values=[1, 2]), 3)
+        with pytest.raises(ParameterError, match="horizon must be >= 0"):
+            CONST1.lattice(-1)
+        with pytest.raises(ParameterError, match="horizon 3 exceeds the sequence length 2"):
+            sq.make_sequence("explicit-list", values=[1, 2]).lattice(3)
+
+    def test_unallocatable_steps_fail_by_name(self, monkeypatch):
+        # 10**12 int64 steps need 7.3 TiB: the allocation is refused, not made
+        class NoFull:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def full(self, *args, **kwargs):
+                raise MemoryError
+
+        monkeypatch.setattr(sq, "np", NoFull())
+        with pytest.raises(ParameterError, match=r"^horizon 1000000000000: the step array does not fit"):
+            wk.simulate(CONST1, 10**12, 0)
 
 
 class TestRotatedKernel:
@@ -343,8 +365,7 @@ class TestRotatedKernel:
     )
     def test_matches_step_by_step_walk(self, monkeypatch, values, dtype, batch_steps, trials):
         monkeypatch.setattr(wk, "BATCH_STEPS", batch_steps)
-        steps = wk._step_array(sq.make_sequence("explicit-list", values=values), len(values))
-        assert steps.dtype == dtype
+        steps = np.array(values, dtype=dtype)
         n = len(values)
         reader = rw.TrialStream(17).reader()
         moves = {0: (1, 0), 1: (-1, 0), 2: (0, 1), 3: (0, -1)}
@@ -505,6 +526,16 @@ class TestTrialDriver:
         }
         assert kernel_callers == {"_walk_trials", "simulate"}
 
+    def test_walk_takes_its_steps_from_lattice(self):
+        """Step sizes become ints in sequences alone: walk does not know the families."""
+        tree = ast.parse(inspect.getsource(wk))
+        imported = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+        imported |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        assert "construction" not in imported
+        assert not {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)} & {"kind", "params"}
+        called = {getattr(n.func, "id", getattr(n.func, "attr", "")) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        assert "scaled_ints" not in called and "lattice" in called
+
 
 class TestDivisibility:
     SEQ = sq.make_sequence("explicit-list", values=[1, 1, 2, 2])
@@ -627,7 +658,7 @@ def reference_walk(seq, n, master_seed, *, trial=0, policy=wk.DEFAULT_POLICY):
     fails, ``states`` then holding the steps before the failing one."""
     bound = policy.bound
     check = bound is not None and not policy.promote
-    steps = wk._step_array(seq, n).tolist()
+    steps = seq.prefix(n)
     codes = rw.direction_codes(master_seed, trial, n).tolist()
     x = y = 0
     kap = 0

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ParameterError, PreconditionError, SupportBudgetError
 from .rng import json_encode
-from .sequences import _data_lines, _positive_steps, int_if_whole, scaled_ints
+from .sequences import _data_lines, _fraction_param, _int_param, _positive_steps, int_if_whole, scaled_ints
 
 #: Cap on the exact support points a single computation may allocate; a 1-D
 #: law's points count once per 64-bit limb of a packed slot (one below 64 steps).
@@ -227,6 +227,7 @@ def mod_probability(d: Sequence, m: int, residue: int, *, method: str = "auto") 
     the full support would be large.
     """
     ints = _int_steps_only(d)
+    m, residue = _int_param(m, "modulus m"), _int_param(residue, "residue")
     if m < 1:
         raise ParameterError("modulus m must be >= 1")
     if not 0 <= residue < m:
@@ -250,6 +251,7 @@ def mod_probability_profile(d: Sequence, m: int) -> list[Fraction]:
     folded back onto the first ones, and a last rotation by ``-sum(d)``.
     """
     ints = _int_steps_only(d)
+    m = _int_param(m, "modulus m")
     if m < 1:
         raise ParameterError("modulus m must be >= 1")
     _check_support(m, len(ints) // 64 + 1)
@@ -293,7 +295,7 @@ def max_interval_probability(d: Sequence, half_width) -> tuple[Fraction, Number]
     window edge on a support point, so a sliding window over the sorted
     support is exhaustive.
     """
-    D = Fraction(half_width)
+    D = _fraction_param(half_width, "half-width D")
     if D <= 0:
         raise ParameterError("half-width D must be > 0")
     steps = _positive_steps(d, "d")
@@ -335,6 +337,7 @@ def hit_probability_2d(a: Sequence, target: tuple[int, int], horizon: int) -> Fr
     return row per phase serves every start of that phase (aperiodic steps:
     p = horizon).  The position at step 0 does not count as a visit.
     """
+    horizon = _int_param(horizon, "horizon")
     if horizon < 0:
         raise ParameterError("horizon must be >= 0")
     steps_list = list(a)
@@ -394,7 +397,7 @@ def hoeffding_tail(d: Sequence, t) -> HoeffdingTail:
     reported.  When the support budget permits, the exact ``P(|T| >= t)`` is
     computed from the signed-sum law for side-by-side comparison.
     """
-    tf = Fraction(t)
+    tf = _fraction_param(t, "threshold t")
     if tf <= 0:
         raise ParameterError("threshold t must be > 0")
     steps = _positive_steps(d, "d")

@@ -116,6 +116,13 @@ def _fraction_param(value, name: str) -> Fraction:
         raise ParameterError(f"{name} must be a rational number, got {value!r}") from exc
 
 
+def _int_param(value, name: str) -> int:
+    """``value`` as an int; anything else, a bool included, fails by name."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _positive_steps(values: Iterable, what: str) -> list[Number]:
     """The step sizes ``values`` as exact ints and Fractions; the first one that
     is not a rational > 0, or an empty list, fails by name as ``what[i]``."""

@@ -17,6 +17,10 @@ the four neighbor arguments are integers over 2 and
 for |x|+|y| >= 2, an exact integer identity this module verifies at every
 point (on the grid by residues, see :data:`DRIFT_RADIUS_CAP`);
 at |x|+|y| = 1 the origin's special value enters and exp(4*Delta) = 126/e^5.
+The grid check evaluates the closed form once per orbit of the axis
+symmetries, with the quotient 64(x^2-y^2)^2 / E^4 correctly rounded in
+float64 (:func:`_quotient`), and the direct four-neighbour average on the
+half-plane x >= 0, where it equals its mirror image bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from . import exact as _exact
 from . import rng as _rng
 from .errors import ParameterError, PreconditionError
 from .rng import ConfidenceInterval, json_encode, wilson_interval
-from .sequences import INT64_STEP_SUM
+from .sequences import INT64_STEP_SUM, _int_param
 from .walk import _hits, _walk_trials
 
 #: Value assigned to the log potential at the origin.
@@ -107,7 +111,11 @@ IDENTITY_MODULI = (1 << 64, (1 << 31) - 1, (1 << 31) - 19)
 #: prod(neighbors) + 64(a^2-b^2)^2 = E^4 lie in [0, 16(r+1)^8 + 64r^4), and
 #: up to this radius that range fits in the product of the moduli.  The grid
 #: there has 6e9 points, more than memory holds; one prime alone would stop
-#: at radius 2654, whose grid of 28e6 points fits.
+#: at radius 2654, whose grid of 28e6 points fits.  The check's arrays are
+#: the half-plane's two quadrants and the orbits, about 2r^2 and r^2/4
+#: entries.  Up to radius 3444 every orbit's quotient 64 d^2 / E^4 takes the
+#: float route; past it the orbits with 64 d^2 >= 2**53 or E^2 >= 2**52
+#: divide Python ints.  E^2 stays below 2**63 up to this cap.
 DRIFT_RADIUS_CAP = 38966
 
 
@@ -119,7 +127,8 @@ def _sums_equal(left: list[list], right: list[list]) -> np.ndarray:
     [0, product of the moduli)."""
     holds = np.bool_(True)
     for m in IDENTITY_MODULI:
-        red = (lambda t: t) if m == 1 << 64 else (lambda t: t % m)
+        # t % m for t >= 0, as numpy's faster division by a scalar
+        red = (lambda t: t) if m == 1 << 64 else (lambda t: t - t // m * m)
         sides = []
         for terms in (left, right):
             total = 0  # a sum of a few residues below 2**31 stays in range
@@ -146,6 +155,7 @@ def _identity_holds(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def supermartingale_delta(x: int, y: int) -> DeltaReport:
     """Delta at (x, y), computed two ways: the direct four-neighbor average of
     the log potential, and the closed form for exp(4*Delta)."""
+    x, y = _int_param(x, "x"), _int_param(y, "y")
     if x == 0 and y == 0:
         raise ParameterError("Delta is undefined at the origin (the walk stops there)")
     delta_direct = (
@@ -193,70 +203,173 @@ class DriftGridReport:
     to_json_dict = json_encode
 
 
+#: Veltkamp's splitting constant 2**27 + 1, which cuts a double into two halves
+#: of at most 26 significant bits each.
+_SPLITTER = float((1 << 27) + 1)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_product(a: np.ndarray, b_split: tuple[np.ndarray, np.ndarray], b: np.ndarray):
+    """``(p, e)`` with p = fl(a*b) and p + e = a*b exactly (Dekker 1971), for
+    ``b_split = _split(b)``; the error stays within half an ulp of p, so
+    [e, p] is nonoverlapping."""
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = b_split
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(s, e)`` with s = fl(a+b) and s + e = a+b exactly (Knuth)."""
+    s = a + b
+    bv = s - a
+    return s, (a - (s - bv)) + (b - bv)
+
+
+def _quotient(num: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """``num / e2**2`` correctly rounded, for float64 arrays of integers with
+    0 <= num < 2**53 and 1 <= e2 < 2**52, where no quotient lies halfway
+    between two doubles.
+
+    q1 = num / e2 and q = q1 / e2 each round once.  Their remainders
+    r1 = num - q1*e2 and r2 = q1 - q*e2 are exact doubles, so
+    num - q*e2**2 = e2*r2 + r1 exactly, and the quotient lies within 1.5 ulp
+    of q.  The result is q or its neighbour on the side of that residual: the
+    neighbour exactly when num - m*e2**2 has the side's sign at the midpoint m
+    between them.  That difference is e2*w + r1 with w = r2 -+ ulp*e2/2, a
+    multiple of ulp/2 below 2*e2 of them, so an exact double while
+    e2 < 2**52.  Its product with e2 is a double-double, and Shewchuk's
+    Grow-Expansion adds r1 as a nonoverlapping sum whose leading nonzero term
+    has the exact sign.  When q is a power of two or the double above it, the
+    binade below lies within 1.5 ulp with a finer spacing; those quotients
+    divide Python ints instead.
+    """
+    e2_split = _split(e2)
+
+    def remainder(x, quo):  # x - quo*e2, exact for quo = fl(x / e2)
+        p, e = _two_product(quo, e2_split, e2)
+        return (x - p) - e
+
+    q1 = num / e2
+    r1 = remainder(num, q1)
+    q = q1 / e2
+    r2 = remainder(q1, q)
+    side = np.where(r2 * e2 + r1 < 0.0, -1.0, 1.0)  # the residual's sign wherever it matters
+    mantissa, exponent = np.frexp(q)  # q = mantissa * 2**exponent, mantissa in [1/2, 1)
+    ulp = np.ldexp(1.0, exponent - 53)
+    h, l = _two_product(r2 - side * (0.5 * ulp) * e2, e2_split, e2)
+    s1, t1 = _two_sum(r1, l)
+    s2, t2 = _two_sum(s1, h)
+    lead = np.where(s2 != 0.0, s2, t1)  # s2 = 0 means s1 + h = 0 exactly, so t2 = 0
+    out = np.where(lead * side > 0.0, q + side * ulp, q)
+    for i in np.flatnonzero((mantissa == 0.5) | (mantissa == 0.5 + 2.0**-53)).tolist():
+        out[i] = int(num[i]) / int(e2[i]) ** 2
+    return out
+
+
+def _orbit_quotients(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """64 d^2 / e^4 at each orbit's int64 ``d`` and ``e``, correctly rounded
+    like the point API's quotient of Python ints: by :func:`_quotient` where
+    64 d^2 and e^2 lie below its bounds, which holds at every orbit up to
+    radius 3444, and by those Python ints past them."""
+    dd, ee = d * d, e * e  # below 2**63 at every orbit up to DRIFT_RADIUS_CAP
+    out = _quotient(64.0 * dd, ee.astype(float))  # replaced below past its bounds
+    for i in np.flatnonzero((dd >= 1 << 47) | (ee >= 1 << 52)).tolist():
+        t, ei = int(d[i]), int(e[i])
+        out[i] = 64 * t * t / (ei * ei) ** 2
+    return out
+
+
 def verify_supermartingale(radius: int) -> DriftGridReport:
     """Check Delta <= 0 (exactly) and the two-route agreement on the grid.
 
     A violation makes the report fail; nothing raises.
     """
+    radius = _int_param(radius, "radius")
     if radius < 1:
         raise ParameterError("radius must be >= 1")
     if radius > DRIFT_RADIUS_CAP:
         raise ParameterError(
             f"radius {radius} exceeds {DRIFT_RADIUS_CAP}, the largest whose identity check is exact"
         )
-    # Every table is built on the quadrant 0 <= |x|, |y| and read on the grid
-    # through index arrays of |x| and |y|, which keeps the grid arrays few.
+    # Every table is on the quadrant 0 <= x, y.  The direct value at (-x, y) is
+    # the one at (x, y), whose sum only swaps its first two terms there, so the
+    # direct route covers the half-plane x >= 0: the quadrant's points for
+    # y >= 0 and, mirrored, for y <= 0, where the mirror reassociates the sum.
     k = np.arange(radius + 2)
     q = np.add.outer(k * k, k * k)  # x^2 + y^2
-    s = np.add.outer(k, k)  # |x| + |y|
-    # logs of the values the grid and its neighbours read, a + b <= radius + 1;
-    # the rest of the square reads 0 and is masked out below
+    s = np.add.outer(k, k)  # x + y
+    # logs of the values the grid and its neighbours read, x + y <= radius + 1;
+    # the rest of the quadrant reads 0 and is masked out below
     logs = np.zeros(q[-1, -1] + 1)
-    used = np.flatnonzero(np.bincount(q[s <= radius + 1]))
-    logs[used] = [math.log(v - 0.5) if v else ORIGIN_POTENTIAL for v in used.tolist()]
-    outer = np.abs(np.arange(-radius - 1, radius + 2))
-    F = logs[q][np.ix_(outer, outer)]
-    # Direct route on the inner grid |x|, |y| <= radius, summed in the scalar order.
-    direct = (F[2:, 1:-1] + F[:-2, 1:-1] + F[1:-1, 2:] + F[1:-1, :-2]) / 4.0 - F[1:-1, 1:-1]
-    # The closed form depends only on the orbit of (|x|, |y|) under the axis
-    # symmetries: evaluate it once per orbit a >= b >= 0, 2 <= a + b <= radius,
-    # and store it at both.
+    used = np.flatnonzero(np.bincount(q[s <= radius + 1]))[1:]  # 0 comes first
+    logs[0] = ORIGIN_POTENTIAL
+    logs[used] = list(map(math.log, (used - 0.5).tolist()))
+    # F[i, j] is f at (x, y) = (i - 1, j - 1), for -1 <= x, y <= radius + 1
+    F = logs[q]
+    F = np.concatenate([F[1:2], F])  # row x = -1 reads row 1
+    F = np.concatenate([F[:, 1:2], F], axis=1)  # column y = -1 reads column 1
+    # Direct route at (x, +y) and (x, -y) for 0 <= x, y <= radius, summed in
+    # the scalar order ((F[x+1, y] + F[x-1, y]) + F[x, y+1]) + F[x, y-1].
+    up, down, centre = F[1:-1, 2:], F[1:-1, :-2], F[1:-1, 1:-1]
+    plus = np.add(F[2:, 1:-1], F[:-2, 1:-1])
+    minus = plus.copy()
+    for direct, first, last in ((plus, up, down), (minus, down, up)):
+        direct += first
+        direct += last
+        direct /= 4.0
+        direct -= centre
+    del F, up, down, centre
+    # The closed form depends only on the orbit of (x, y) under the axis
+    # symmetries: evaluate it once per orbit a >= b >= 0, 2 <= a + b <= radius.
     s = s[:-1, :-1]
     a, b = np.nonzero(np.tri(radius + 1, dtype=bool) & (s <= radius))
-    a, b = a[2:], b[2:]  # drop (0, 0) and (1, 0), the first two in row-major order
-    closed = np.zeros((radius + 1, radius + 1))
-    broken = np.zeros((radius + 1, radius + 1), dtype=bool)
+    a, b = a[1:], b[1:]  # drop (0, 0), first in row-major order; (1, 0) comes next
+    values = np.empty(len(a))
     # the origin's neighbours (a + b = 1) see the origin's special value
-    closed[1, 0] = closed[0, 1] = (math.log(126.0) - 5.0) / 4.0
-    broken[a, b] = broken[b, a] = ~_identity_holds(a, b)
-    d = a * a - b * b  # exp(4 Delta) = 1 - 64 d^2 / E^4
+    values[0] = (math.log(126.0) - 5.0) / 4.0
+    ga, gb = a[1:], b[1:]  # the generic orbits, a + b >= 2
+    weight = np.where((gb == 0) | (ga == gb), 4, 8)  # grid points per orbit
+    identity_failures = int(weight[~_identity_holds(ga, gb)].sum())
+    d = ga * ga - gb * gb  # exp(4 Delta) = 1 - 64 d^2 / E^4
+    e = 2 * (ga * ga + gb * gb) - 1
     # exact: exp(4 Delta) <= 1 since 64 d^2 >= 0
-    nonpositive = bool(closed[1, 0] <= 0.0) and bool((d * d >= 0).all())
-    equality_ok = bool(((d == 0) == (a == b)).all())
-    # the quotient of Python ints is correctly rounded, as in the point API
-    closed[a, b] = closed[b, a] = [
-        math.log1p(-64 * t * t / (e * e) ** 2) / 4.0
-        for t, e in zip(d.tolist(), (2 * (a * a + b * b) - 1).tolist())
-    ]
-    grid = np.ix_(outer[1:-1], outer[1:-1])
-    inside = ((s >= 1) & (s <= radius))[grid]
-    identity_failures = int(np.count_nonzero(broken[grid] & inside))
-    # Points in row-major (x, then y) order; argmax keeps the first maximum.
-    delta_direct = direct[inside]
-    del F, direct  # the grid arrays dominate the memory
-    delta_closed = closed[grid][inside]
-    scale = np.maximum(np.abs(delta_direct), np.abs(delta_closed))
-    gaps = np.abs(delta_direct - delta_closed)
-    gaps /= np.maximum(scale, 1.0, out=scale)
-    max_gap = max(0.0, gaps.max())
-    best = int(np.argmax(delta_closed))
-    x, y = divmod(int(np.flatnonzero(inside)[best]), 2 * radius + 1)
+    nonpositive = bool(values[0] <= 0.0) and bool((d * d >= 0).all())
+    equality_ok = bool(((d == 0) == (ga == gb)).all())
+    quotient = _orbit_quotients(d, e)
+    # 0.0 - q is +0.0 on the diagonals, where -q would make log1p give -0.0
+    values[1:] = list(map(math.log1p, (0.0 - quotient).tolist()))
+    values[1:] /= 4.0
+    # Row-major order takes x, then y, from -radius up, so the first maximum is
+    # at (-X, -Y): X the largest |x| among the maximal points, Y the largest
+    # |y| among those at |x| = X.
+    best = values.max()
+    top = values == best
+    X = int(a[top].max())
+    Y = int(b[top & (a == X)].max())
+    closed = np.zeros((radius + 1, radius + 1))
+    closed[a, b] = closed[b, a] = values
+    # agreement at the inside points 1 <= x + |y| <= radius of the half-plane
+    inside = (s >= 1) & (s <= radius)
+    max_gap = 0.0
+    size = np.abs(closed)
+    for direct in (plus, minus):
+        gaps = np.subtract(direct, closed)
+        np.abs(gaps, out=gaps)
+        scale = np.maximum(np.abs(direct, out=direct), size, out=direct)
+        gaps /= np.maximum(scale, 1.0, out=scale)
+        max_gap = max(max_gap, gaps.max(initial=0.0, where=inside))
     passed = nonpositive and identity_failures == 0 and max_gap <= DRIFT_AGREEMENT_TOL and equality_ok
     return DriftGridReport(
         radius=radius,
-        points=len(delta_closed),
-        max_delta=float(delta_closed[best]),
-        max_delta_point=(x - radius, y - radius),
+        points=2 * radius * (radius + 1),
+        max_delta=float(best),
+        max_delta_point=(-X, -Y),
         max_agreement_gap=max_gap,
         nonpositive=nonpositive,
         identity_failures=identity_failures,
@@ -279,13 +392,14 @@ class BoundComparison:
         return {**json_encode(self), "exact_float": float(self.exact)}
 
 
-def verify_elo(d: Sequence, half_width, **exact_kwargs) -> BoundComparison:
+def verify_elo(d: Sequence, half_width) -> BoundComparison:
     """Interval anti-concentration: sup_x P(T in (x-D, x+D]) <= 0.8/sqrt(m).
 
     The pass decision is exact: sup^2 * m <= 16/25.
     """
-    sup, _x = _exact.max_interval_probability(d, half_width, **exact_kwargs)
-    m = len(list(d))
+    d = list(d)  # read twice, so an iterator is taken once
+    sup, _x = _exact.max_interval_probability(d, half_width)
+    m = len(d)
     passed = sup * sup * m <= Fraction(16, 25)
     bound = 0.8 / math.sqrt(m)
     return BoundComparison(
@@ -326,6 +440,7 @@ def verify_mod_lemma(d: Sequence, m: int, *, cap: float = 10.0) -> ModLemmaRepor
     """
     if not math.isfinite(cap):
         raise ParameterError(f"cap must be finite, got {cap}")
+    m = _int_param(m, "modulus m")
     steps = _exact._int_steps_only(d)
     distinct = sorted(set(steps))
     k = len(distinct)

@@ -8,6 +8,7 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -275,6 +276,32 @@ class TestModProbability:
         ):
             with pytest.raises(ParameterError, match=f"^[ad]\\[1\\] must be a rational number, got {message}$"):
                 call()
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: exact.hoeffding_tail([1, 2], "abc"), "threshold t must be a rational number, got 'abc'"),
+            (lambda: exact.hoeffding_tail([1, 2], math.inf), "threshold t must be a rational number, got inf"),
+            (lambda: exact.max_interval_probability([1, 2], math.nan),
+             "half-width D must be a rational number, got nan"),
+            (lambda: exact.max_interval_probability([1, 2], math.inf),
+             "half-width D must be a rational number, got inf"),
+            (lambda: exact.mod_probability([1, 2], 2.5, 0), "modulus m must be an integer, got 2.5"),
+            (lambda: exact.mod_probability([1, 2], 3, 0.5), "residue must be an integer, got 0.5"),
+            (lambda: exact.mod_probability([1, 2], True, 0), "modulus m must be an integer, got True"),
+            (lambda: exact.mod_probability_profile([1, 2], 2.5), "modulus m must be an integer, got 2.5"),
+            (lambda: exact.hit_probability_2d([1, 1], (0, 0), 1.5), "horizon must be an integer, got 1.5"),
+        ],
+        ids=["t-abc", "t-inf", "D-nan", "D-inf", "m-float", "residue-float", "m-bool", "profile-m",
+             "horizon-float"],
+    )
+    def test_scalar_parameters_fail_by_name(self, call, message):
+        with pytest.raises(ParameterError) as exc:
+            call()
+        assert str(exc.value) == message
+
+    def test_integral_parameters_accept_numpy_ints(self):
+        assert exact.mod_probability([1, 2], np.int64(3), np.int64(0)) == exact.mod_probability([1, 2], 3, 0)
 
     def test_profile_budget_counts_slots(self):
         # 10**8 residue slots of one limb would take 800 MB: refused before any shift

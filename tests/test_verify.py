@@ -1,6 +1,7 @@
 """Inequality checks: drift grid, interval bound, residue bound, hitting times."""
 
 import math
+import random
 import sys
 import time
 from fractions import Fraction
@@ -69,6 +70,29 @@ class TestDriftGrid:
         with pytest.raises(ParameterError):
             vf.verify_supermartingale(0)
 
+    @pytest.mark.parametrize("radius", [2.5, "3", True, None])
+    def test_radius_must_be_an_int(self, radius):
+        with pytest.raises(ParameterError, match=f"^radius must be an integer, got {radius!r}$"):
+            vf.verify_supermartingale(radius)
+
+    @pytest.mark.parametrize("x, y, named", [(1.5, 0, "x"), (2, "1", "y"), (True, 1, "x")])
+    def test_point_must_be_integers(self, x, y, named):
+        with pytest.raises(ParameterError, match=f"^{named} must be an integer"):
+            vf.supermartingale_delta(x, y)
+
+    @pytest.mark.parametrize("radius", [2, 5, 30, 200])
+    def test_diagonal_maximum_is_positive_zero(self, radius):
+        # log1p(-0.0) is -0.0, which a report would write as "-0.0"
+        assert math.copysign(1.0, vf.verify_supermartingale(radius).max_delta) == 1.0
+
+    def test_direct_route_is_symmetric_in_x(self):
+        # the grid computes the half-plane x >= 0 only, on this identity
+        for x in range(0, 25):
+            for y in range(-25, 26):
+                if x or y:
+                    left = vf.supermartingale_delta(-x, y).delta_direct
+                    assert vf.supermartingale_delta(x, y).delta_direct == left
+
 
 def scan_drift_grid(radius: int) -> vf.DriftGridReport:
     """Reference for verify_supermartingale: supermartingale_delta at every
@@ -104,12 +128,12 @@ def scan_drift_grid(radius: int) -> vf.DriftGridReport:
 
 
 class TestDriftGridReference:
-    @pytest.mark.parametrize("radius", range(1, 41))
+    @pytest.mark.parametrize("radius", range(1, 57))
     def test_equals_pointwise_scan(self, radius):
         # every field, floats by ==
         assert vf.verify_supermartingale(radius) == scan_drift_grid(radius)
 
-    @pytest.mark.parametrize("radius", [57, 64, 97])
+    @pytest.mark.parametrize("radius", [57, 64, 97, 150])
     def test_equals_pointwise_scan_larger(self, radius):
         assert vf.verify_supermartingale(radius) == scan_drift_grid(radius)
 
@@ -120,6 +144,97 @@ class TestDriftGridReference:
         assert rep.max_delta_point == (-100, -100)
         assert rep.max_agreement_gap == 3.1508266538754517e-15
         assert rep.passed
+
+    @pytest.mark.parametrize(
+        "radius, points, corner, gap",
+        [(333, 222444, -166, 3.476567459900904e-15), (1000, 2002000, -500, 3.828800504657832e-15)],
+    )
+    def test_pinned_larger_radii(self, radius, points, corner, gap):
+        rep = vf.verify_supermartingale(radius)
+        assert repr(rep) == repr(vf.DriftGridReport(
+            radius=radius, points=points, max_delta=0.0, max_delta_point=(corner, corner),
+            max_agreement_gap=np.float64(gap), nonpositive=True, identity_failures=0,
+            equality_diagonal_only=True, passed=True,
+        ))
+
+
+def orbits_to(radius):
+    """Orbits a >= b >= 0 with 2 <= a + b <= radius, as int64 arrays."""
+    k = np.arange(radius + 1)
+    a, b = np.nonzero(np.tri(radius + 1, dtype=bool) & (np.add.outer(k, k) <= radius))
+    return a[2:], b[2:]  # not (0, 0) or (1, 0)
+
+
+def int_quotients(num, den2):
+    """num / den2**2 on Python ints, correctly rounded."""
+    return [n / d**2 for n, d in zip(num, den2)]
+
+
+class TestQuotient:
+    def orbit_terms(self, a, b):
+        return a * a - b * b, 2 * (a * a + b * b) - 1
+
+    def test_every_orbit_to_radius_300(self):
+        d, e = self.orbit_terms(*orbits_to(300))
+        got = vf._quotient(64.0 * (d * d), (e * e).astype(float))
+        assert got.tolist() == int_quotients((64 * d * d).tolist(), (e * e).tolist())
+        assert vf._orbit_quotients(d, e).tolist() == got.tolist()
+
+    def test_random_orbits_to_the_bound(self):
+        # 64 d^2 < 2**53 holds at every orbit up to radius 3444
+        g = np.random.default_rng(7)
+        s = g.integers(2, 3445, size=20000)
+        b = g.integers(0, s // 2 + 1)
+        d, e = self.orbit_terms(s - b, b)
+        assert (64 * d * d < 1 << 53).all() and (e * e < 1 << 52).all()
+        got = vf._quotient(64.0 * (d * d), (e * e).astype(float))
+        assert got.tolist() == int_quotients((64 * d * d).tolist(), (e * e).tolist())
+
+    def test_orbits_straddling_the_bound(self):
+        # (3444, 0) is the last axis orbit inside the float route, (3445, 0) the first past it
+        a = np.array([3444, 3445, 3445, 3444, 3446, 5000, 5793, 5000, vf.DRIFT_RADIUS_CAP, 19483])
+        b = np.array([0, 0, 1, 1, 0, 17, 0, 5000, 0, 19483])
+        d, e = self.orbit_terms(a, b)
+        assert (64 * int(d[0]) ** 2 < 1 << 53) and (64 * int(d[1]) ** 2 >= 1 << 53)
+        assert d[7] == 0 and int(e[7]) ** 2 >= 1 << 52  # (5000, 5000): only e^2 is past
+        expected = [64 * t * t / (x * x) ** 2 for t, x in zip(d.tolist(), e.tolist())]
+        assert vf._orbit_quotients(d, e).tolist() == expected
+
+    def test_random_operands(self):
+        g = np.random.default_rng(8)
+        e2 = np.maximum(np.floor(2.0 ** g.uniform(0, 52, 20000)), 1.0)
+        num = np.floor(2.0 ** g.uniform(0, 53, 20000))
+        num[:100] = 0.0
+        got = vf._quotient(num, e2)
+        assert got.tolist() == int_quotients([int(v) for v in num], [int(v) for v in e2])
+        assert all(math.copysign(1.0, v) == 1.0 for v in got[:100])
+
+    def test_a_hair_from_a_midpoint(self):
+        # (2M+1) e2^2 = 1 + num 2**55 puts num / e2^2 a distance 2**-55 / e2^2
+        # below the midpoint (2M+1) 2**-55 between two doubles of [1/4, 1/2),
+        # where the leading terms of the sign's expansion cancel
+        g = random.Random(9)
+        num, e2 = [], []
+        while len(num) < 2000:
+            e = g.randrange(95_000_000, 1 << 27) | 1
+            odd = pow(e * e, -1, 1 << 55)
+            if 1 << 53 <= odd < 1 << 54:
+                num.append((odd * e * e - 1) >> 55)
+                e2.append(e)
+        got = vf._quotient(np.array(num, dtype=float), np.array(e2, dtype=float))
+        assert got.tolist() == int_quotients(num, e2)
+
+    @pytest.mark.parametrize(
+        "num, e2",
+        [(3242696690299058, 14927706447104), (1417494750298802, 872359845103),
+         (1895548877771758, 3940601021), (2562520276467453, 73307533875)],
+    )
+    def test_first_doubles_of_a_binade(self, num, e2):
+        # num / e2 / e2 lands on a power of two or the double above it, where
+        # the spacing below is not the ulp; one neighbour test would round these wrong
+        mantissa = math.frexp(num / e2 / e2)[0]
+        assert mantissa in (0.5, 0.5 + 2.0**-53)
+        assert vf._quotient(np.array([float(num)]), np.array([float(e2)]))[0] == num / e2**2
 
 
 def identity_terms(a, b):
@@ -240,6 +355,10 @@ class TestEloBound:
         with pytest.raises(PreconditionError):
             vf.verify_elo([1, 3], 2)
 
+    def test_iterator_reads_as_its_list(self):
+        assert vf.verify_elo(iter([1, 2, 3]), 1) == vf.verify_elo([1, 2, 3], 1)
+        assert vf.verify_elo((v for v in [2, 2]), 2) == vf.verify_elo([2, 2], 2)
+
 
 class TestModLemma:
     def test_three_steps(self):
@@ -271,6 +390,11 @@ class TestModLemma:
     def test_non_finite_cap_refused(self, cap):
         with pytest.raises(ParameterError, match="cap must be finite"):
             vf.verify_mod_lemma([1, 2, 3], 3, cap=cap)
+
+    @pytest.mark.parametrize("m", ["3", 2.5, True])
+    def test_modulus_must_be_an_int(self, m):
+        with pytest.raises(ParameterError, match=f"^modulus m must be an integer, got {m!r}$"):
+            vf.verify_mod_lemma([1, 2, 3], m)
 
     def test_repeated_steps_count_distinct(self):
         rep = vf.verify_mod_lemma([1, 1, 2, 2, 3], 3)

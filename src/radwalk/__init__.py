@@ -7,7 +7,6 @@ drift checks, and a round-based construction of origin-revisiting sequences.
 
 from . import construction, exact, sequences, verify, walk
 from .errors import (
-    ConsistencyError,
     CoprimalityError,
     DecompositionError,
     ExhaustionError,
@@ -41,6 +40,5 @@ __all__ = [
     "PositionOverflowError",
     "CoprimalityError",
     "ExhaustionError",
-    "ConsistencyError",
     "__version__",
 ]

@@ -31,7 +31,6 @@ import bisect
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -378,10 +377,6 @@ class RoundPlan:
                 f"period * n0 = {self.pair.period} * {self.n0}, with n0 >= 1"
             )
 
-    @property
-    def segment_length(self) -> int:
-        return self.n_end - self.n_start
-
     to_json_dict = json_encode
 
 
@@ -603,11 +598,3 @@ def evaluate_plan(
         for rp, hits in zip(plan.rounds, totals.tolist())
     )
     return PlanEvaluation(trials, master_seed, level, per_round)
-
-
-def composite_step_law(pair: BezoutPair):
-    """Exact law of one composite step (one period of the pattern), from the
-    exact module; used to confirm the four unit displacements are reachable."""
-    from . import exact
-
-    return exact.pmf_2d(pair.pattern())

@@ -56,7 +56,3 @@ class CoprimalityError(RadwalkError):
 
 class ExhaustionError(RadwalkError):
     """A finite prefix ran out of usable elements."""
-
-
-class ConsistencyError(RadwalkError):
-    """Two inputs that must describe the same object disagree."""

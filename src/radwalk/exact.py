@@ -32,13 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ParameterError, PreconditionError, SupportBudgetError
 from .rng import json_encode
-from .sequences import _data_lines, _fraction_param, _int_param, _positive_steps, int_if_whole, scaled_ints
+from .sequences import _fraction_param, _int_param, _positive_steps, int_if_whole, scaled_ints
 
 #: Cap on the exact support points a single computation may allocate; a 1-D
 #: law's points count once per 64-bit limb of a packed slot (one below 64 steps).
@@ -70,10 +70,6 @@ class ExactPmf1D:
     def as_dict(self) -> dict[Number, Fraction]:
         return {v: Fraction(w, self.total) for v, w in zip(self.values, self.weights)}
 
-    def export_lines(self) -> list[str]:
-        """Two-column text format: value and mass as numerator/denominator."""
-        return [f"{v} {m.numerator}/{m.denominator}" for v, m in zip(self.values, self.masses)]
-
 
 @dataclass(frozen=True)
 class ExactPmf2D:
@@ -93,11 +89,6 @@ class ExactPmf2D:
 
     def as_dict(self) -> dict[tuple[Number, Number], Fraction]:
         return {p: Fraction(w, self.total) for p, w in zip(self.points, self.weights)}
-
-    def export_lines(self) -> list[str]:
-        """Three-column text format: x, y, mass as numerator/denominator."""
-        masses = (Fraction(w, self.total) for w in self.weights)
-        return [f"{x} {y} {m.numerator}/{m.denominator}" for (x, y), m in zip(self.points, masses)]
 
 
 def _check_support(points: int, limbs: int = 1) -> None:
@@ -282,6 +273,7 @@ def sup_pmf_running(k_max: int) -> list[Fraction]:
     """``sup_pmf(range(1, k + 1))`` for k = 1..k_max, from one running product:
     the law of the steps 1..k is symmetric and unimodal (Stanley, SIAM J.
     Algebraic Discrete Methods 1, 1980), so its largest mass is at 0 or 1."""
+    k_max = _int_param(k_max, "k_max")
     laws = enumerate(_running_laws(range(1, k_max + 1), k_max), 1)
     return [Fraction(_weight_at(packed, span, span & 1, k_max), 1 << k) for k, (packed, span) in laws]
 
@@ -417,7 +409,3 @@ def hoeffding_tail(d: Sequence, t) -> HoeffdingTail:
         exact_tail=exact,
     )
 
-
-def parse_pmf1d_lines(lines: Iterable[str]) -> dict[Fraction, Fraction]:
-    """Parse the two-column export format back into a value -> mass map."""
-    return {Fraction(val): Fraction(mass) for val, mass in (ln.split() for _, ln in _data_lines(lines))}

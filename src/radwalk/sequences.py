@@ -764,31 +764,3 @@ def explicit_block_sequence(
         return next(value for value, end in ends if n <= end)
 
     return StepSequence("explicit-block", params, evaluate, runs=runs)
-
-
-def block_boundaries(k_max: int, *, scale: str = "exact", growth=None,
-                     exponent_bit_budget: int = DEFAULT_EXPONENT_BIT_BUDGET) -> dict:
-    """Exact boundary indices for blocks 1..k_max.
-
-    Returns ``{"block_end": {k: n_k}, "sub_block_end": {(k, j): n_kj}}`` where
-    indices point at the last element of the block or sub-block.
-    """
-    seq = explicit_block_sequence(
-        scale=scale, growth=growth, exponent_bit_budget=exponent_bit_budget
-    )
-    block_end: dict[int, int] = {}
-    sub_end: dict[tuple[int, int], int] = {}
-    pos = 0
-    run_iter = seq.iter_runs()
-    for k in range(1, k_max + 1):
-        for i in range(1, k + 1):
-            value, L = next(run_iter)
-            assert value == k
-            pos += L
-            if i < k:
-                value, tail = next(run_iter)
-                assert value == k - 1
-                pos += tail
-            sub_end[(k, i)] = pos
-        block_end[k] = pos
-    return {"block_end": block_end, "sub_block_end": sub_end}

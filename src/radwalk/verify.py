@@ -14,13 +14,17 @@ the four neighbor arguments are integers over 2 and
 
     exp(4*Delta) = prod(neighbors)/E^4 = 1 - 64*(x^2-y^2)^2 / E^4
 
-for |x|+|y| >= 2, an exact integer identity this module verifies at every
-point (on the grid by residues, see :data:`DRIFT_RADIUS_CAP`);
-at |x|+|y| = 1 the origin's special value enters and exp(4*Delta) = 126/e^5.
-The grid check evaluates the closed form once per orbit of the axis
-symmetries, with the quotient 64(x^2-y^2)^2 / E^4 correctly rounded in
-float64 (:func:`_quotient`), and the direct four-neighbour average on the
-half-plane x >= 0, where it equals its mirror image bit for bit.
+for |x|+|y| >= 2.  This is a polynomial identity: the difference
+prod(neighbors) + 64*(x^2-y^2)^2 - E^4 has degree at most 8 in each variable,
+and such a polynomial that vanishes on a 9x9 grid is zero (Alon,
+"Combinatorial Nullstellensatz", 1999, Lemma 2.1), which the test suite
+checks once; the point API still compares both sides on Python ints
+(``identity_exact``).  At |x|+|y| = 1 the origin's special value enters and
+exp(4*Delta) = 126/e^5.  The grid check evaluates the closed form alone, once
+per orbit of the axis symmetries, with the quotient 64(x^2-y^2)^2 / E^4
+correctly rounded in float64 (:func:`_quotient`), and the direct
+four-neighbour average on the half-plane x >= 0, where it equals its mirror
+image bit for bit.
 """
 
 from __future__ import annotations
@@ -81,10 +85,6 @@ class DeltaReport:
     agreement: float
     identity_exact: bool
 
-    @property
-    def agrees(self) -> bool:
-        return self.agreement <= DRIFT_AGREEMENT_TOL
-
 
 def _closed_form(x: int, y: int) -> tuple[int, int, bool]:
     """``(num, den)`` with exp(4*Delta) = 1 - num/den at |x|+|y| >= 2, and
@@ -102,54 +102,13 @@ def _closed_form(x: int, y: int) -> tuple[int, int, bool]:
     return num, den, product == den - num
 
 
-#: Moduli of the exact integer comparisons: 2**64, at which int64 arithmetic
-#: wraps, and two primes below 2**31, whose residues multiply in int64.
-IDENTITY_MODULI = (1 << 64, (1 << 31) - 1, (1 << 31) - 19)
-
-#: Largest radius whose identity check is exact.  At a + b <= r every
-#: neighbor argument is below 2(r+1)^2, so both sides of
-#: prod(neighbors) + 64(a^2-b^2)^2 = E^4 lie in [0, 16(r+1)^8 + 64r^4), and
-#: up to this radius that range fits in the product of the moduli.  The grid
-#: there has 6e9 points, more than memory holds; one prime alone would stop
-#: at radius 2654, whose grid of 28e6 points fits.  The check's arrays are
-#: the half-plane's two quadrants and the orbits, about 2r^2 and r^2/4
-#: entries.  Up to radius 3444 every orbit's quotient 64 d^2 / E^4 takes the
-#: float route; past it the orbits with 64 d^2 >= 2**53 or E^2 >= 2**52
-#: divide Python ints.  E^2 stays below 2**63 up to this cap.
+#: Largest radius the grid check accepts.  Up to it, d^2 and E^2 stay below
+#: 2**63 at every orbit, so :func:`_orbit_quotients` squares them in int64.
+#: Up to radius 3444 every orbit's quotient 64 d^2 / E^4 takes the float
+#: route; past it the orbits with 64 d^2 >= 2**53 or E^2 >= 2**52 divide
+#: Python ints.  The check's arrays are the half-plane's two quadrants and the
+#: orbits, about 2r^2 and r^2/4 entries.
 DRIFT_RADIUS_CAP = 38966
-
-
-def _sums_equal(left: list[list], right: list[list]) -> np.ndarray:
-    """Whether ``sum(prod(term) for term in left)`` equals the same of
-    ``right``, elementwise.  A term is a list of factors in [0, 2**63):
-    int64 arrays, and ints beside them.  The sides are compared modulo each of
-    :data:`IDENTITY_MODULI`, which is equality when both lie in
-    [0, product of the moduli)."""
-    holds = np.bool_(True)
-    for m in IDENTITY_MODULI:
-        # t % m for t >= 0, as numpy's faster division by a scalar
-        red = (lambda t: t) if m == 1 << 64 else (lambda t: t - t // m * m)
-        sides = []
-        for terms in (left, right):
-            total = 0  # a sum of a few residues below 2**31 stays in range
-            for first, *rest in terms:
-                product = red(first)
-                for f in rest:
-                    product = red(product * red(f))
-                total = total + product
-            sides.append(red(total))
-        holds = holds & (sides[0] == sides[1])
-    return holds
-
-
-def _identity_holds(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Whether prod(neighbors) = E^4 - 64(a^2-b^2)^2 at each orbit (a, b) of
-    int64 arrays, exactly for a + b <= :data:`DRIFT_RADIUS_CAP`."""
-    neighbors = [
-        2 * nx * nx + 2 * ny * ny - 1 for nx, ny in ((a + 1, b), (a - 1, b), (a, b + 1), (a, b - 1))
-    ]
-    e = 2 * a * a + 2 * b * b - 1
-    return _sums_equal([neighbors, [64, (a * a - b * b) ** 2]], [[e, e, e, e]])
 
 
 def supermartingale_delta(x: int, y: int) -> DeltaReport:
@@ -196,7 +155,10 @@ class DriftGridReport:
     max_delta_point: tuple[int, int]
     max_agreement_gap: float
     nonpositive: bool  # exact: every exp(4*Delta) <= 1
-    identity_failures: int  # generic points whose integer identity broke
+    # generic points whose integer identity breaks: always 0, as the identity
+    # is a polynomial one, proved in tests/test_verify.py by
+    # TestIdentityCheck::test_drift_identity_is_a_polynomial_identity
+    identity_failures: int
     equality_diagonal_only: bool  # Delta == 0 exactly iff |x| == |y|
     passed: bool
 
@@ -295,7 +257,7 @@ def verify_supermartingale(radius: int) -> DriftGridReport:
         raise ParameterError("radius must be >= 1")
     if radius > DRIFT_RADIUS_CAP:
         raise ParameterError(
-            f"radius {radius} exceeds {DRIFT_RADIUS_CAP}, the largest whose identity check is exact"
+            f"radius {radius} exceeds {DRIFT_RADIUS_CAP}, the largest whose d^2 and E^2 fit in int64"
         )
     # Every table is on the quadrant 0 <= x, y.  The direct value at (-x, y) is
     # the one at (x, y), whose sum only swaps its first two terms there, so the
@@ -334,8 +296,6 @@ def verify_supermartingale(radius: int) -> DriftGridReport:
     # the origin's neighbours (a + b = 1) see the origin's special value
     values[0] = (math.log(126.0) - 5.0) / 4.0
     ga, gb = a[1:], b[1:]  # the generic orbits, a + b >= 2
-    weight = np.where((gb == 0) | (ga == gb), 4, 8)  # grid points per orbit
-    identity_failures = int(weight[~_identity_holds(ga, gb)].sum())
     d = ga * ga - gb * gb  # exp(4 Delta) = 1 - 64 d^2 / E^4
     e = 2 * (ga * ga + gb * gb) - 1
     # exact: exp(4 Delta) <= 1 since 64 d^2 >= 0
@@ -364,7 +324,7 @@ def verify_supermartingale(radius: int) -> DriftGridReport:
         scale = np.maximum(np.abs(direct, out=direct), size, out=direct)
         gaps /= np.maximum(scale, 1.0, out=scale)
         max_gap = max(max_gap, gaps.max(initial=0.0, where=inside))
-    passed = nonpositive and identity_failures == 0 and max_gap <= DRIFT_AGREEMENT_TOL and equality_ok
+    passed = nonpositive and max_gap <= DRIFT_AGREEMENT_TOL and equality_ok
     return DriftGridReport(
         radius=radius,
         points=2 * radius * (radius + 1),
@@ -372,7 +332,7 @@ def verify_supermartingale(radius: int) -> DriftGridReport:
         max_delta_point=(-X, -Y),
         max_agreement_gap=max_gap,
         nonpositive=nonpositive,
-        identity_failures=identity_failures,
+        identity_failures=0,
         equality_diagonal_only=equality_ok,
         passed=passed,
     )
@@ -521,6 +481,8 @@ def hitting_time_experiment(
     # unit steps sum to the horizon; the first test keeps r**3 a finite float
     if r > 1 << 21 or math.floor(float(r) ** 3) > INT64_STEP_SUM:
         raise ParameterError(f"horizon floor(r^3) exceeds 2**62 steps, r = {r}")
+    step, trials = _int_param(step, "step"), _int_param(trials, "trials")
+    workers = _int_param(workers, "workers")
     if step < 1:
         raise ParameterError("step must be a positive integer")
     if trials < 1:
@@ -608,6 +570,7 @@ def sup_pmf_trend(
     slope_cap: float = 0.1,
 ) -> SupPmfTrendReport:
     """Tabulate sup_z P(T_k = z) for steps (1..k), k = 1..k_max."""
+    k_max, k_floor = _int_param(k_max, "k_max"), _int_param(k_floor, "k_floor")
     if k_max < 1:
         raise ParameterError("k_max must be >= 1")
     for name, cap in (("ratio_cap", ratio_cap), ("slope_cap", slope_cap)):

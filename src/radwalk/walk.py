@@ -38,9 +38,9 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import rng as _rng
-from .errors import ConsistencyError, ParameterError, PositionOverflowError
+from .errors import ParameterError, PositionOverflowError
 from .rng import ConfidenceInterval, wilson_interval
-from .sequences import RunLengthDecomposition, StepSequence, run_length_decompose
+from .sequences import StepSequence
 
 @dataclass(frozen=True)
 class PositionPolicy:
@@ -80,10 +80,6 @@ class TargetVisitStats:
     first_hit: int | None
     last_hit: int | None
     min_sq_distance: int | Fraction | None
-
-    @property
-    def min_distance(self) -> float | None:
-        return None if self.min_sq_distance is None else float(self.min_sq_distance) ** 0.5
 
 
 @dataclass(frozen=True)
@@ -369,10 +365,6 @@ class MonteCarloEstimate:
     rng_id: str = _rng.RNG_ID
     seed_rule: str = _rng.SEED_RULE_ID
 
-    @property
-    def exact_estimate(self) -> Fraction:
-        return Fraction(self.successes, self.trials)
-
     to_json_dict = _rng.json_encode
 
 
@@ -403,37 +395,3 @@ def monte_carlo_return(
     ci = wilson_interval(successes, trials, level)
     params = {"horizon": n, "target": list(target), "sequence": seq.to_config()}
     return MonteCarloEstimate(trials, successes, successes / trials, ci, master_seed, params)
-
-
-@dataclass(frozen=True)
-class BlockDivisibility:
-    block: int  # 1-based block number j
-    value: int  # b_j
-    time: int  # k_j - 1, the step index checked
-    x_divisible: bool
-    y_divisible: bool
-
-
-def divisibility_at_blocks(
-    seq: StepSequence,
-    trajectory: TrajectoryRecorder,
-    decomposition: RunLengthDecomposition,
-) -> list[BlockDivisibility]:
-    """For each run-length block j, whether b_j divides both coordinates at
-    the step just before the block starts."""
-    if run_length_decompose(seq, decomposition.prefix_length) != decomposition:
-        raise ConsistencyError(
-            "decomposition does not match the sequence prefix it claims to describe"
-        )
-    needed = max(k - 1 for k in decomposition.starts)
-    if len(trajectory) < needed:
-        raise ConsistencyError(
-            f"trajectory covers {len(trajectory)} steps but block boundaries need {needed}"
-        )
-    out = []
-    for j, (b, start) in enumerate(zip(decomposition.values, decomposition.starts), 1):
-        x, y = trajectory.position_at(start - 1)
-        if isinstance(x, Fraction) or isinstance(y, Fraction):
-            raise ConsistencyError("divisibility checks require integer positions")
-        out.append(BlockDivisibility(j, b, start - 1, x % b == 0, y % b == 0))
-    return out

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from radwalk import construction as cn
+from radwalk import construction as cn, exact
 from radwalk.errors import CoprimalityError, ExhaustionError, ParameterError
 
 FIRST_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
@@ -103,12 +103,12 @@ class TestCompositeStepLaw:
     @pytest.mark.parametrize("b1,b2", [(2, 3), (3, 5), (5, 7)])
     def test_unit_directions_reachable(self, b1, b2):
         pair = cn.positive_bezout(b1, b2)
-        law = cn.composite_step_law(pair)
+        law = exact.pmf_2d(pair.pattern())
         for f in [(1, 0), (-1, 0), (0, 1), (0, -1)]:
             assert law.mass(f) > 0
 
     def test_law_is_exact(self):
-        law = cn.composite_step_law(cn.positive_bezout(2, 3))
+        law = exact.pmf_2d(cn.positive_bezout(2, 3).pattern())
         assert sum(law.as_dict().values()) == 1
         assert law.mass((1, 0)) == Fraction(1, 64)
 

@@ -622,25 +622,21 @@ class TestBlockSequence:
         assert flat[:300] == s.prefix(300)
 
     def test_boundary_differences(self):
-        b = sq.block_boundaries(3, scale="scaled")
-        sub = b["sub_block_end"]
+        # sub-block (k, i) is g(k, i) copies of k, then, for i < k, 3k^2 copies of k-1
         g = sq.default_scaled_growth
-        for k in (2, 3):
-            for j in range(2, k + 1):
-                expected = g(k, j) + (3 * k * k if j < k else 0)
-                assert sub[(k, j)] - sub[(k, j - 1)] == expected
+        expected = []
+        for k in (1, 2, 3):
+            for i in range(1, k + 1):
+                expected += [(k, g(k, i))] + ([(k - 1, 3 * k * k)] if i < k else [])
+        runs = sq.explicit_block_sequence(scale="scaled").iter_runs()
+        assert list(itertools.islice(runs, len(expected))) == expected
 
     def test_exact_boundaries(self):
-        b = sq.block_boundaries(2)
-        assert b["block_end"][1] == 4
-        assert b["sub_block_end"][(2, 1)] == 4 + 65536 + 12
-        assert b["block_end"][2] == 4 + 65536 + 12 + (1 << 32)
-        # boundary gaps equal the symbolic lengths plus the 3k^2 tail
-        L21 = sq.sub_block_length(2, 1).materialize()
-        L22 = sq.sub_block_length(2, 2).materialize()
-        sub = b["sub_block_end"]
-        assert sub[(2, 1)] - b["block_end"][1] == L21 + 12
-        assert sub[(2, 2)] - sub[(2, 1)] == L22
+        # the run gaps equal the symbolic lengths L(k, i), and the 3k^2 tail
+        runs = list(itertools.islice(sq.explicit_block_sequence().iter_runs(), 4))
+        L = [sq.sub_block_length(k, i).materialize() for k, i in ((1, 1), (2, 1), (2, 2))]
+        assert runs == [(1, L[0]), (2, L[1]), (1, 12), (2, L[2])]
+        assert L == [4, 65536, 1 << 32]
 
     def test_exact_positional_overflow_refusal(self):
         s = sq.explicit_block_sequence(exponent_bit_budget=16)

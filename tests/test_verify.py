@@ -237,74 +237,29 @@ class TestQuotient:
         assert vf._quotient(np.array([float(num)]), np.array([float(e2)]))[0] == num / e2**2
 
 
-def identity_terms(a, b):
-    """Both sides of prod(neighbors) + 64(a^2-b^2)^2 = E^4 as terms of factors."""
-    neighbors = [
-        2 * nx * nx + 2 * ny * ny - 1 for nx, ny in ((a + 1, b), (a - 1, b), (a, b + 1), (a, b - 1))
-    ]
-    e = 2 * a * a + 2 * b * b - 1
-    return [neighbors, [64, (a * a - b * b) ** 2]], [[e, e, e, e]]
-
-
-def python_value(terms, i):
-    """A side at entry i, on Python ints."""
-    return sum(math.prod(f if isinstance(f, int) else int(f[i]) for f in term) for term in terms)
-
-
 class TestIdentityCheck:
     CAP = vf.DRIFT_RADIUS_CAP
-    _, P1, P2 = vf.IDENTITY_MODULI
 
-    def orbits(self, count, seed):
-        """Random orbits a >= b >= 0 with 2 <= a + b <= the cap, and the extremes."""
-        g = np.random.default_rng(seed)
-        s = g.integers(2, self.CAP + 1, size=count)
-        b = g.integers(0, s // 2 + 1)
-        half = self.CAP // 2
-        edge = [(self.CAP, 0), (self.CAP - 1, 1), (self.CAP - half, half), (1, 1), (2, 0)]
-        a = np.concatenate([s - b, [x for x, _ in edge]])
-        return a, np.concatenate([b, [y for _, y in edge]])
+    def test_drift_identity_is_a_polynomial_identity(self):
+        """prod(neighbor args) + 64(x^2-y^2)^2 = E^4 for all integers x, y.
 
-    def test_orbits_agree_with_the_point_api(self):
-        a, b = self.orbits(3000, 0)
-        expected = [vf._closed_form(x, y)[2] for x, y in zip(a.tolist(), b.tolist())]
-        assert vf._identity_holds(a, b).tolist() == expected == [True] * len(a)
+        Each neighbor argument 2x'^2 + 2y'^2 - 1 and E = 2x^2 + 2y^2 - 1 have
+        degree 2 in x and 2 in y, so P = prod(neighbor args) + 64(x^2-y^2)^2 -
+        E^4 has degree at most 8 in x and at most 8 in y.  A polynomial with
+        these degree bounds that vanishes on S x T, with |S| = |T| = 9, is
+        zero (Alon, "Combinatorial Nullstellensatz", 1999, Lemma 2.1): at each
+        y in T, P(., y) has degree <= 8 and 9 roots, so every coefficient of
+        x^i, a polynomial in y of degree <= 8, has 9 roots too.  The grid
+        scan reads exp(4*Delta) = 1 - 64(x^2-y^2)^2/E^4 on this identity
+        alone, and reports ``identity_failures = 0``.
+        """
+        def P(x, y):
+            product = math.prod(
+                2 * nx * nx + 2 * ny * ny - 1 for nx, ny in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
+            )
+            return product + 64 * (x * x - y * y) ** 2 - (2 * x * x + 2 * y * y - 1) ** 4
 
-    @pytest.mark.parametrize(
-        "offset",
-        [[], [[1]], [[2]], [[1 << 32, 1 << 32]], [[P1]], [[P2]],
-         [[1 << 32, 1 << 32, P1]], [[1 << 32, 1 << 32, P2]], [[P1, P2]]],
-        ids=["none", "1", "2", "2**64", "P1", "P2", "2**64*P1", "2**64*P2", "P1*P2"],
-    )
-    def test_sides_agree_with_python_ints(self, offset):
-        # every side below the bound: residues decide as Python ints do
-        a, b = self.orbits(400, 1)
-        left, right = identity_terms(a, b)
-        right = right + [[np.full(len(a), f) for f in term] for term in offset]
-        bound = math.prod(vf.IDENTITY_MODULI)
-        truth = []
-        for i in range(len(a)):
-            lv, rv = python_value(left, i), python_value(right, i)
-            assert 0 <= lv < bound and 0 <= rv < bound
-            truth.append(lv == rv)
-        assert vf._sums_equal(left, right).tolist() == truth == [not offset] * len(a)
-
-    def test_residues_cannot_see_past_the_bound(self):
-        a, b = self.orbits(10, 2)
-        left, right = identity_terms(a, b)
-        past = [np.full(len(a), f) for f in (1 << 32, 1 << 32, self.P1, self.P2)]
-        assert vf._sums_equal(left, right + [past]).all()
-
-    def test_cap_is_the_largest_exact_radius(self):
-        moduli = vf.IDENTITY_MODULI
-        assert all(math.gcd(m, n) == 1 for i, m in enumerate(moduli) for n in moduli[i + 1:])
-        assert all(p < 1 << 31 for p in moduli[1:])
-        bound = lambda r: 16 * (r + 1) ** 8 + 64 * r**4  # noqa: E731
-        assert bound(self.CAP) <= math.prod(moduli) < bound(self.CAP + 1)
-        a, b = self.orbits(200, 3)
-        left, right = identity_terms(a, b)
-        for i, r in enumerate((a + b).tolist()):
-            assert python_value(left, i) < bound(r) and python_value(right, i) < bound(r)
+        assert [P(x, y) for x in range(9) for y in range(9)] == [0] * 81
 
     def test_radius_above_cap_refused_before_any_array(self, monkeypatch):
         class NoArrays:
@@ -314,24 +269,6 @@ class TestIdentityCheck:
         monkeypatch.setattr(vf, "np", NoArrays())
         with pytest.raises(ParameterError, match=f"radius {self.CAP + 1} exceeds {self.CAP}"):
             vf.verify_supermartingale(self.CAP + 1)
-
-    def test_broken_identity_is_counted(self, monkeypatch):
-        exact_check = vf._sums_equal
-
-        def off_by_p1(left, right):
-            return exact_check(left, right + [[self.P1, np.ones_like(left[0][0])]])
-
-        monkeypatch.setattr(vf, "_sums_equal", off_by_p1)
-        rep = vf.verify_supermartingale(6)
-        assert rep.identity_failures == rep.points - 4  # every point but the origin's neighbours
-        assert not rep.passed
-
-    def test_one_broken_orbit_counts_at_its_eight_points(self, monkeypatch):
-        holds = vf._identity_holds
-        monkeypatch.setattr(vf, "_identity_holds", lambda a, b: holds(a, b) & ((a != 3) | (b != 1)))
-        rep = vf.verify_supermartingale(6)
-        assert rep.identity_failures == 8
-        assert not rep.passed
 
 
 class TestEloBound:
@@ -489,6 +426,13 @@ class TestHittingTime:
             vf.hitting_time_experiment(1, trials=0)
 
     @pytest.mark.parametrize(
+        "named, value", [("step", 1.5), ("step", True), ("trials", 2.5), ("workers", 1.5)]
+    )
+    def test_counts_must_be_integers(self, named, value):
+        with pytest.raises(ParameterError, match=f"^{named} must be an integer, got {value!r}$"):
+            vf.hitting_time_experiment(1, **{"trials": 5, named: value})
+
+    @pytest.mark.parametrize(
         "r, named",
         [
             (float("nan"), "r must be finite"),
@@ -525,6 +469,19 @@ class TestSupPmfTrend:
     def test_non_finite_caps_refused(self, name, cap):
         with pytest.raises(ParameterError, match=f"{name} must be finite"):
             vf.sup_pmf_trend(3, **{name: cap})
+
+    @pytest.mark.parametrize(
+        "call, named",
+        [
+            (lambda: vf.sup_pmf_trend(2.5), "k_max"),
+            (lambda: vf.sup_pmf_trend(3, k_floor=2.5), "k_floor"),
+            (lambda: exact.sup_pmf_running(2.5), "k_max"),
+        ],
+        ids=["trend-k_max", "trend-k_floor", "running-k_max"],
+    )
+    def test_counts_must_be_integers(self, call, named):
+        with pytest.raises(ParameterError, match=f"^{named} must be an integer, got 2.5$"):
+            call()
 
     def test_growth_detected(self):
         rep = vf.sup_pmf_trend(32, ratio_cap=0.6)

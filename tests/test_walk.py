@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radwalk import construction as cn, exact, rng as rw, sequences as sq, verify as vf, walk as wk
-from radwalk.errors import ConsistencyError, ParameterError, PositionOverflowError
+from radwalk.errors import ParameterError, PositionOverflowError
 
 CONST1 = sq.make_sequence("constant", value=1)
 
@@ -535,47 +535,6 @@ class TestTrialDriver:
         assert not {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)} & {"kind", "params"}
         called = {getattr(n.func, "id", getattr(n.func, "attr", "")) for n in ast.walk(tree) if isinstance(n, ast.Call)}
         assert "scaled_ints" not in called and "lattice" in called
-
-
-class TestDivisibility:
-    SEQ = sq.make_sequence("explicit-list", values=[1, 1, 2, 2])
-
-    def test_cancelling_path_divisible(self):
-        seed = find_seed_with_codes([0, 1])  # +e1, -e1 puts S_2 = (0,0)
-        _, rec = wk.simulate_recording(self.SEQ, 4, seed)
-        dec = sq.run_length_decompose(self.SEQ, 4)
-        rep = wk.divisibility_at_blocks(self.SEQ, rec, dec)
-        assert [(r.block, r.value, r.time) for r in rep] == [(1, 1, 0), (2, 2, 2)]
-        assert rep[0].x_divisible and rep[0].y_divisible  # everything divides 0
-        assert rep[1].x_divisible and rep[1].y_divisible
-
-    def test_non_cancelling_path_not_divisible(self):
-        seed = find_seed_with_codes([0, 2])  # +e1, +e2 puts S_2 = (1,1)
-        _, rec = wk.simulate_recording(self.SEQ, 4, seed)
-        dec = sq.run_length_decompose(self.SEQ, 4)
-        rep = wk.divisibility_at_blocks(self.SEQ, rec, dec)
-        assert not rep[1].x_divisible and not rep[1].y_divisible
-
-    def test_block_one_always_divisible(self):
-        seed = find_seed_with_codes([2, 3])
-        _, rec = wk.simulate_recording(self.SEQ, 4, seed)
-        dec = sq.run_length_decompose(self.SEQ, 4)
-        rep = wk.divisibility_at_blocks(self.SEQ, rec, dec)
-        assert rep[0].x_divisible and rep[0].y_divisible
-
-    def test_mismatched_decomposition_rejected(self):
-        _, rec = wk.simulate_recording(self.SEQ, 4, 0)
-        other = sq.run_length_decompose(
-            sq.make_sequence("explicit-list", values=[1, 2, 2, 2]), 4
-        )
-        with pytest.raises(ConsistencyError):
-            wk.divisibility_at_blocks(self.SEQ, rec, other)
-
-    def test_short_trajectory_rejected(self):
-        _, rec = wk.simulate_recording(self.SEQ, 1, 0)
-        dec = sq.run_length_decompose(self.SEQ, 4)
-        with pytest.raises(ConsistencyError):
-            wk.divisibility_at_blocks(self.SEQ, rec, dec)
 
 
 class TestExports:

@@ -39,7 +39,7 @@ from . import rng as _rng
 from .errors import CoprimalityError, ExhaustionError, ParameterError
 from .rng import json_decode, json_encode, wilson_interval
 from .sequences import INT64_STEP_SUM, StepSequence, _data_lines
-from .walk import _hits, _walk_trials
+from .walk import _hits, _walk_trials, _workers_param
 
 
 @dataclass(frozen=True)
@@ -252,7 +252,8 @@ def _first_visits(u: np.ndarray, v: np.ndarray, targets, radius: int, never: int
     for r in range(len(u)):
         idx = np.flatnonzero(near[r])
         if idx.size:
-            uniq, first_idx = np.unique(u[r, idx] * mult + v[r, idx], return_index=True)
+            near_keys = u[r, idx].astype(np.int64) * mult + v[r, idx]  # int32 u * mult may wrap
+            uniq, first_idx = np.unique(near_keys, return_index=True)
             pos = np.minimum(np.searchsorted(uniq, keys), len(uniq) - 1)
             hit = uniq[pos] == keys
             first[r, hit] = idx[first_idx[pos[hit]]] + 1
@@ -286,6 +287,7 @@ def estimate_N0(
         raise ParameterError("radius must be >= 0")
     if horizon_start < 1 or horizon_cap < horizon_start:
         raise ParameterError("need 1 <= horizon_start <= horizon_cap")
+    workers = _workers_param(workers)
     _rng.TrialStream(master_seed)  # the seed fails by name before any shortcut
     grid = _doubling_grid(horizon_start, horizon_cap)
     common = dict(
@@ -319,10 +321,10 @@ def estimate_N0(
     nsteps = period * horizon_cap
     grid_arr = np.array(grid, dtype=np.int64)
 
-    def score(batch: range, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def score(batch: range, uv: np.ndarray) -> np.ndarray:
         # [t, g]: trials of the batch hitting target t by grid[g] periods
-        ends = np.s_[:, period - 1 :: period]  # positions after whole periods
-        first = _first_visits(u[ends], v[ends], targets, radius, nsteps + 1)
+        ends = uv[:, period - 1 :: period]  # positions after whole periods
+        first = _first_visits(ends[..., 0], ends[..., 1], targets, radius, nsteps + 1)
         return (first[:, :, None] <= grid_arr).sum(axis=0)
 
     pattern = np.array(pair.pattern(), dtype=np.int64)
@@ -451,10 +453,9 @@ def _realized_radius(plan_rounds: list[RoundPlan], n_k: int, master_seed, trials
     if n_k == 0:
         return 0
 
-    def score(batch: range, u: np.ndarray, v: np.ndarray) -> int:
+    def score(batch: range, uv: np.ndarray) -> int:
         # x^2 + y^2 = (u^2 + v^2) / 2
-        ends = zip(u[:, -1].tolist(), v[:, -1].tolist())
-        return max(math.isqrt((su * su + sv * sv) // 2) + 1 for su, sv in ends)
+        return max(math.isqrt((su * su + sv * sv) // 2) + 1 for su, sv in uv[:, -1].tolist())
 
     # substream tag 102: realized-radius probes for round len(plan_rounds)
     seed = (master_seed, 102, len(plan_rounds))
@@ -587,8 +588,8 @@ def evaluate_plan(
         raise ParameterError("plan has no rounds to evaluate")
     bounds = [(rp.n_start, rp.n_end) for rp in plan.rounds]
 
-    def score(batch: range, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.array([_hits(u[:, lo:hi], v[:, lo:hi], 0, 0) for lo, hi in bounds])
+    def score(batch: range, uv: np.ndarray) -> np.ndarray:
+        return np.array([_hits(uv[:, lo:hi], 0, 0) for lo, hi in bounds])
 
     totals = _walk_trials(
         plan.n_end, lambda: _plan_steps(plan.rounds), trials, master_seed, score, workers=workers

@@ -276,12 +276,11 @@ def map_trial_chunks(
     """Apply ``chunk_fn`` to chunks of trial indices and combine in chunk order.
 
     Each trial's randomness comes from its own substream, so the chunk layout
-    and the worker count cannot change the combined result.
+    and the worker count cannot change the combined result.  ``workers`` is
+    checked by the caller, :func:`radwalk.walk._walk_trials`.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    if workers < 1:
-        raise ParameterError("workers must be >= 1")
     chunks = chunk_ranges(trials)
     if workers == 1 or len(chunks) == 1:
         parts = [chunk_fn(c) for c in chunks]

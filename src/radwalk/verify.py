@@ -41,7 +41,7 @@ from . import rng as _rng
 from .errors import ParameterError, PreconditionError
 from .rng import ConfidenceInterval, json_encode, wilson_interval
 from .sequences import INT64_STEP_SUM, _int_param
-from .walk import _hits, _walk_trials
+from .walk import _hits, _walk_trials, _workers_param
 
 #: Value assigned to the log potential at the origin.
 ORIGIN_POTENTIAL = -5.0
@@ -482,7 +482,7 @@ def hitting_time_experiment(
     if r > 1 << 21 or math.floor(float(r) ** 3) > INT64_STEP_SUM:
         raise ParameterError(f"horizon floor(r^3) exceeds 2**62 steps, r = {r}")
     step, trials = _int_param(step, "step"), _int_param(trials, "trials")
-    workers = _int_param(workers, "workers")
+    workers = _workers_param(workers)
     if step < 1:
         raise ParameterError("step must be a positive integer")
     if trials < 1:
@@ -511,11 +511,11 @@ def hitting_time_experiment(
         origin[t] = (-(x0 + y0), -(x0 - y0))
         return gen.integers(0, _rng.NUM_DIRECTIONS, size=horizon, dtype=np.int64)
 
-    def score(batch: range, u: np.ndarray, v: np.ndarray) -> int:
+    def score(batch: range, uv: np.ndarray) -> int:
         if ring is None:
-            return _hits(u, v, -start_units, -start_units)
+            return _hits(uv, -start_units, -start_units)
         tuv = np.array([origin.pop(t) for t in batch])
-        return _hits(u, v, tuv[:, :1], tuv[:, 1:])  # one target per row
+        return _hits(uv, tuv[:, :1], tuv[:, 1:])  # one target per row
 
     successes = trials if at_origin else _walk_trials(
         horizon, lambda: np.ones(horizon, dtype=np.int64), trials, master_seed, score,

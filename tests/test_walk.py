@@ -349,9 +349,9 @@ class TestRotatedKernel:
         one = range(trial, trial + 1)
         batches = list(wk.rotated_paths(steps, one, lambda t: reader.codes(t, n)))
         assert len(batches) == 1
-        batch, u, v = batches[0]
+        batch, uv = batches[0]
         assert batch == range(trial, trial + 1)
-        got = [((a + b) // 2, (a - b) // 2) for a, b in zip(u[0].tolist(), v[0].tolist())]
+        got = [((a + b) // 2, (a - b) // 2) for a, b in uv[0].tolist()]
         assert got == [rec.position_at(k) for k in range(1, n + 1)]
 
     @pytest.mark.parametrize(
@@ -361,6 +361,7 @@ class TestRotatedKernel:
             ([3, 1, 4, 1, 5, 9, 2], np.int64, 1 << 16, range(4)),  # one batch of four rows
             ([2**62, 1, 3], object, 7, range(5)),  # two rows a batch
             ([Fraction(1, 2), Fraction(1, 3), 2, Fraction(5, 7)], object, 9, range(1, 8)),
+            ([2**30 - 9, 1, 4, 1, 5], np.int32, 15, range(3, 9)),  # int32, 3 rows a batch
         ],
     )
     def test_matches_step_by_step_walk(self, monkeypatch, values, dtype, batch_steps, trials):
@@ -370,10 +371,11 @@ class TestRotatedKernel:
         reader = rw.TrialStream(17).reader()
         moves = {0: (1, 0), 1: (-1, 0), 2: (0, 1), 3: (0, -1)}
         seen = []
-        for batch, u, v in wk.rotated_paths(steps, trials, lambda t: reader.codes(t, n)):
+        for batch, uv in wk.rotated_paths(steps, trials, lambda t: reader.codes(t, n)):
             assert len(batch) <= max(1, batch_steps // n)
-            assert u.shape == v.shape == (len(batch), n)
-            assert u.dtype == v.dtype == steps.dtype
+            assert uv.shape == (len(batch), n, 2)
+            assert uv.dtype == steps.dtype
+            u, v = uv[..., 0], uv[..., 1]
             for r, t in enumerate(batch):
                 x = y = 0
                 want_u, want_v = [], []
@@ -411,9 +413,9 @@ class TestRotatedKernel:
         assert outputs() == batched
 
 
-def _ends(batch, u, v):
+def _ends(batch, uv):
     """Per trial of a batch: (trial, u, v) after its last step."""
-    return list(zip(batch, u[:, -1].tolist(), v[:, -1].tolist()))
+    return [(t, u, v) for t, (u, v) in zip(batch, uv[:, -1].tolist())]
 
 
 def _concat(parts):
@@ -448,7 +450,7 @@ class TestTrialDriver:
         monkeypatch.setattr(wk, "BATCH_STEPS", 7 * 50)
         want = max(abs(u) for u, _ in self.reference_ends(12))
         got = wk._walk_trials(
-            7, self.steps, self.TRIALS, 12, lambda b, u, v: int(np.abs(u[:, -1]).max()),
+            7, self.steps, self.TRIALS, 12, lambda b, uv: int(np.abs(uv[:, -1, 0]).max()),
             workers=workers, combine=max,
         )
         assert got == want
@@ -536,6 +538,101 @@ class TestTrialDriver:
         called = {getattr(n.func, "id", getattr(n.func, "attr", "")) for n in ast.walk(tree) if isinstance(n, ast.Call)}
         assert "scaled_ints" not in called and "lattice" in called
 
+
+INT32_EDGE = [1 << 29] * 3 + [(1 << 29) - 1]  # sums to 2**31 - 1: the last int32 walk
+INT64_EDGE = [1 << 29] * 4  # sums to 2**31: walks on int64
+
+
+def _reference_successes(values, seed, trials, target):
+    """Trials visiting ``target`` at some step, walked in Python ints from the
+    reference direction codes."""
+    moves = {0: (1, 0), 1: (-1, 0), 2: (0, 1), 3: (0, -1)}
+    hits = 0
+    for t in range(trials):
+        x = y = 0
+        seen = False
+        for a, c in zip(values, rw.direction_codes(seed, t, len(values)).tolist()):
+            x, y = x + a * moves[c][0], y + a * moves[c][1]
+            seen = seen or (x, y) == target
+        hits += seen
+    return hits
+
+
+class TestInt32Positions:
+    """Walks whose steps sum below 2**31 run on int32 positions; the hit test
+    must count exactly what exact arithmetic counts, on both sides of the edge."""
+
+    TRIALS = 600
+
+    @pytest.mark.parametrize("values", [INT32_EDGE, INT64_EDGE])
+    @pytest.mark.parametrize("target", ["origin", "two steps", "far end"])
+    def test_hits_match_a_python_walk(self, values, target):
+        at = {"origin": (0, 0), "two steps": (1 << 29, -(1 << 29)), "far end": (sum(values), 0)}[target]
+        seq = sq.make_sequence("explicit-list", values=values)
+        want = _reference_successes(values, 41, self.TRIALS, at)
+        assert want > 0  # the far end (every step +e1) comes about once in 256 trials
+        got = wk.monte_carlo_return(seq, len(values), self.TRIALS, 41, at).successes
+        assert got == want
+
+    def test_target_outside_int32_is_never_hit(self):
+        # rotated u of (2**31, 2**31) is 2**32, which wraps to 0 in int32, v is 0
+        seq = sq.make_sequence("explicit-list", values=INT32_EDGE)
+        assert _reference_successes(INT32_EDGE, 42, self.TRIALS, (0, 0)) > 0
+        assert wk.monte_carlo_return(seq, 4, self.TRIALS, 42, (1 << 31, 1 << 31)).successes == 0
+        assert wk.monte_carlo_return(seq, 4, self.TRIALS, 42, (1 << 62, -(1 << 62))).successes == 0
+
+    @pytest.mark.parametrize("tu, tv", [(0, 0), (3, -1), (-(1 << 31), 0), (1 << 31, 0), (1 << 70, 0)])
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, object])
+    def test_hits_agree_across_dtypes(self, dtype, tu, tv):
+        uv = np.array([[[1, 1], [3, -1], [0, 0]], [[0, 0], [0, 1], [2, 2]]], dtype=dtype)
+        for paths in (uv, uv[:, 1:]):  # whole rows, and a slice of the steps as evaluate_plan takes
+            want = sum([tu, tv] in row for row in paths.tolist())
+            assert wk._hits(paths, tu, tv) == want
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_one_target_per_row(self, dtype):
+        uv = np.array([[[1, 1], [3, -1]], [[0, 0], [0, 1]], [[5, 5], [0, 0]]], dtype=dtype)
+        targets = np.array([[3, -1], [3, -1], [1 << 32, 0]])
+        assert wk._hits(uv, targets[:, :1], targets[:, 1:]) == 1
+
+    def test_kernel_gets_int32_steps_exactly_below_2_to_31(self, monkeypatch):
+        """A guard on the fast path: Monte Carlo walks narrow their steps to
+        int32 when, and only when, they sum below 2**31; a streamed walk
+        always gets int64."""
+        seen = []
+        kernel = wk.rotated_paths
+
+        def spy(steps, trials, codes_of):
+            seen.append(steps.dtype)
+            return kernel(steps, trials, codes_of)
+
+        monkeypatch.setattr(wk, "rotated_paths", spy)
+        for values, want in [(INT32_EDGE, np.int32), (INT64_EDGE, np.int64)]:
+            seq = sq.make_sequence("explicit-list", values=values)
+            seen.clear()
+            wk.monte_carlo_return(seq, 4, 300, 0)
+            assert seen == [want] * 2  # one call per chunk of trials
+            seen.clear()
+            wk.simulate(seq, 4, 0)
+            assert seen == [np.int64]
+        seen.clear()
+        vf.hitting_time_experiment(2, trials=5, master_seed=0)
+        assert seen == [np.int32]
+
+
+@pytest.mark.parametrize("workers", [0, -1, 2.5, True])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda w: vf.hitting_time_experiment(0, trials=3, workers=w),  # starts at the origin
+        lambda w: cn.estimate_N0(cn.positive_bezout(2, 3), 10**4, trials=3, workers=w),  # over budget
+        lambda w: wk.monte_carlo_return(CONST1, 3, 5, 0, workers=w),
+    ],
+    ids=["hitting_at_origin", "estimate_N0_over_budget", "monte_carlo_return"],
+)
+def test_workers_checked_before_any_shortcut(run, workers):
+    with pytest.raises(ParameterError, match="^workers must be"):
+        run(workers)
 
 class TestExports:
     def test_trajectory_csv_schema(self):

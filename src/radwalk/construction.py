@@ -588,8 +588,10 @@ def evaluate_plan(
         raise ParameterError("plan has no rounds to evaluate")
     bounds = [(rp.n_start, rp.n_end) for rp in plan.rounds]
 
+    origin = np.zeros(2, dtype=np.int64)
+
     def score(batch: range, uv: np.ndarray) -> np.ndarray:
-        return np.array([_hits(uv[:, lo:hi], 0, 0) for lo, hi in bounds])
+        return np.array([_hits(uv[:, lo:hi], origin) for lo, hi in bounds])
 
     totals = _walk_trials(
         plan.n_end, lambda: _plan_steps(plan.rounds), trials, master_seed, score, workers=workers

@@ -511,11 +511,12 @@ def hitting_time_experiment(
         origin[t] = (-(x0 + y0), -(x0 - y0))
         return gen.integers(0, _rng.NUM_DIRECTIONS, size=horizon, dtype=np.int64)
 
+    axis_origin = np.array([-start_units, -start_units])
+
     def score(batch: range, uv: np.ndarray) -> int:
         if ring is None:
-            return _hits(uv, -start_units, -start_units)
-        tuv = np.array([origin.pop(t) for t in batch])
-        return _hits(uv, tuv[:, :1], tuv[:, 1:])  # one target per row
+            return _hits(uv, axis_origin)
+        return _hits(uv, np.array([origin.pop(t) for t in batch]))  # one target per row
 
     successes = trials if at_origin else _walk_trials(
         horizon, lambda: np.ones(horizon, dtype=np.int64), trials, master_seed, score,

@@ -206,34 +206,38 @@ def rotated_paths(
         yield batch, b
 
 
-def _hits(uv: np.ndarray, tu, tv) -> int:
+def _hits(uv: np.ndarray, target: np.ndarray) -> int:
     """The number of paths (rows of a :func:`rotated_paths` ``uv``) that pass
-    through the rotated point ``(tu, tv)``: scalars, or one target per row as
-    columns.
+    through the rotated point ``target``: a ``(2,)`` array ``(tu, tv)``, or one
+    such row per path as a ``(rows, 2)`` array, int64 or exact objects.
 
     A compare on ``uv[..., 0]`` alone reads every other element, and costs
-    3-4 times one on contiguous data, so the common cases avoid it:
+    3-4 times one on contiguous data, so neither case makes one:
 
     - int32 positions: each ``(u, v)`` pair is one int64 word, compared with
       the target packed the same way (65 paths x 1000 steps: 0.118 -> 0.015
       ms, 1 x 49152: 0.089 -> 0.013 ms; best of 60-80, numpy 2.4.6, 2-vCPU
-      host).  A target outside int32 is never on such a path
-      (``|u|, |v| < 2**31``), and counts no hit, where packing would wrap it;
-      ``key`` packs 0 for it and ``inside`` drops its row.
-    - int64 positions, target at the origin: one compare of the whole buffer
-      with 0, each step's pair of bools read as one uint16, both true when it
-      is 0x0101 (1 x 10**5: 0.185 -> 0.062 ms).
-    - any other case (int64 off the origin, exact objects): a compare per
-      coordinate.
+      host).  Packing would wrap a coordinate outside int32, so it packs
+      ``-2**31`` instead, which no int32 walk reaches (``|u|, |v| <= sum(a)
+      < 2**31``).
+    - int64 or exact positions: one compare of the whole buffer, each step's
+      pair of bools read as one uint16, both true when it is 0x0101.  A
+      target with ``tu == tv`` (the origin) is compared as a scalar; any other
+      is repeated along the steps first, as a ``(2,)`` target broadcast over
+      the pairs runs numpy's inner loop two elements at a time, 3-6 times
+      slower (1 x 10**5 at the origin: 0.062 ms, against 0.185 ms coordinate
+      by coordinate and 0.66 ms broadcast; off the diagonal at 65 x 1000:
+      0.08 ms, against 0.20 ms coordinate by coordinate).  numpy compares
+      mixed dtypes without wrapping.
     """
+    t = target
     if uv.dtype == np.int32:
-        t = np.hstack([tu, tv])  # (2,) for a scalar target, (rows, 2) for columns
-        inside = ((t > -(1 << 31)) & (t < 1 << 31)).all(axis=-1)
-        key = (t * inside[..., None]).astype(np.int32).view(np.int64)
-        return int(((uv.view(np.int64)[..., 0] == key).any(axis=1) & inside).sum())
-    if uv.dtype == np.int64 and np.ndim(tu) == 0 and tu == tv == 0:
-        return int(((uv == 0).view(np.uint16)[..., 0] == 0x0101).any(axis=1).sum())
-    return int(((uv[..., 0] == tu) & (uv[..., 1] == tv)).any(axis=1).sum())
+        t = np.where((t > -(1 << 31)) & (t < 1 << 31), t, -(1 << 31)).astype(np.int32)
+        key = t.view(np.int64)  # (1,), or (rows, 1)
+        return int((uv.view(np.int64)[..., 0] == key).any(axis=1).sum())
+    rows, n = uv.shape[:2]
+    key = t[0] if t.ndim == 1 and t[0] == t[1] else np.tile(t, n)
+    return int(((uv.reshape(rows, 2 * n) == key).view(np.uint16) == 0x0101).any(axis=1).sum())
 
 
 def _workers_param(workers) -> int:
@@ -430,9 +434,11 @@ def monte_carlo_return(
     walked, scale = seq.lattice(n)
     tu, tv = (Fraction(t) * scale for t in (target[0] + target[1], target[0] - target[1]))
     on_lattice = tu.denominator == tv.denominator == 1
+    wide = max(abs(tu), abs(tv)) >= 1 << 63  # int64 would not hold it
+    point = np.array([int(tu), int(tv)], dtype=object if wide else np.int64)
     successes = _walk_trials(
         n, lambda: walked, trials, master_seed,
-        lambda batch, uv: _hits(uv, int(tu), int(tv)) if on_lattice else 0, workers=workers,
+        lambda batch, uv: _hits(uv, point) if on_lattice else 0, workers=workers,
     )
     ci = wilson_interval(successes, trials, level)
     params = {"horizon": n, "target": list(target), "sequence": seq.to_config()}

@@ -579,21 +579,24 @@ class TestInt32Positions:
         seq = sq.make_sequence("explicit-list", values=INT32_EDGE)
         assert _reference_successes(INT32_EDGE, 42, self.TRIALS, (0, 0)) > 0
         assert wk.monte_carlo_return(seq, 4, self.TRIALS, 42, (1 << 31, 1 << 31)).successes == 0
-        assert wk.monte_carlo_return(seq, 4, self.TRIALS, 42, (1 << 62, -(1 << 62))).successes == 0
+        for far in [(1 << 62, -(1 << 62)), (-(1 << 62), -(1 << 62)), (1 << 63, 0)]:
+            assert wk.monte_carlo_return(seq, 4, self.TRIALS, 42, far).successes == 0
 
-    @pytest.mark.parametrize("tu, tv", [(0, 0), (3, -1), (-(1 << 31), 0), (1 << 31, 0), (1 << 70, 0)])
+    @pytest.mark.parametrize(
+        "tu, tv", [(0, 0), (2, 2), (3, -1), (-(1 << 31), 0), (1 << 31, 0), (1 << 70, 0)]
+    )
     @pytest.mark.parametrize("dtype", [np.int32, np.int64, object])
     def test_hits_agree_across_dtypes(self, dtype, tu, tv):
         uv = np.array([[[1, 1], [3, -1], [0, 0]], [[0, 0], [0, 1], [2, 2]]], dtype=dtype)
         for paths in (uv, uv[:, 1:]):  # whole rows, and a slice of the steps as evaluate_plan takes
             want = sum([tu, tv] in row for row in paths.tolist())
-            assert wk._hits(paths, tu, tv) == want
+            assert wk._hits(paths, np.array([tu, tv])) == want
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     def test_one_target_per_row(self, dtype):
         uv = np.array([[[1, 1], [3, -1]], [[0, 0], [0, 1]], [[5, 5], [0, 0]]], dtype=dtype)
         targets = np.array([[3, -1], [3, -1], [1 << 32, 0]])
-        assert wk._hits(uv, targets[:, :1], targets[:, 1:]) == 1
+        assert wk._hits(uv, targets) == 1
 
     def test_kernel_gets_int32_steps_exactly_below_2_to_31(self, monkeypatch):
         """A guard on the fast path: Monte Carlo walks narrow their steps to

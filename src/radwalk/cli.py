@@ -26,7 +26,7 @@ from . import sequences as _sequences
 from . import verify as _verify
 from . import walk as _walk
 from .errors import RadwalkError, ParameterError
-from .rng import RNG_ID, SEED_RULE_ID, json_encode
+from .rng import RNG_ID, SEED_RULE_ID, json_decode, json_encode
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -43,15 +43,18 @@ class RunConfig:
     command: str
     args: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"command": self.command, "args": dict(self.args)}
+    to_dict = json_encode
+    from_dict = classmethod(json_decode)  # a command string and an optional args object
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        extra = set(data) - {"command", "args"}
-        if extra:
-            raise ParameterError(f"unknown config keys: {sorted(extra)}")
-        return cls(command=data["command"], args=dict(data.get("args", {})))
+
+def _from_json_file(path, flag: str, build):
+    """``build`` of the JSON value in the file ``path`` given by ``flag``: a
+    file that is not JSON, or a value ``build`` refuses, fails naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return build(json.load(fh))
+    except (UnicodeDecodeError, json.JSONDecodeError, ParameterError) as exc:
+        raise ParameterError(f"{flag} {path}: {exc}") from None
 
 
 def _int_list(text: str) -> list[int]:
@@ -94,8 +97,7 @@ def _sequence_from_args(args: dict) -> _sequences.StepSequence:
             raise ParameterError(f"--seq must be a JSON object: {exc}") from exc
         return _sequences.sequence_from_config(config)
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            return _sequences.sequence_from_config(json.load(fh))
+        return _from_json_file(path, "--seq-file", _sequences.sequence_from_config)
     return _sequences.load_explicit_list(lst)
 
 
@@ -317,9 +319,7 @@ def parse_config(argv: list[str]) -> RunConfig:
     flags = {_dest(f): kw for f, kw in _COMMANDS[command] + _GLOBAL_FLAGS}
     config_path = explicit.pop("config", None) or args.get("config")
     if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        file_cfg = RunConfig.from_dict(data)
+        file_cfg = _from_json_file(config_path, "--config", RunConfig.from_dict)
         if file_cfg.command != command:
             raise ParameterError(
                 f"config file is for {file_cfg.command!r}, not {command!r}"

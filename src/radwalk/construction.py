@@ -36,10 +36,10 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as _rng
-from .errors import CoprimalityError, ExhaustionError, ParameterError
+from .errors import CoprimalityError, ExhaustionError, ParameterError, _int_param
 from .rng import json_decode, json_encode, wilson_interval
 from .sequences import INT64_STEP_SUM, StepSequence, _data_lines
-from .walk import _hits, _walk_trials, _workers_param
+from .walk import _hits, _trial_params, _walk_trials
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,7 @@ def positive_bezout(b1: int, b2: int) -> BezoutPair:
     c2 zero (only for b1 == 1) the next solution c1 + b2 is taken, so both
     coefficients are always >= 1.
     """
-    if b1 < 1 or b2 < 1:
-        raise ParameterError("both integers must be >= 1")
+    b1, b2 = _int_param(b1, "b1", 1), _int_param(b2, "b2", 1)
     g = math.gcd(b1, b2)
     if g != 1:
         raise CoprimalityError(f"{b1} and {b2} are not coprime (gcd {g})", gcd=g)
@@ -96,13 +95,11 @@ class GoodSetPrefix:
     """A finite prefix of a candidate good set, with per-element used flags."""
 
     def __init__(self, elements: Sequence[int]):
-        elems = list(elements)
+        elems = [_int_param(e, f"elements[{i}]", 1) for i, e in enumerate(elements)]
         if not elems:
             raise ParameterError("the prefix must be nonempty")
         seen = set()
         for e in elems:
-            if not isinstance(e, int) or e < 1:
-                raise ParameterError(f"elements must be positive integers, got {e!r}")
             if e in seen:
                 raise ParameterError(f"elements must be distinct, {e} repeats")
             seen.add(e)
@@ -162,8 +159,8 @@ class GoodSetReport:
 
 def check_good_set(prefix: GoodSetPrefix, horizon: int | None = None) -> GoodSetReport:
     """Count, for each element, its coprime partners among the first ``horizon``."""
-    if horizon is not None and horizon < 1:
-        raise ParameterError(f"horizon must be >= 1, got {horizon}")
+    if horizon is not None:
+        horizon = _int_param(horizon, "horizon", 1)
     elems = prefix.elements if horizon is None else prefix.elements[:horizon]
     counts = []
     flagged = []
@@ -281,14 +278,13 @@ def estimate_N0(
     Wilson lower bound (at ``confidence``) of the hit-by-N probability is at
     least 1/2.
     """
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
-    if radius < 0:
-        raise ParameterError("radius must be >= 0")
-    if horizon_start < 1 or horizon_cap < horizon_start:
+    trials, workers = _trial_params(trials, master_seed, workers, confidence)
+    radius = _int_param(radius, "radius", 0)
+    horizon_start = _int_param(horizon_start, "horizon_start", 1)
+    horizon_cap = _int_param(horizon_cap, "horizon_cap", 1)
+    target_budget = _int_param(target_budget, "target_budget", 0)
+    if horizon_cap < horizon_start:
         raise ParameterError("need 1 <= horizon_start <= horizon_cap")
-    workers = _workers_param(workers)
-    _rng.TrialStream(master_seed)  # the seed fails by name before any shortcut
     grid = _doubling_grid(horizon_start, horizon_cap)
     common = dict(
         pair=pair, radius=radius, confidence=confidence, trials=trials,
@@ -486,12 +482,12 @@ def build_recurrent_sequence(
     run uses each element finitely many times.  The plan is only marked
     certified when every round certified.
     """
-    if rounds < 0:
-        raise ParameterError("rounds must be >= 0")
+    trials, workers = _trial_params(trials, master_seed, workers, confidence)
+    rounds = _int_param(rounds, "rounds", 0)
     if radius_mode not in ("coarse", "realized"):
         raise ParameterError("radius_mode must be 'coarse' or 'realized'")
-    if radius_mode == "realized" and radius_trials < 1:
-        raise ParameterError(f"radius_trials must be >= 1 in realized mode, got {radius_trials}")
+    if radius_mode == "realized":
+        radius_trials = _int_param(radius_trials, "radius_trials", 1)
     plan_rounds: list[RoundPlan] = []
     n = 0
     alpha = 0
@@ -582,8 +578,7 @@ def evaluate_plan(
 ) -> PlanEvaluation:
     """Simulate fresh walks over the whole constructed prefix and count, per
     round, the walks with S_n = 0 for some n in (n_start, n_end]."""
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
+    trials, workers = _trial_params(trials, master_seed, workers, level)
     if not plan.rounds:
         raise ParameterError("plan has no rounds to evaluate")
     bounds = [(rp.n_start, rp.n_end) for rp in plan.rounds]

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one rule for counts."""
+
+import numbers
 
 
 class RadwalkError(Exception):
@@ -7,6 +9,18 @@ class RadwalkError(Exception):
 
 class ParameterError(RadwalkError, ValueError):
     """A parameter violates its documented domain; message names the constraint."""
+
+
+def _int_param(value, name: str, low: int | None = None) -> int:
+    """``value`` as an int of at least ``low``: every count the package takes
+    (a horizon, a trial count, an index, a modulus, a radius) passes here once,
+    where it enters.  A bool, a non-integer (numpy ints pass) or a smaller value
+    fails by name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ParameterError(f"{name} must be >= {low}, got {value!r}")
+    return int(value)
 
 
 class PreconditionError(RadwalkError):

@@ -36,9 +36,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError, PreconditionError, SupportBudgetError
+from .errors import ParameterError, PreconditionError, SupportBudgetError, _int_param
 from .rng import json_encode
-from .sequences import _fraction_param, _int_param, _positive_steps, int_if_whole, scaled_ints
+from .sequences import _fraction_param, _positive_steps, int_if_whole, scaled_ints
 
 #: Cap on the exact support points a single computation may allocate; a 1-D
 #: law's points count once per 64-bit limb of a packed slot (one below 64 steps).
@@ -218,11 +218,9 @@ def mod_probability(d: Sequence, m: int, residue: int, *, method: str = "auto") 
     the full support would be large.
     """
     ints = _int_steps_only(d)
-    m, residue = _int_param(m, "modulus m"), _int_param(residue, "residue")
-    if m < 1:
-        raise ParameterError("modulus m must be >= 1")
-    if not 0 <= residue < m:
-        raise ParameterError("residue must lie in [0, m)")
+    m, residue = _int_param(m, "modulus m", 1), _int_param(residue, "residue", 0)
+    if residue >= m:
+        raise ParameterError(f"residue must lie in [0, m), got {residue} with m = {m}")
     if method not in ("auto", "residue", "full"):
         raise ParameterError("method must be one of auto|residue|full")
     if method == "auto":
@@ -242,9 +240,7 @@ def mod_probability_profile(d: Sequence, m: int) -> list[Fraction]:
     folded back onto the first ones, and a last rotation by ``-sum(d)``.
     """
     ints = _int_steps_only(d)
-    m = _int_param(m, "modulus m")
-    if m < 1:
-        raise ParameterError("modulus m must be >= 1")
+    m = _int_param(m, "modulus m", 1)
     _check_support(m, len(ints) // 64 + 1)
     bits = 64 * (len(ints) // 64 + 1)
     mask = (1 << (bits * m)) - 1
@@ -273,7 +269,7 @@ def sup_pmf_running(k_max: int) -> list[Fraction]:
     """``sup_pmf(range(1, k + 1))`` for k = 1..k_max, from one running product:
     the law of the steps 1..k is symmetric and unimodal (Stanley, SIAM J.
     Algebraic Discrete Methods 1, 1980), so its largest mass is at 0 or 1."""
-    k_max = _int_param(k_max, "k_max")
+    k_max = _int_param(k_max, "k_max", 0)
     laws = enumerate(_running_laws(range(1, k_max + 1), k_max), 1)
     return [Fraction(_weight_at(packed, span, span & 1, k_max), 1 << k) for k, (packed, span) in laws]
 
@@ -329,9 +325,7 @@ def hit_probability_2d(a: Sequence, target: tuple[int, int], horizon: int) -> Fr
     return row per phase serves every start of that phase (aperiodic steps:
     p = horizon).  The position at step 0 does not count as a visit.
     """
-    horizon = _int_param(horizon, "horizon")
-    if horizon < 0:
-        raise ParameterError("horizon must be >= 0")
+    horizon = _int_param(horizon, "horizon", 0)
     steps_list = list(a)
     ints, scale = scaled_ints(_positive_steps(steps_list, "a")) if steps_list else ([], 1)
     _check_support((2 * sum(ints[:horizon]) + 1) ** 2)  # the steps walked

@@ -39,7 +39,7 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _int_param
 
 RNG_ID = "numpy-philox4x64"
 SEED_RULE_ID = "philox-counter-v1:trial[i]=Philox(key=seedseq(master),counter=(0,i,0,0))"
@@ -72,8 +72,7 @@ def trial_generator(master_seed, trial: int) -> np.random.Generator:
     ``master_seed`` may be a non-negative int or a tuple of ints (used to
     derive per-round or per-purpose substreams).
     """
-    if trial < 0:
-        raise ParameterError("trial index must be >= 0")
+    trial = _int_param(trial, "trial", 0)
     key = _philox_key(master_seed)
     bitgen = np.random.Philox(key=key, counter=[0, trial, 0, 0])
     return np.random.Generator(bitgen)
@@ -81,8 +80,7 @@ def trial_generator(master_seed, trial: int) -> np.random.Generator:
 
 def direction_codes(master_seed, trial: int, n: int) -> np.ndarray:
     """Direction codes (0..3) for steps 1..n of one trial's walk."""
-    if n < 0:
-        raise ParameterError("horizon must be >= 0")
+    n = _int_param(n, "horizon", 0)
     gen = trial_generator(master_seed, trial)
     return gen.integers(0, NUM_DIRECTIONS, size=n, dtype=np.int64)
 
@@ -121,8 +119,7 @@ class CodeReader:
         self.generator = np.random.Generator(self._bitgen)
 
     def seek(self, trial: int) -> None:
-        if trial < 0:
-            raise ParameterError("trial index must be >= 0")
+        """Move to trial ``trial``, an int >= 0 its caller has checked."""
         self._counter[1] = trial
         self._bitgen.state = self._state
 
@@ -240,8 +237,7 @@ class ConfidenceInterval:
 
 def wilson_interval(successes: int, trials: int, level: float = 0.95) -> ConfidenceInterval:
     """Two-sided Wilson score interval for a binomial proportion."""
-    if trials <= 0:
-        raise ParameterError("trials must be >= 1")
+    trials = _int_param(trials, "trials", 1)
     if not 0 <= successes <= trials:
         raise ParameterError("successes must lie in [0, trials]")
     if not 0.0 < level < 1.0:
@@ -276,11 +272,9 @@ def map_trial_chunks(
     """Apply ``chunk_fn`` to chunks of trial indices and combine in chunk order.
 
     Each trial's randomness comes from its own substream, so the chunk layout
-    and the worker count cannot change the combined result.  ``workers`` is
-    checked by the caller, :func:`radwalk.walk._walk_trials`.
+    and the worker count cannot change the combined result.  ``trials`` and
+    ``workers`` are ints >= 1, checked by :func:`radwalk.walk._trial_params`.
     """
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
     chunks = chunk_ranges(trials)
     if workers == 1 or len(chunks) == 1:
         parts = [chunk_fn(c) for c in chunks]

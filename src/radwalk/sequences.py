@@ -18,7 +18,9 @@ one exact array of the prefix scaled to integers: int64 when every product a
 scan forms fits, an object array of the same Python ints otherwise, so no
 comparison is ever rounded.  That conversion, or a family's closed form, also
 gives :meth:`StepSequence.lattice`, the integer steps of every walk, and
-:func:`_positive_steps` checks every step list the package is given.
+:func:`_positive_steps` checks every step list the package is given.  Every
+count (an index, a horizon, a prefix length, a bit budget) is checked once by
+:func:`radwalk.errors._int_param` where it enters, and not again per index.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .errors import (
     OverflowRefusal,
     ParameterError,
     PreconditionError,
+    _int_param,
 )
 from .rng import json_encode
 
@@ -116,13 +119,6 @@ def _fraction_param(value, name: str) -> Fraction:
         raise ParameterError(f"{name} must be a rational number, got {value!r}") from exc
 
 
-def _int_param(value, name: str) -> int:
-    """``value`` as an int; anything else, a bool included, fails by name."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _positive_steps(values: Iterable, what: str) -> list[Number]:
     """The step sizes ``values`` as exact ints and Fractions; the first one that
     is not a rational > 0, or an empty list, fails by name as ``what[i]``."""
@@ -161,8 +157,7 @@ class StepSequence:
         self._lattice = lattice  # the closed form of lattice(n), or None where it does not apply
 
     def value(self, n: int) -> Number:
-        if n < 1:
-            raise ParameterError("sequence indices start at 1")
+        n = _int_param(n, "n", 1)
         if self.length is not None and n > self.length:
             raise ParameterError(
                 f"index {n} is beyond this sequence's length {self.length}"
@@ -172,17 +167,30 @@ class StepSequence:
     __call__ = value
 
     def prefix(self, n: int) -> list[Number]:
+        """``[a_1, ..., a_n]``, empty for ``n <= 0``.  All n slots of the list
+        are allocated before any term is computed, so an ``n`` too large for
+        memory fails at once, by name."""
+        n = max(_int_param(n, "n"), 0)
         if self._values is not None and n <= len(self._values):
-            return list(self._values[: max(n, 0)])
-        if self._runs is None or (self.length is not None and n > self.length):
-            return [self.value(i) for i in range(1, n + 1)]
+            return list(self._values[:n])
+        if self.length is not None and n > self.length:
+            self.value(self.length + 1)  # raises, naming the first index past the end
+        try:
+            out: list = list(itertools.repeat(None, n))
+        except (MemoryError, OverflowError):
+            raise ParameterError(f"prefix length {n}: the list does not fit in memory") from None
+        if self._runs is None:
+            for i in range(n):
+                out[i] = self._evaluate(i + 1)
+            return out
         # one pass over the runs, each cut at what is still needed: a block
         # run reaches 2**(2**e) terms
-        out: list[Number] = []
-        runs = self._runs()
-        while len(out) < n:
+        runs, done = self._runs(), 0
+        while done < n:
             value, count = next(runs)
-            out.extend([value] * min(count, n - len(out)))
+            count = min(count, n - done)
+            out[done : done + count] = [value] * count
+            done += count
         return out
 
     def lattice(self, n: int) -> tuple[np.ndarray, int]:
@@ -190,8 +198,7 @@ class StepSequence:
         when their sum is at most :data:`INT64_STEP_SUM`, else Python ints in an
         object array.  ``scale`` is the lcm of their denominators (for
         real-power, ``2**precision_bits``): 1 exactly when every a_i is an int."""
-        if n < 0:
-            raise ParameterError("horizon must be >= 0")
+        n = _int_param(n, "horizon", 0)
         if self.length is not None and n > self.length:
             raise ParameterError(f"horizon {n} exceeds the sequence length {self.length}")
         if n == 0:
@@ -298,9 +305,7 @@ def make_sequence(family: str, **params) -> StepSequence:
         alpha = _fraction_param(params.get("alpha"), "alpha")
         if not 0 < alpha <= 1:
             raise ParameterError("alpha must lie in (0, 1]")
-        bits = params.get("precision_bits", 64)
-        if not isinstance(bits, int) or bits < 1:
-            raise ParameterError("precision_bits must be a positive int")
+        bits = _int_param(params.get("precision_bits", 64), "precision_bits", 1)
         p, q = alpha.numerator, alpha.denominator
 
         def scaled_root(n: int) -> int:
@@ -432,8 +437,7 @@ class RunLengthDecomposition:
 
 def run_length_decompose(seq: StepSequence, n: int) -> RunLengthDecomposition:
     """Decompose the first ``n`` values, which must be non-decreasing integers."""
-    if n < 1:
-        raise ParameterError("prefix length must be >= 1")
+    n = _int_param(n, "n", 1)
     vals = seq.prefix(n if seq.length is None else min(n, seq.length))
     A, scale = _exact_array(vals)
     # the first fault in index order: a value that is not whole, or one below
@@ -510,8 +514,7 @@ def extract_doubling_subsequence(
     supplied, the prefix must actually satisfy ``|a_{m+1} - a_m| <= C``.
     Sequences that never double produce the trivial certificate ``(n,)``.
     """
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    n = _int_param(n, "n", 1)
     vals = seq.prefix(n)
     # The scan compares s * a_j as integers, s being the lcm of the
     # denominators of the values and, once C is known, of C; 2 * A fits the
@@ -593,8 +596,7 @@ def check_rs_monotone(seq: StepSequence, r, s, n_max: int) -> MonotonicityReport
     rf, sf = _fraction_param(r, "r"), _fraction_param(s, "s")
     if rf < 1 or sf < 1:
         raise ParameterError("r and s must both be >= 1")
-    if n_max < 2:
-        raise ParameterError("n_max must be >= 2")
+    n_max = _int_param(n_max, "n_max", 2)
     # a_n > s * a_m compares as q * A_n > p * A_m, with s = p/q and the A the
     # values scaled to ints; p >= q bounds both products
     A, _ = _exact_array(seq.prefix(n_max), sf.numerator)
@@ -657,8 +659,9 @@ class SubBlockLength:
 
 def sub_block_length(k: int, i: int, *, max_bits: int = 64) -> SubBlockLength:
     """Exact length of sub-block (k, i): 2**(2**(k*k + i - 1))."""
-    if k < 1 or not 1 <= i <= k:
-        raise ParameterError("require k >= 1 and 1 <= i <= k")
+    k, i, max_bits = _int_param(k, "k", 1), _int_param(i, "i", 1), _int_param(max_bits, "max_bits")
+    if i > k:
+        raise ParameterError(f"i must be <= k = {k}, got {i}")
     e = k * k + i - 1
     exponent = 1 << e
     materializable = exponent <= max_bits
@@ -709,10 +712,7 @@ def explicit_block_sequence(
     """
     if scale not in ("exact", "scaled"):
         raise ParameterError("scale must be 'exact' or 'scaled'")
-    if type(exponent_bit_budget) is not int or exponent_bit_budget < 0:
-        raise ParameterError(
-            f"exponent_bit_budget must be an int >= 0, got {exponent_bit_budget!r}"
-        )
+    exponent_bit_budget = _int_param(exponent_bit_budget, "exponent_bit_budget", 0)
     if type(require_squared_growth) is not bool:
         raise ParameterError(
             f"require_squared_growth must be true or false, got {require_squared_growth!r}"
@@ -726,10 +726,7 @@ def explicit_block_sequence(
         g = growth or default_scaled_growth
 
         def length_of(k: int, i: int) -> int:
-            L = g(k, i)
-            if not isinstance(L, int) or L < 1:
-                raise ParameterError(f"growth({k},{i}) must be a positive int, got {L!r}")
-            return L
+            return _int_param(g(k, i), f"growth({k},{i})", 1)
 
         params = {
             "scale": "scaled",

@@ -38,10 +38,10 @@ import numpy as np
 
 from . import exact as _exact
 from . import rng as _rng
-from .errors import ParameterError, PreconditionError
+from .errors import ParameterError, PreconditionError, _int_param
 from .rng import ConfidenceInterval, json_encode, wilson_interval
-from .sequences import INT64_STEP_SUM, _int_param
-from .walk import _hits, _walk_trials, _workers_param
+from .sequences import INT64_STEP_SUM
+from .walk import _hits, _trial_params, _walk_trials
 
 #: Value assigned to the log potential at the origin.
 ORIGIN_POTENTIAL = -5.0
@@ -250,15 +250,22 @@ def _orbit_quotients(d: np.ndarray, e: np.ndarray) -> np.ndarray:
 def verify_supermartingale(radius: int) -> DriftGridReport:
     """Check Delta <= 0 (exactly) and the two-route agreement on the grid.
 
-    A violation makes the report fail; nothing raises.
+    A violation makes the report fail; nothing raises but a radius outside
+    1..:data:`DRIFT_RADIUS_CAP`, or one whose tables do not fit in memory.
     """
-    radius = _int_param(radius, "radius")
-    if radius < 1:
-        raise ParameterError("radius must be >= 1")
+    radius = _int_param(radius, "radius", 1)
     if radius > DRIFT_RADIUS_CAP:
         raise ParameterError(
             f"radius {radius} exceeds {DRIFT_RADIUS_CAP}, the largest whose d^2 and E^2 fit in int64"
         )
+    try:
+        return _drift_grid(radius)
+    except MemoryError:
+        raise ParameterError(f"radius {radius}: the drift tables do not fit in memory") from None
+
+
+def _drift_grid(radius: int) -> DriftGridReport:
+    """The report of :func:`verify_supermartingale` at a checked radius."""
     # Every table is on the quadrant 0 <= x, y.  The direct value at (-x, y) is
     # the one at (x, y), whose sum only swaps its first two terms there, so the
     # direct route covers the half-plane x >= 0: the quadrant's points for
@@ -474,6 +481,7 @@ def hitting_time_experiment(
     is also computed by :func:`radwalk.exact.hit_probability_2d` and returned
     for cross-checking.
     """
+    trials, workers = _trial_params(trials, master_seed, workers, level)
     if not math.isfinite(r):
         raise ParameterError(f"r must be finite, got {r}")
     if r < 0:
@@ -481,15 +489,9 @@ def hitting_time_experiment(
     # unit steps sum to the horizon; the first test keeps r**3 a finite float
     if r > 1 << 21 or math.floor(float(r) ** 3) > INT64_STEP_SUM:
         raise ParameterError(f"horizon floor(r^3) exceeds 2**62 steps, r = {r}")
-    step, trials = _int_param(step, "step"), _int_param(trials, "trials")
-    workers = _workers_param(workers)
-    if step < 1:
-        raise ParameterError("step must be a positive integer")
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
+    step = _int_param(step, "step", 1)
     if start_mode not in ("axis", "ring"):
         raise ParameterError("start_mode must be 'axis' or 'ring'")
-    _rng.TrialStream(master_seed)  # the seed fails by name, also when r = 0 needs no walk
     horizon = int(math.floor(float(r) ** 3))
     start_units = int(math.ceil(r))
     start = (start_units * step, 0)
@@ -571,9 +573,7 @@ def sup_pmf_trend(
     slope_cap: float = 0.1,
 ) -> SupPmfTrendReport:
     """Tabulate sup_z P(T_k = z) for steps (1..k), k = 1..k_max."""
-    k_max, k_floor = _int_param(k_max, "k_max"), _int_param(k_floor, "k_floor")
-    if k_max < 1:
-        raise ParameterError("k_max must be >= 1")
+    k_max, k_floor = _int_param(k_max, "k_max", 1), _int_param(k_floor, "k_floor")
     for name, cap in (("ratio_cap", ratio_cap), ("slope_cap", slope_cap)):
         if not math.isfinite(cap):
             raise ParameterError(f"{name} must be finite, got {cap}")

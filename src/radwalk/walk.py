@@ -29,6 +29,9 @@ that hit a point (:func:`_hits`).  That loop walks on int32 when the steps
 sum below ``2**31``, which bounds every ``|u|`` and ``|v|``, so the kernel
 moves half the bytes and :func:`_hits` compares each ``(u, v)`` pair as one
 64-bit word; :func:`simulate` stays on int64.
+
+Every Monte Carlo entry, here and in :mod:`radwalk.construction` and
+:mod:`radwalk.verify`, checks its request first, by :func:`_trial_params`.
 """
 
 from __future__ import annotations
@@ -41,9 +44,9 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import rng as _rng
-from .errors import ParameterError, PositionOverflowError
+from .errors import ParameterError, PositionOverflowError, _int_param
 from .rng import ConfidenceInterval, wilson_interval
-from .sequences import StepSequence, _int_param
+from .sequences import StepSequence
 
 @dataclass(frozen=True)
 class PositionPolicy:
@@ -58,8 +61,8 @@ class PositionPolicy:
     promote: bool = False
 
     def __post_init__(self):
-        if self.width_bits is not None and self.width_bits < 0:
-            raise ParameterError(f"width_bits must be >= 0, got {self.width_bits}")
+        if self.width_bits is not None:
+            object.__setattr__(self, "width_bits", _int_param(self.width_bits, "width_bits", 0))
 
     @property
     def bound(self) -> int | None:
@@ -240,12 +243,15 @@ def _hits(uv: np.ndarray, target: np.ndarray) -> int:
     return int(((uv.reshape(rows, 2 * n) == key).view(np.uint16) == 0x0101).any(axis=1).sum())
 
 
-def _workers_param(workers) -> int:
-    """``workers`` as an int >= 1; anything else fails by name."""
-    workers = _int_param(workers, "workers")
-    if workers < 1:
-        raise ParameterError("workers must be >= 1")
-    return workers
+def _trial_params(trials, master_seed, workers, level: float) -> tuple[int, int]:
+    """``(trials, workers)`` of a Monte Carlo request, each an int >= 1; these,
+    the seed and the confidence ``level`` (as :func:`wilson_interval` reads
+    it) fail by name here, before any shortcut or walk."""
+    trials, workers = _int_param(trials, "trials", 1), _int_param(workers, "workers", 1)
+    _rng.TrialStream(master_seed)
+    if not 0.0 < level < 1.0:
+        raise ParameterError("confidence level must lie in (0, 1)")
+    return trials, workers
 
 
 def _walk_trials(
@@ -261,9 +267,9 @@ def _walk_trials(
 
     int64 steps summing below ``2**31`` walk as int32: every partial sum has
     ``|u_k|, |v_k| <= sum(steps)``, so int32 positions are exact, and they
-    halve the memory the kernel and the scores move.
+    halve the memory the kernel and the scores move.  ``trials`` and ``workers``
+    come checked, from :func:`_trial_params`.
     """
-    workers = _workers_param(workers)
     stream = _rng.TrialStream(master_seed)
     draw = codes_of or (lambda reader, t: reader.codes(t, n))
     try:
@@ -314,6 +320,7 @@ def simulate(
     When step ``i`` leaves the width, the visitor has seen exactly steps
     1..i-1 and :class:`PositionOverflowError` is raised with ``step=i``.
     """
+    trial = _int_param(trial, "trial", 0)
     walked, scale = seq.lattice(n)
     # Positions are Fractions from the first step whose value is not an int on:
     # a scale above 1 says there is one, and only a visitor needs to know where.
@@ -428,9 +435,7 @@ def monte_carlo_return(
 
     The walk runs on the steps' lattice ints; a target off that lattice is
     never visited."""
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
-    _rng.TrialStream(master_seed)  # the seed fails by name before the steps are built
+    trials, workers = _trial_params(trials, master_seed, workers, level)
     walked, scale = seq.lattice(n)
     tu, tv = (Fraction(t) * scale for t in (target[0] + target[1], target[0] - target[1]))
     on_lattice = tu.denominator == tv.denominator == 1

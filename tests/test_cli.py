@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -178,6 +179,46 @@ class TestExitCodes:
         assert run_cli(["simulate", "--seq", CONST1, "--n", str(10**12)]) == cli.EXIT_ERROR
         err = capsys.readouterr().err
         assert err == "radwalk: error: horizon 1000000000000: the step array does not fit in memory\n"
+
+    def test_unallocatable_prefix_fails_by_name(self, monkeypatch, capsys):
+        # 10**12 prefix slots need 7.3 TiB: the allocation is refused, not made
+        class NoRepeat:
+            def __getattr__(self, name):
+                return getattr(itertools, name)
+
+            def repeat(self, *args):
+                raise MemoryError
+
+        monkeypatch.setattr(sequences, "itertools", NoRepeat())
+        assert run_cli(["sequence", "make", "--seq", CONST1, "--n", str(10**12)]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "radwalk: error: prefix length 1000000000000: the list does not fit in memory\n"
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ('{"args": {}}', "missing keys ['command']"),
+            ("5", "got 5"),
+            ("not json", "Expecting value"),
+            ('{"command": "exact.mod", "args": [1]}', "RunConfig.args"),
+            ('{"command": 5, "args": {}}', "RunConfig.command"),
+        ],
+    )
+    def test_malformed_config_file_fails_by_name(self, tmp_path, capsys, text, named):
+        path = tmp_path / "run.json"
+        path.write_text(text, encoding="utf-8")
+        argv = ["exact", "mod", "--d", "1,2", "--m", "3", "--config", str(path)]
+        assert run_cli(argv) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"radwalk: error: --config {path}: ") and named in err, err
+
+    @pytest.mark.parametrize("text, named", [("not json", "Expecting value"), ("[1]", "a sequence config")])
+    def test_malformed_seq_file_fails_by_name(self, tmp_path, capsys, text, named):
+        path = tmp_path / "seq.json"
+        path.write_text(text, encoding="utf-8")
+        assert run_cli(["sequence", "make", "--seq-file", str(path)]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"radwalk: error: --seq-file {path}: {named}"), err
 
     def test_unknown_command_fails_by_name(self):
         for command in ("bogus", "exact.bogus", "simulate.x"):
@@ -577,3 +618,73 @@ def test_hostile_floats_fail_by_name(command, flag, value, tmp_path):
             reports.append(out.with_suffix(".json").read_text(encoding="utf-8"))
         for report in reports:
             json.loads(report, parse_constant=_refuse_constant)
+
+
+#: Tiny runs of every command with an int flag, by command: the int flags (and
+#: ``--workers`` where the command runs trials), and the other arguments.
+INT_FLAG_RUNS = {
+    "simulate": (["--n", "--seed", "--trial", "--width-bits"], ["--seq", CONST1, "--n", "3"]),
+    "mc-return": (["--n", "--trials", "--seed", "--workers"],
+                  ["--seq", CONST1, "--n", "2", "--trials", "3"]),
+    "exact.mod": (["--m", "--residue"], ["--d", "1,2,3", "--m", "4"]),
+    "exact.hit": (["--horizon"], ["--a", "1,1", "--horizon", "2"]),
+    "sequence.make": (["--n"], ["--seq", CONST1, "--n", "3"]),
+    "sequence.decompose": (["--n"], ["--seq", CONST1, "--n", "3"]),
+    "sequence.doubling": (["--n"], ["--seq", CONST1, "--n", "3"]),
+    "sequence.monotone": (["--n-max"], ["--seq", CONST1, "--n-max", "3"]),
+    "sequence.blocks": (["--k", "--i", "--max-bits"], ["--k", "1", "--i", "1"]),
+    "construct.bezout": (["--b1", "--b2"], ["--b1", "2", "--b2", "3"]),
+    "construct.n0": (
+        ["--b1", "--b2", "--radius", "--trials", "--seed", "--horizon-start", "--horizon-cap",
+         "--workers"],
+        ["--b1", "2", "--b2", "3", "--trials", "4", "--horizon-start", "4", "--horizon-cap", "16"],
+    ),
+    "construct.build": (
+        ["--rounds", "--trials", "--seed", "--horizon-cap", "--evaluate-trials", "--workers"],
+        ["--good-set", "2,3", "--rounds", "1", "--trials", "4", "--horizon-cap", "16"],
+    ),
+    "construct.check-good": (["--horizon"], ["--good-set", "2,3"]),
+    "verify.supermartingale": (["--radius"], ["--radius", "2"]),
+    "verify.modlemma": (["--m"], ["--d", "1,2,3", "--m", "4"]),
+    "verify.hitting": (["--step", "--trials", "--seed", "--workers"], ["--r", "1", "--trials", "3"]),
+    "verify.suppmf": (["--k-max", "--k-floor"], ["--k-max", "3"]),
+}
+
+
+def test_int_flag_table_covers_every_int_flag():
+    declared = {
+        (c, f) for c, flags in cli._COMMANDS.items() for f, kw in flags if kw.get("type") is int
+    }
+    table = {(c, f) for c, (flags, _) in INT_FLAG_RUNS.items() for f in flags if f != "--workers"}
+    assert declared == table
+
+
+@pytest.mark.parametrize("value", [-1, 0, 2.5, True, "x"])
+@pytest.mark.parametrize(
+    "command, flag", [(c, f) for c, (flags, _) in INT_FLAG_RUNS.items() for f in flags]
+)
+def test_hostile_ints_fail_by_name(command, flag, value, tmp_path):
+    """-1 and 0 as flags, and 2.5, true and "x" from a config file, in every
+    int flag: an exit code, a named error, and a report that is plain JSON."""
+    _, rest = INT_FLAG_RUNS[command]
+    if flag in rest:  # the hostile value replaces the flag's tiny one
+        i = rest.index(flag)
+        rest = rest[:i] + rest[i + 2:]
+    argv = command.split(".") + rest
+    from_file = isinstance(value, bool) or not isinstance(value, int)  # a value of the wrong type
+    if not from_file:
+        argv.append(f"{flag}={value}")
+    else:
+        path = tmp_path / "run.json"
+        args = {flag.lstrip("-").replace("-", "_"): value}
+        path.write_text(json.dumps({"command": command, "args": args}), encoding="utf-8")
+        argv += ["--config", str(path)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_ERROR, cli.EXIT_VERIFY_FAILED, cli.EXIT_INCONCLUSIVE)
+    assert all(line.startswith("radwalk: error:") for line in stderr.getvalue().splitlines())
+    if stdout.getvalue():
+        json.loads(stdout.getvalue(), parse_constant=_refuse_constant)
+    if from_file:
+        assert code == cli.EXIT_ERROR and stderr.getvalue()

@@ -263,7 +263,7 @@ def reference_doubling(seq, n, gap_bound=None):
     replaced: the certificate, or the exception it raises."""
     try:
         if n < 1:
-            raise ParameterError("n must be >= 1")
+            raise ParameterError(f"n must be >= 1, got {n!r}")
         vals = [Fraction(seq.value(i)) for i in range(1, n + 1)]
         for i, v in enumerate(vals):
             if v < 1:
@@ -397,7 +397,7 @@ def reference_rs_monotone(seq, r, s, n_max):
     if rf < 1 or sf < 1:
         raise ParameterError("r and s must both be >= 1")
     if n_max < 2:
-        raise ParameterError("n_max must be >= 2")
+        raise ParameterError(f"n_max must be >= 2, got {n_max!r}")
     vals = [Fraction(seq.value(i)) for i in range(1, n_max + 1)]
     sufmin = list(vals)
     for i in range(n_max - 2, -1, -1):
@@ -457,7 +457,7 @@ def reference_run_length(seq, n):
     decomposition, or the exception it raises."""
     try:
         if n < 1:
-            raise ParameterError("prefix length must be >= 1")
+            raise ParameterError(f"n must be >= 1, got {n!r}")
         values, mult, starts, prev = [], [], [], None
         for i in range(1, n + 1):
             a = seq.value(i)
@@ -552,6 +552,28 @@ class TestPrefixFromRuns:
         assert s.prefix(65552)[-13:] == [2] + [1] * 12
         with pytest.raises(OverflowRefusal):
             s.prefix(65553)
+
+
+class TestPrefixAllocation:
+    @pytest.mark.parametrize("gamma", [2, Fraction(1, 2)], ids=["per-index", "runs"])
+    def test_unallocatable_prefix_fails_by_name(self, monkeypatch, gamma):
+        # 10**12 slots need 7.3 TiB: the allocation is refused, not made
+        class NoRepeat:
+            def __getattr__(self, name):
+                return getattr(itertools, name)
+
+            def repeat(self, *args):
+                raise MemoryError
+
+        seq = sq.make_sequence("floor-power", gamma=gamma)
+        monkeypatch.setattr(sq, "itertools", NoRepeat())
+        with pytest.raises(ParameterError, match="^prefix length 1000000000000: the list does not fit"):
+            seq.prefix(10**12)
+
+    def test_prefix_beyond_a_list_index_fails_by_name(self):
+        # no list holds 2**64 slots, and Python refuses the size before allocating
+        with pytest.raises(ParameterError, match=f"^prefix length {1 << 64}: the list does not fit"):
+            sq.make_sequence("constant", value=1).prefix(1 << 64)
 
 
 class TestExplicitListPrefix:
@@ -666,7 +688,7 @@ class TestBlockSequence:
 
 def int_scan_run_length(seq, n):
     if n < 1:
-        raise ParameterError("prefix length must be >= 1")
+        raise ParameterError(f"n must be >= 1, got {n!r}")
     vals = seq.prefix(n if seq.length is None else min(n, seq.length))
     ints, scale = sq.scaled_ints(vals)
     whole = len(vals) if scale == 1 else next(i for i, a in enumerate(vals) if a.denominator != 1)
@@ -688,7 +710,7 @@ def int_scan_run_length(seq, n):
 
 def int_scan_doubling(seq, n, gap_bound=None):
     if n < 1:
-        raise ParameterError("n must be >= 1")
+        raise ParameterError(f"n must be >= 1, got {n!r}")
     vals = seq.prefix(n)
     ints, den = sq.scaled_ints(vals)
     for i, w in enumerate(ints):
@@ -722,7 +744,7 @@ def int_scan_rs_monotone(seq, r, s, n_max):
     if rf < 1 or sf < 1:
         raise ParameterError("r and s must both be >= 1")
     if n_max < 2:
-        raise ParameterError("n_max must be >= 2")
+        raise ParameterError(f"n_max must be >= 2, got {n_max!r}")
     ints, _ = sq.scaled_ints(seq.prefix(n_max))
     left = [a * sf.denominator for a in ints]
     right = [a * sf.numerator for a in ints]

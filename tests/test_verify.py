@@ -75,6 +75,20 @@ class TestDriftGrid:
         with pytest.raises(ParameterError, match=f"^radius must be an integer, got {radius!r}$"):
             vf.verify_supermartingale(radius)
 
+    @pytest.mark.parametrize("table, radius", [("arange", vf.DRIFT_RADIUS_CAP), ("zeros", 5)])
+    def test_unallocatable_tables_fail_by_name(self, monkeypatch, table, radius):
+        # at the cap each quadrant table needs about 12 GB: the allocation is refused, not made
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        class NoTable:
+            def __getattr__(self, name):
+                return refuse if name == table else getattr(np, name)
+
+        monkeypatch.setattr(vf, "np", NoTable())
+        with pytest.raises(ParameterError, match=f"^radius {radius}: the drift tables do not fit in memory$"):
+            vf.verify_supermartingale(radius)
+
     @pytest.mark.parametrize("x, y, named", [(1.5, 0, "x"), (2, "1", "y"), (True, 1, "x")])
     def test_point_must_be_integers(self, x, y, named):
         with pytest.raises(ParameterError, match=f"^{named} must be an integer"):

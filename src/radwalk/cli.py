@@ -25,7 +25,7 @@ from . import exact as _exact
 from . import sequences as _sequences
 from . import verify as _verify
 from . import walk as _walk
-from .errors import RadwalkError, ParameterError
+from .errors import RadwalkError, ParameterError, _int_param
 from .rng import RNG_ID, SEED_RULE_ID, json_decode, json_encode
 
 EXIT_OK = 0
@@ -266,13 +266,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def _add_flags(parser: argparse.ArgumentParser, flags: list[tuple[str, dict]]) -> None:
     for flag, kw in flags + _GLOBAL_FLAGS:
-        kw = dict(kw)
-        required = kw.pop("required", False)
-        kw.pop("default", None)
-        # Defaults are applied after the config-file merge so that only
-        # explicitly passed flags override file values.
+        # Defaults and required flags are applied after the config-file merge
+        # (see parse_config), so that only explicitly passed flags override
+        # file values and a file may supply a required one.
+        kw = {k: v for k, v in kw.items() if k not in ("default", "required")}
         parser.add_argument(flag, **kw, default=argparse.SUPPRESS)
-        parser.set_defaults(**{f"__required_{_dest(flag)}": required})
 
 
 def _defaults_for(command: str) -> dict:
@@ -313,11 +311,9 @@ def parse_config(argv: list[str]) -> RunConfig:
     command = ns.pop("command")
     ns.pop("group", None)
     ns.pop("sub", None)
-    required = {k[11:] for k, v in ns.items() if k.startswith("__required_") and v}
-    explicit = {k: v for k, v in ns.items() if not k.startswith("__required_")}
     args = _defaults_for(command)
     flags = {_dest(f): kw for f, kw in _COMMANDS[command] + _GLOBAL_FLAGS}
-    config_path = explicit.pop("config", None) or args.get("config")
+    config_path = ns.pop("config", None) or args.get("config")
     if config_path:
         file_cfg = _from_json_file(config_path, "--config", RunConfig.from_dict)
         if file_cfg.command != command:
@@ -328,9 +324,9 @@ def parse_config(argv: list[str]) -> RunConfig:
         if unknown:
             raise ParameterError(f"unknown keys in config file: {sorted(unknown)}")
         args.update({k: _file_value(k, flags[k], v) for k, v in file_cfg.args.items()})
-    args.update(explicit)
+    args.update(ns)
     args.pop("config", None)
-    missing = sorted(k for k in required if args.get(k) is None)
+    missing = sorted(k for k, kw in flags.items() if kw.get("required") and args.get(k) is None)
     if missing:
         flags = ", ".join("--" + k.replace("_", "-") for k in missing)
         raise ParameterError(f"missing required arguments: {flags}")
@@ -344,17 +340,16 @@ def parse_config(argv: list[str]) -> RunConfig:
 
 def _handle_simulate(command: str, a: dict):
     seq = _sequence_from_args(a)
-    policy = _walk.PositionPolicy(width_bits=a["width_bits"], promote=a["promote"])
+    width_bits = _int_param(a["width_bits"], "width_bits", 0)  # checked with --promote too
+    kw = {"trial": a["trial"], "width_bits": None if a["promote"] else width_bits}
     if a["record"]:
-        summary, rec = _walk.simulate_recording(
-            seq, a["n"], a["seed"], trial=a["trial"], policy=policy
-        )
+        summary, rec = _walk.simulate_recording(seq, a["n"], a["seed"], **kw)
         rows = [
             {"n": r[0], "x": str(r[1]), "y": str(r[2]), "a_n": str(r[3]), "kappa": r[4], "eps": r[5]}
             for r in rec.rows
         ]
     else:
-        summary = _walk.simulate(seq, a["n"], a["seed"], trial=a["trial"], policy=policy)
+        summary = _walk.simulate(seq, a["n"], a["seed"], **kw)
         rows = []
     record = summary.to_json_dict()
     record["sequence"] = seq.to_config()

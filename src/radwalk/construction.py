@@ -14,8 +14,9 @@ lattice, so a horizon ``N0`` with
 exists for every radius C.  No closed form for ``N0`` is available, so it is
 *estimated*: a doubling grid of horizons is searched until the Wilson lower
 confidence bound of the hit probability clears 1/2 for every target in the
-disk, within a configurable horizon cap and target budget.  When the search
-ends uncertified the result says so; it never silently succeeds.
+disk, within a configurable horizon cap and the target budget
+:data:`TARGET_BUDGET`.  When the search ends uncertified the result says so;
+it never silently succeeds.
 
 Fair warning from the numbers themselves: hit probabilities of exact lattice
 points in the plane grow only logarithmically with the horizon (measured
@@ -77,9 +78,6 @@ def positive_bezout(b1: int, b2: int) -> BezoutPair:
     g = math.gcd(b1, b2)
     if g != 1:
         raise CoprimalityError(f"{b1} and {b2} are not coprime (gcd {g})", gcd=g)
-    if b2 == 1:
-        c1 = 1 if b1 > 1 else 2
-        return BezoutPair(b1, b2, c1, c1 * b1 - 1)
     c1 = pow(b1, -1, b2)
     if c1 == 0:
         c1 = b2
@@ -223,6 +221,10 @@ class N0Estimate:
 #: Disks of at most this many targets report every target's Wilson lower bound.
 PER_TARGET_REPORT_CAP = 64
 
+#: Disks of more lattice points than this are not searched: the estimate
+#: reports the count and ``inconclusive``.
+TARGET_BUDGET = 20_000
+
 
 def _doubling_grid(start: int, cap: int) -> list[int]:
     grid = []
@@ -266,7 +268,6 @@ def estimate_N0(
     master_seed=0,
     horizon_start: int = 16,
     horizon_cap: int = 1 << 14,
-    target_budget: int = 20_000,
     workers: int = 1,
 ) -> N0Estimate:
     """Search a doubling horizon grid for the smallest certified N0.
@@ -282,7 +283,6 @@ def estimate_N0(
     radius = _int_param(radius, "radius", 0)
     horizon_start = _int_param(horizon_start, "horizon_start", 1)
     horizon_cap = _int_param(horizon_cap, "horizon_cap", 1)
-    target_budget = _int_param(target_budget, "target_budget", 0)
     if horizon_cap < horizon_start:
         raise ParameterError("need 1 <= horizon_start <= horizon_cap")
     grid = _doubling_grid(horizon_start, horizon_cap)
@@ -292,11 +292,11 @@ def estimate_N0(
     )
     # Analytic size guard first: the disk holds ~pi*r^2 lattice points, so do
     # not even enumerate it when it cannot fit the budget.
-    if math.pi * radius * radius > 2 * target_budget:
+    if math.pi * radius * radius > 2 * TARGET_BUDGET:
         count = math.ceil(math.pi * radius**2)
     else:
         count = len(_disk_targets(radius))
-    if count > target_budget:
+    if count > TARGET_BUDGET:
         return N0Estimate(
             status="inconclusive",
             n0=horizon_cap,
@@ -307,7 +307,7 @@ def estimate_N0(
             worst_target=None,
             per_target_lb=None,
             reason=f"target disk holds ~{count} lattice points, beyond the "
-            f"budget of {target_budget}; certification not attempted",
+            f"budget of {TARGET_BUDGET}; certification not attempted",
         )
 
     targets = _disk_targets(radius)
@@ -443,9 +443,13 @@ def _plan_steps(rounds) -> np.ndarray:
     return np.concatenate(patterns)
 
 
-def _realized_radius(plan_rounds: list[RoundPlan], n_k: int, master_seed, trials: int) -> int:
-    """Largest observed |S_{n_k}| over simulated prefixes (the trajectory-based
-    alternative to the coarse alpha*n bound)."""
+#: Simulated prefixes per round of a plan built with ``radius_mode="realized"``.
+REALIZED_RADIUS_TRIALS = 64
+
+
+def _realized_radius(plan_rounds: list[RoundPlan], n_k: int, master_seed) -> int:
+    """Largest observed |S_{n_k}| over :data:`REALIZED_RADIUS_TRIALS` simulated
+    prefixes (the trajectory-based alternative to the coarse alpha*n bound)."""
     if n_k == 0:
         return 0
 
@@ -455,7 +459,9 @@ def _realized_radius(plan_rounds: list[RoundPlan], n_k: int, master_seed, trials
 
     # substream tag 102: realized-radius probes for round len(plan_rounds)
     seed = (master_seed, 102, len(plan_rounds))
-    return _walk_trials(n_k, lambda: _plan_steps(plan_rounds), trials, seed, score, combine=max)
+    return _walk_trials(
+        n_k, lambda: _plan_steps(plan_rounds), REALIZED_RADIUS_TRIALS, seed, score, combine=max
+    )
 
 
 def build_recurrent_sequence(
@@ -465,11 +471,8 @@ def build_recurrent_sequence(
     master_seed=0,
     trials: int = 1000,
     confidence: float = 0.95,
-    horizon_start: int = 16,
     horizon_cap: int = 1 << 14,
-    target_budget: int = 20_000,
     radius_mode: str = "coarse",
-    radius_trials: int = 64,
     workers: int = 1,
 ) -> tuple[ConstructionPlan, StepSequence]:
     """Assemble ``rounds`` rounds of the schedule and the resulting sequence.
@@ -484,10 +487,9 @@ def build_recurrent_sequence(
     """
     trials, workers = _trial_params(trials, master_seed, workers, confidence)
     rounds = _int_param(rounds, "rounds", 0)
+    horizon_cap = _int_param(horizon_cap, "horizon_cap", 1)
     if radius_mode not in ("coarse", "realized"):
         raise ParameterError("radius_mode must be 'coarse' or 'realized'")
-    if radius_mode == "realized":
-        radius_trials = _int_param(radius_trials, "radius_trials", 1)
     plan_rounds: list[RoundPlan] = []
     n = 0
     alpha = 0
@@ -497,7 +499,7 @@ def build_recurrent_sequence(
         if radius_mode == "coarse":
             radius = alpha * n
         else:
-            radius = _realized_radius(plan_rounds, n, master_seed, radius_trials)
+            radius = _realized_radius(plan_rounds, n, master_seed)
         # substream tag 101: the round-k horizon search
         est = estimate_N0(
             pair,
@@ -505,9 +507,7 @@ def build_recurrent_sequence(
             confidence=confidence,
             trials=trials,
             master_seed=(master_seed, 101, k),
-            horizon_start=horizon_start,
             horizon_cap=horizon_cap,
-            target_budget=target_budget,
             workers=workers,
         )
         n0 = est.n0

@@ -56,14 +56,20 @@ def _valid_seed(seed) -> bool:
     return isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0
 
 
-def _philox_key(master_seed) -> np.ndarray:
-    """The Philox key of a master seed: a non-negative int or a tuple of
-    seeds (substreams nest a seed inside a tuple with purpose tags)."""
+def _seed_param(master_seed):
+    """``master_seed`` if it is a non-negative int or a tuple of seeds
+    (substreams nest a seed inside a tuple with purpose tags), else a
+    :class:`ParameterError` that names it."""
     if not _valid_seed(master_seed):
         raise ParameterError(
             f"master seed must be a non-negative int or a tuple of them, got {master_seed!r}"
         )
-    return np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
+    return master_seed
+
+
+def _philox_key(master_seed) -> np.ndarray:
+    """The Philox key of a master seed, checked by :func:`_seed_param`."""
+    return np.random.SeedSequence(_seed_param(master_seed)).generate_state(2, np.uint64)
 
 
 def trial_generator(master_seed, trial: int) -> np.random.Generator:
@@ -85,37 +91,25 @@ def direction_codes(master_seed, trial: int, n: int) -> np.ndarray:
     return gen.integers(0, NUM_DIRECTIONS, size=n, dtype=np.int64)
 
 
-class TrialStream:
-    """The per-trial streams of one master seed, with the key derived once.
-
-    A :class:`CodeReader` is not thread-safe: each chunk of trials takes its
-    own from :meth:`reader`.
-    """
-
-    def __init__(self, master_seed):
-        self.key = [int(k) for k in _philox_key(master_seed)]
-
-    def reader(self) -> "CodeReader":
-        return CodeReader(self.key)
-
-
 class CodeReader:
-    """One Philox that moves to trial ``i`` by resetting its state to the one
-    :func:`trial_generator` starts in: counter ``(0, i, 0, 0)``, no buffered
-    output.  After :meth:`seek`, ``generator`` draws what that trial's
-    :func:`trial_generator` would."""
+    """One Philox, keyed by a master seed's :func:`_philox_key`, that moves to
+    trial ``i`` by resetting its state to the one :func:`trial_generator`
+    starts in: counter ``(0, i, 0, 0)``, no buffered output.  After
+    :meth:`seek`, ``generator`` draws what that trial's
+    :func:`trial_generator` would.  A reader is not thread-safe: each thread
+    takes its own."""
 
-    def __init__(self, key: list[int]):
+    def __init__(self, key: np.ndarray):
         self._counter = [0, 0, 0, 0]
         self._state = {
             "bit_generator": "Philox",
-            "state": {"counter": self._counter, "key": key},
+            "state": {"counter": self._counter, "key": key.tolist()},
             "buffer": [0, 0, 0, 0],
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
-        self._bitgen = np.random.Philox(key=np.array(key, dtype=np.uint64))
+        self._bitgen = np.random.Philox(key=key)
         self.generator = np.random.Generator(self._bitgen)
 
     def seek(self, trial: int) -> None:

@@ -167,10 +167,10 @@ class StepSequence:
     __call__ = value
 
     def prefix(self, n: int) -> list[Number]:
-        """``[a_1, ..., a_n]``, empty for ``n <= 0``.  All n slots of the list
+        """``[a_1, ..., a_n]`` for an ``n >= 0``.  All n slots of the list
         are allocated before any term is computed, so an ``n`` too large for
         memory fails at once, by name."""
-        n = max(_int_param(n, "n"), 0)
+        n = _int_param(n, "n", 0)
         if self._values is not None and n <= len(self._values):
             return list(self._values[:n])
         if self.length is not None and n > self.length:

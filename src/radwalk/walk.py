@@ -2,9 +2,9 @@
 
 A walk takes steps ``a_n * xi_n`` where ``xi_n`` is uniform on the four axis
 directions.  Positions are exact (Python ints, or Fractions for fractional
-step sizes); the default policy checks positions against a 64-bit width and
-raises instead of silently wrapping, with an opt-in promotion to arbitrary
-precision.
+step sizes); a walk checks them against a width of ``width_bits`` bits (63
+by default) and raises instead of silently wrapping, and ``width_bits=None``
+lets them grow to arbitrary precision.
 
 Direction codes are 0:+e1, 1:-e1, 2:+e2, 3:-e2.  The trajectory recorder
 writes each as (kappa, eps): kappa is 1 for horizontal steps and 0 for
@@ -47,30 +47,6 @@ from . import rng as _rng
 from .errors import ParameterError, PositionOverflowError, _int_param
 from .rng import ConfidenceInterval, wilson_interval
 from .sequences import StepSequence
-
-@dataclass(frozen=True)
-class PositionPolicy:
-    """Arithmetic policy for walk positions.
-
-    ``width_bits=None`` means unbounded (arbitrary precision).  With a finite
-    width, positions leaving ``[-2**w + 1, 2**w - 1]`` either raise
-    ``PositionOverflowError`` or, with ``promote=True``, continue exactly.
-    """
-
-    width_bits: int | None = 63
-    promote: bool = False
-
-    def __post_init__(self):
-        if self.width_bits is not None:
-            object.__setattr__(self, "width_bits", _int_param(self.width_bits, "width_bits", 0))
-
-    @property
-    def bound(self) -> int | None:
-        return None if self.width_bits is None else (1 << self.width_bits) - 1
-
-
-DEFAULT_POLICY = PositionPolicy()
-
 
 @dataclass(frozen=True)
 class WalkState:
@@ -161,7 +137,9 @@ class TrajectoryRecorder:
             fh.write("%s,%s,%s,%s,%s,%s\r\n" * len(chunk) % tuple(chain.from_iterable(chunk)))
 
 
-#: Codes per read of a streamed walk in :func:`simulate` (even, see :func:`_stream_codes`).
+#: Codes per read of a streamed walk in :func:`simulate`: even, so no 64-bit
+#: output is split between two reads (see :meth:`~radwalk.rng.CodeReader.read`)
+#: and the reads concatenate to :func:`radwalk.rng.direction_codes` exactly.
 STREAM_CHUNK = 1 << 15
 
 #: Trials x steps of one batch of walks in :func:`rotated_paths`: walks with
@@ -248,7 +226,7 @@ def _trial_params(trials, master_seed, workers, level: float) -> tuple[int, int]
     the seed and the confidence ``level`` (as :func:`wilson_interval` reads
     it) fail by name here, before any shortcut or walk."""
     trials, workers = _int_param(trials, "trials", 1), _int_param(workers, "workers", 1)
-    _rng.TrialStream(master_seed)
+    _rng._seed_param(master_seed)
     if not 0.0 < level < 1.0:
         raise ParameterError("confidence level must lie in (0, 1)")
     return trials, workers
@@ -270,7 +248,7 @@ def _walk_trials(
     halve the memory the kernel and the scores move.  ``trials`` and ``workers``
     come checked, from :func:`_trial_params`.
     """
-    stream = _rng.TrialStream(master_seed)
+    key = _rng._philox_key(master_seed)
     draw = codes_of or (lambda reader, t: reader.codes(t, n))
     try:
         walked = steps()
@@ -278,27 +256,13 @@ def _walk_trials(
             walked = walked.astype(np.int32)
 
         def run_chunk(chunk: range):
-            reader = stream.reader()
+            reader = _rng.CodeReader(key)  # not thread-safe: one per chunk
             batches = rotated_paths(walked, chunk, lambda t: draw(reader, t))
             return combine(score(*paths) for paths in batches)
 
         return _rng.map_trial_chunks(trials, run_chunk, combine, workers)
     except MemoryError:
         raise ParameterError(f"horizon {n}: the walk arrays do not fit in memory") from None
-
-
-def _stream_codes(master_seed, trial: int, n: int, chunk: int):
-    """Direction codes for one trial, yielded in chunks of one read each.
-
-    Chunks are even, so no 64-bit output is split across two of them and the
-    chunks concatenate to :func:`radwalk.rng.direction_codes` exactly.
-    """
-    if chunk < 2 or chunk % 2:
-        raise ParameterError("chunk must be even and positive")
-    reader = _rng.TrialStream(master_seed).reader()
-    reader.seek(trial)
-    for done in range(0, n, chunk):
-        yield reader.read(min(chunk, n - done))
 
 
 def simulate(
@@ -308,18 +272,21 @@ def simulate(
     visitor: Callable[[WalkBlock], None] | None = None,
     *,
     trial: int = 0,
-    policy: PositionPolicy = DEFAULT_POLICY,
+    width_bits: int | None = 63,
 ) -> WalkSummary:
     """Walk ``n`` exact steps, one read of :data:`STREAM_CHUNK` codes at a time,
     and call ``visitor`` once per block with a :class:`WalkBlock`: the 1-based
     index of its first step and, per step, the position after it, its size
     and its code.  The blocks cover steps 1..n in order; none is empty.
 
-    Position arithmetic is exact; the policy decides whether positions beyond
-    the configured width raise (default) or promote to arbitrary precision.
-    When step ``i`` leaves the width, the visitor has seen exactly steps
-    1..i-1 and :class:`PositionOverflowError` is raised with ``step=i``.
+    Position arithmetic is exact.  A coordinate may not leave
+    ``[-2**width_bits + 1, 2**width_bits - 1]``: when step ``i`` leaves it,
+    the visitor has seen exactly steps 1..i-1 and
+    :class:`PositionOverflowError` is raised with ``step=i``.  With
+    ``width_bits=None`` positions grow to arbitrary precision.
     """
+    if width_bits is not None:
+        width_bits = _int_param(width_bits, "width_bits", 0)
     trial = _int_param(trial, "trial", 0)
     walked, scale = seq.lattice(n)
     # Positions are Fractions from the first step whose value is not an int on:
@@ -329,11 +296,13 @@ def simulate(
         steps = np.array(seq.prefix(n), dtype=object)
         first = next(k for k, a in enumerate(steps.tolist()) if not isinstance(a, int))
     unscale = np.frompyfunc(lambda p: Fraction(int(p), scale), 1, 1)
-    limit = None if policy.bound is None or policy.promote else policy.bound * scale
+    limit = None if width_bits is None else ((1 << width_bits) - 1) * scale
     limit = limit if limit is not None and int(walked.sum()) > limit else None  # |S_k| <= sum
     u_end = v_end = horizontal = 0
-    blocks = zip(_stream_codes(master_seed, trial, n, STREAM_CHUNK), range(0, n, STREAM_CHUNK))
-    for codes, lo in blocks:
+    reader = _rng.CodeReader(_rng._philox_key(master_seed))
+    reader.seek(trial)
+    for lo in range(0, n, STREAM_CHUNK):
+        codes = reader.read(min(STREAM_CHUNK, n - lo))
         _, uv = next(rotated_paths(walked[lo : lo + len(codes)], range(1), lambda t: codes))
         u, v = uv[0, :, 0] + u_end, uv[0, :, 1] + v_end
         u_end, v_end = u[-1:].item(), v[-1:].item()
@@ -350,7 +319,7 @@ def simulate(
         if len(out):
             at = lo + stop + 1
             raise PositionOverflowError(
-                f"position left the {policy.width_bits}-bit range at step {at}", step=at
+                f"position left the {width_bits}-bit range at step {at}", step=at
             )
     x_end = (u_end + v_end) // 2
     final = [Fraction(c, scale) if first < n else c for c in (x_end, x_end - v_end)]
@@ -363,10 +332,10 @@ def simulate_recording(
     master_seed,
     *,
     trial: int = 0,
-    policy: PositionPolicy = DEFAULT_POLICY,
+    width_bits: int | None = 63,
 ) -> tuple[WalkSummary, TrajectoryRecorder]:
     rec = TrajectoryRecorder()
-    return simulate(seq, n, master_seed, rec, trial=trial, policy=policy), rec
+    return simulate(seq, n, master_seed, rec, trial=trial, width_bits=width_bits), rec
 
 
 def visit_statistics(
@@ -376,7 +345,7 @@ def visit_statistics(
     targets: Iterable[tuple[int, int]],
     *,
     trial: int = 0,
-    policy: PositionPolicy = DEFAULT_POLICY,
+    width_bits: int | None = 63,
 ) -> VisitStatistics:
     """Exact per-target visit counts along one simulated path (visits at n >= 1)."""
     tlist = [(t[0], t[1]) for t in targets]
@@ -400,7 +369,7 @@ def visit_statistics(
                 a[0], a[2] = a[0] + len(hits), block.start + int(hits[-1])
                 a[1] = block.start + int(hits[0]) if a[1] is None else a[1]
 
-    simulate(seq, n, master_seed, visitor, trial=trial, policy=policy)
+    simulate(seq, n, master_seed, visitor, trial=trial, width_bits=width_bits)
     per = tuple(TargetVisitStats(t, *acc[t]) for t in tlist)
     return VisitStatistics(horizon=n, per_target=per)
 

@@ -318,11 +318,28 @@ class TestExitCodes:
             (["verify", "hitting", "--r=-inf", "--trials", "3"], "r must be finite"),
             (["verify", "hitting", "--r", "1e7", "--trials", "3"], "horizon floor(r^3)"),
             (["simulate", "--seq", CONST1, "--n", "5", "--width-bits", "-3"], "width_bits"),
+            (["simulate", "--seq", CONST1, "--n", "5", "--width-bits=-3", "--promote"],
+             "width_bits must be >= 0, got -3"),
+            (["sequence", "make", "--seq", CONST1, "--n=-1"], "n must be >= 0, got -1"),
+            (["construct", "build", "--good-set", "2,3", "--rounds", "0", "--horizon-cap=-1"],
+             "horizon_cap must be >= 1, got -1"),
         ],
     )
     def test_out_of_range_values_fail_by_name(self, argv, named, capsys):
         assert run_cli(argv) == cli.EXIT_ERROR
         assert capsys.readouterr().err.startswith(f"radwalk: error: {named}")
+
+    def test_promote_lifts_the_width_check(self, capsys):
+        argv = ["simulate", "--seq", '{"family":"constant","params":{"value":100}}',
+                "--n", "40", "--width-bits", "8"]
+        assert run_cli(argv) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "radwalk: error: position left the 8-bit range at step 27\n"
+        )
+        assert run_cli(argv + ["--promote"]) == cli.EXIT_OK
+        promoted = capsys.readouterr().out
+        assert run_cli(argv[:-2]) == cli.EXIT_OK  # the default 63 bits hold
+        assert capsys.readouterr().out == promoted
 
     def test_negative_check_horizon_fails_by_name(self, capsys):
         argv = ["construct", "check-good", "--good-set", "2,3", "--horizon=-1"]

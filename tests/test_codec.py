@@ -24,6 +24,21 @@ def _hoeffding_no_exact():
         return exact.hoeffding_tail([Fraction(1, 3), 2, 5], Fraction(7, 2))
 
 
+def _n0_over_budget():
+    with mock.patch.object(cn, "TARGET_BUDGET", 100):
+        return cn.estimate_N0(cn.positive_bezout(3, 5), 50, trials=10, master_seed=4)
+
+
+def _plan_realized():
+    # 300 radius probes a round: two chunks of trials, folded by max
+    with mock.patch.object(cn, "REALIZED_RADIUS_TRIALS", 300):
+        plan, _ = cn.build_recurrent_sequence(
+            cn.GoodSetPrefix([2, 3, 5, 7, 11, 13]), 3, master_seed=(5, 1), trials=40,
+            horizon_cap=32, radius_mode="realized",
+        )
+    return plan
+
+
 def _plan(master_seed=3, rounds=2):
     plan, _ = cn.build_recurrent_sequence(
         cn.GoodSetPrefix([2, 3, 5, 7]), rounds, master_seed=master_seed, trials=40, horizon_cap=32
@@ -52,15 +67,9 @@ REPORTS = {
     "n0": lambda: cn.estimate_N0(
         cn.positive_bezout(2, 3), 1, trials=50, master_seed=((1, 2), 5), horizon_cap=64
     ),
-    "n0_over_budget": lambda: cn.estimate_N0(
-        cn.positive_bezout(3, 5), 50, trials=10, master_seed=4, target_budget=100
-    ),
+    "n0_over_budget": _n0_over_budget,
     "plan": _plan,
-    # 300 radius probes a round: two chunks of trials, folded by max
-    "plan_realized": lambda: cn.build_recurrent_sequence(
-        cn.GoodSetPrefix([2, 3, 5, 7, 11, 13]), 3, master_seed=(5, 1), trials=40, horizon_cap=32,
-        radius_mode="realized", radius_trials=300,
-    )[0],
+    "plan_realized": _plan_realized,
     "plan_evaluation": lambda: cn.evaluate_plan(_plan(), 50, (3, 201)),
     "walk_summary_int": lambda: wk.simulate(CONST1, 100, 5),
     "walk_summary_fraction": lambda: wk.simulate(HALF, 101, 5),

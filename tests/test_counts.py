@@ -31,7 +31,8 @@ def n0(**kw):
 
 
 def build(rounds=1, **kw):
-    return cn.build_recurrent_sequence(cn.GoodSetPrefix([2, 3]), rounds, trials=4, horizon_cap=16, **kw)
+    kw = {"trials": 4, "horizon_cap": 16, **kw}
+    return cn.build_recurrent_sequence(cn.GoodSetPrefix([2, 3]), rounds, **kw)
 
 
 #: (entry, the count's name in messages, its least value or None, a value it
@@ -41,7 +42,7 @@ COUNTS = [
     ("direction_codes", "horizon", 0, 3, lambda v: rng.direction_codes(7, 0, v)),
     ("wilson_interval", "trials", 1, 4, lambda v: rng.wilson_interval(0, v)),
     ("value", "n", 1, 2, lambda v: FLOOR2.value(v)),
-    ("prefix", "n", None, 3, lambda v: FLOOR2.prefix(v)),
+    ("prefix", "n", 0, 3, lambda v: FLOOR2.prefix(v)),
     ("lattice", "horizon", 0, 3, lambda v: FLOOR2.lattice(v)),
     ("real-power", "precision_bits", 1, 8,
      lambda v: sq.make_sequence("real-power", alpha=1, precision_bits=v)),
@@ -59,7 +60,7 @@ COUNTS = [
     ("hit_probability_2d", "horizon", 0, 2, lambda v: exact.hit_probability_2d([1, 1], (0, 0), v)),
     ("sup_pmf_running", "k_max", 0, 3, lambda v: exact.sup_pmf_running(v)),
     ("simulate", "trial", 0, 1, lambda v: wk.simulate(FLOOR2, 5, 7, trial=v)),
-    ("PositionPolicy", "width_bits", 0, 8, lambda v: wk.PositionPolicy(width_bits=v)),
+    ("simulate", "width_bits", 0, 8, lambda v: wk.simulate(FLOOR2, 5, 7, width_bits=v)),
     ("monte_carlo_return", "trials", 1, 3, lambda v: wk.monte_carlo_return(FLOOR2, 4, v, 0)),
     ("monte_carlo_return", "workers", 1, 2,
      lambda v: wk.monte_carlo_return(FLOOR2, 4, 3, 0, workers=v)),
@@ -79,10 +80,8 @@ COUNTS = [
     ("estimate_N0", "workers", 1, 2, lambda v: n0(workers=v)),
     ("estimate_N0", "horizon_start", 1, 2, lambda v: n0(horizon_start=v)),
     ("estimate_N0", "horizon_cap", 1, 8, lambda v: n0(horizon_cap=v)),
-    ("estimate_N0", "target_budget", 0, 0, lambda v: n0(target_budget=v)),
     ("build_recurrent_sequence", "rounds", 0, 1, lambda v: build(v)),
-    ("build_recurrent_sequence", "radius_trials", 1, 2,
-     lambda v: build(radius_mode="realized", radius_trials=v)),
+    ("build_recurrent_sequence", "horizon_cap", 1, 16, lambda v: build(0, horizon_cap=v)),
     ("evaluate_plan", "trials", 1, 3, lambda v: cn.evaluate_plan(PLAN, v, 0)),
     ("evaluate_plan", "workers", 1, 2, lambda v: cn.evaluate_plan(PLAN, 3, 0, workers=v)),
 ]

@@ -31,3 +31,39 @@ def test_no_unused_imports(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def module_private_names(tree: ast.Module) -> set[str]:
+    """The private names a module binds at its top level: ``_x``, not ``__x__``."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Names a module reads, as a bare name, an attribute or an import."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_every_private_name_is_used():
+    # a helper whose last caller is gone, or is only reached from the tests
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
+    used = set().union(*(referenced_names(t) for t in trees.values()))
+    unused = {
+        f"{name}.{n}" for name, tree in trees.items() for n in module_private_names(tree)
+        if n not in used
+    }
+    assert not unused, f"private names nothing in the package reads: {sorted(unused)}"

@@ -20,7 +20,7 @@ class TestDecodeGuard:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_decode_matches_generator_integers(self, seed):
-        reader = rw.TrialStream(seed).reader()
+        reader = rw.CodeReader(rw._philox_key(seed))
         for trial in TRIALS:
             for n in HORIZONS:
                 want = rw.trial_generator(seed, trial).integers(0, 4, size=n, dtype=np.int64)
@@ -36,15 +36,13 @@ class TestDecodeGuard:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_stream_chunks_concatenate(self, seed):
+        # even reads split no 64-bit output, as walk.simulate's reads do
+        reader = rw.CodeReader(rw._philox_key(seed))
         for chunk in (2, 4096, 1 << 15):
             for n in (1, 257, 32769, 100001):
-                parts = list(wk._stream_codes(seed, 3, n, chunk))
-                assert all(len(p) == chunk for p in parts[:-1])
+                reader.seek(3)
+                parts = [reader.read(min(chunk, n - lo)) for lo in range(0, n, chunk)]
                 assert np.array_equal(np.concatenate(parts), rw.direction_codes(seed, 3, n))
-
-    def test_odd_stream_chunk_rejected(self):
-        with pytest.raises(ParameterError):
-            next(wk._stream_codes(0, 0, 10, 3))
 
 
 class TestMasterSeed:
@@ -53,13 +51,16 @@ class TestMasterSeed:
     )
     def test_bad_seed_fails_by_name(self, bad):
         with pytest.raises(ParameterError, match="master seed"):
-            rw.TrialStream(bad)
+            rw._philox_key(bad)
         with pytest.raises(ParameterError, match="master seed"):
             rw.trial_generator(bad, 0)
+        with pytest.raises(ParameterError, match="master seed"):
+            wk._trial_params(1, bad, 1, 0.95)
 
     def test_good_seeds_accepted(self):
         for seed in (0, 2**70, np.int64(5), (1, 2), ((1, 2), 101, 0)):
-            rw.TrialStream(seed)
+            rw._philox_key(seed)
+            wk._trial_params(1, seed, 1, 0.95)
 
     def test_entry_points_validate_before_any_shortcut(self):
         const1 = sq.make_sequence("constant", value=1)

@@ -584,7 +584,10 @@ class TestExplicitListPrefix:
     )
     def test_prefix_is_the_values(self, raw, n):
         seq = sq.make_sequence("explicit-list", values=raw)
-        if n > seq.length:
+        if n < 0:
+            with pytest.raises(ParameterError, match=f"^n must be >= 0, got {n}$"):
+                seq.prefix(n)
+        elif n > seq.length:
             with pytest.raises(ParameterError, match=f"index {seq.length + 1} is beyond"):
                 seq.prefix(n)
         else:

@@ -108,7 +108,7 @@ class TestSimulate:
 
     def test_fractional_steps_exact_positions(self):
         seq = sq.make_sequence("explicit-list", values=[Fraction(1, 2), Fraction(1, 2)])
-        summary = wk.simulate(seq, 2, 1, policy=wk.PositionPolicy(width_bits=None))
+        summary = wk.simulate(seq, 2, 1, width_bits=None)
         assert isinstance(summary.final.x, (int, Fraction))
         assert (summary.final.x + summary.final.y).denominator in (1, 2)
 
@@ -124,7 +124,7 @@ class TestOverflowPolicy:
 
     def test_promotion_keeps_exact_values(self):
         seq = sq.make_sequence("explicit-list", values=[self.BIG, self.BIG, self.BIG])
-        summary = wk.simulate(seq, 3, 0, policy=wk.PositionPolicy(promote=True))
+        summary = wk.simulate(seq, 3, 0, width_bits=None)
         assert abs(summary.final.x) + abs(summary.final.y) in (
             self.BIG,
             3 * self.BIG,
@@ -132,20 +132,19 @@ class TestOverflowPolicy:
 
     def test_unbounded_width(self):
         seq = sq.make_sequence("explicit-list", values=[self.BIG] * 3)
-        summary = wk.simulate(seq, 3, 0, policy=wk.PositionPolicy(width_bits=None))
+        summary = wk.simulate(seq, 3, 0, width_bits=None)
         assert abs(summary.final.x) <= 3 * self.BIG
 
     def test_negative_width_rejected(self):
         with pytest.raises(ParameterError, match="width_bits"):
-            wk.PositionPolicy(width_bits=-3)
+            wk.simulate(CONST1, 3, 0, width_bits=-3)
 
     def test_narrow_width_checked_even_for_small_steps(self):
         seq = sq.make_sequence("constant", value=100)
-        policy = wk.PositionPolicy(width_bits=8)  # bound 255
         found_overflow = False
         for seed in range(20):
             try:
-                wk.simulate(seq, 10, seed, policy=policy)
+                wk.simulate(seq, 10, seed, width_bits=8)  # bound 255
             except PositionOverflowError as exc:
                 assert 1 <= exc.step <= 10
                 found_overflow = True
@@ -344,7 +343,7 @@ class TestRotatedKernel:
         n = len(values) - 1 if drop_last and len(values) > 1 else len(values)
         seq = sq.make_sequence("explicit-list", values=values)
         _, rec = wk.simulate_recording(seq, n, seed, trial=trial)
-        reader = rw.TrialStream(seed).reader()
+        reader = rw.CodeReader(rw._philox_key(seed))
         steps = np.array(values[:n], dtype=np.int64)
         one = range(trial, trial + 1)
         batches = list(wk.rotated_paths(steps, one, lambda t: reader.codes(t, n)))
@@ -368,7 +367,7 @@ class TestRotatedKernel:
         monkeypatch.setattr(wk, "BATCH_STEPS", batch_steps)
         steps = np.array(values, dtype=dtype)
         n = len(values)
-        reader = rw.TrialStream(17).reader()
+        reader = rw.CodeReader(rw._philox_key(17))
         moves = {0: (1, 0), 1: (-1, 0), 2: (0, 1), 3: (0, -1)}
         seen = []
         for batch, uv in wk.rotated_paths(steps, trials, lambda t: reader.codes(t, n)):
@@ -711,12 +710,12 @@ class TestExports:
 DIRECTIONS = ((1, 0, 1, 1), (-1, 0, 1, -1), (0, 1, 0, 1), (0, -1, 0, -1))
 
 
-def reference_walk(seq, n, master_seed, *, trial=0, policy=wk.DEFAULT_POLICY):
+def reference_walk(seq, n, master_seed, *, trial=0, width_bits=63):
     """The per-step walk: ``(summary, states)`` with one ``(n, x, y, a_n,
     kappa, eps)`` row per step, or ``(error, states)`` when the width check
     fails, ``states`` then holding the steps before the failing one."""
-    bound = policy.bound
-    check = bound is not None and not policy.promote
+    check = width_bits is not None
+    bound = (1 << width_bits) - 1 if check else None
     steps = seq.prefix(n)
     codes = rw.direction_codes(master_seed, trial, n).tolist()
     x = y = 0
@@ -752,31 +751,31 @@ def reference_visits(states, targets):
     return tuple(out)
 
 
-def run_blockwise(seq, n, seed, targets, trial=0, policy=wk.DEFAULT_POLICY):
+def run_blockwise(seq, n, seed, targets, trial=0, width_bits=63):
     """``(summary or error, recorded rows, visit statistics)`` of the streamed walk."""
     rec = wk.TrajectoryRecorder()
     try:
-        result = wk.simulate(seq, n, seed, rec, trial=trial, policy=policy)
+        result = wk.simulate(seq, n, seed, rec, trial=trial, width_bits=width_bits)
     except PositionOverflowError as exc:
         return exc, rec.rows, None
-    stats = wk.visit_statistics(seq, n, seed, targets, trial=trial, policy=policy)
-    again, rec2 = wk.simulate_recording(seq, n, seed, trial=trial, policy=policy)
+    stats = wk.visit_statistics(seq, n, seed, targets, trial=trial, width_bits=width_bits)
+    again, rec2 = wk.simulate_recording(seq, n, seed, trial=trial, width_bits=width_bits)
     assert repr(again) == repr(result) and repr(rec2.rows) == repr(rec.rows)
     return result, rec.rows, stats.per_target
 
 
-def assert_matches_reference(seq, n, seed, targets, trial=0, policy=wk.DEFAULT_POLICY):
-    want, states = reference_walk(seq, n, seed, trial=trial, policy=policy)
-    got, rows, per_target = run_blockwise(seq, n, seed, targets, trial, policy)
+def assert_matches_reference(seq, n, seed, targets, trial=0, width_bits=63):
+    want, states = reference_walk(seq, n, seed, trial=trial, width_bits=width_bits)
+    got, rows, per_target = run_blockwise(seq, n, seed, targets, trial, width_bits)
     assert repr(rows) == repr(states)
     if isinstance(want, PositionOverflowError):
         assert isinstance(got, PositionOverflowError)
         assert got.step == want.step
         with pytest.raises(PositionOverflowError):
-            wk.simulate(seq, n, seed, trial=trial, policy=policy)
+            wk.simulate(seq, n, seed, trial=trial, width_bits=width_bits)
         return
     assert got == want and repr(got) == repr(want)
-    plain = wk.simulate(seq, n, seed, trial=trial, policy=policy)
+    plain = wk.simulate(seq, n, seed, trial=trial, width_bits=width_bits)
     assert repr(plain) == repr(want)
     assert repr(per_target) == repr(reference_visits(states, targets))
 
@@ -791,15 +790,7 @@ TARGETS = st.lists(
     min_size=1,
     max_size=3,
 )
-POLICIES = st.sampled_from(
-    [
-        wk.DEFAULT_POLICY,
-        wk.PositionPolicy(width_bits=8),
-        wk.PositionPolicy(width_bits=8, promote=True),
-        wk.PositionPolicy(width_bits=None),
-        wk.PositionPolicy(width_bits=0),
-    ]
-)
+WIDTHS = st.sampled_from([63, 8, None, 0])
 
 
 class TestBlockwiseWalk:
@@ -812,27 +803,25 @@ class TestBlockwiseWalk:
         st.integers(0, 1000),
         st.integers(0, 3),
         TARGETS,
-        POLICIES,
+        WIDTHS,
     )
-    def test_matches_per_step_walk(self, chunk, values, seed, trial, targets, policy):
+    def test_matches_per_step_walk(self, chunk, values, seed, trial, targets, width_bits):
         seq = sq.make_sequence("explicit-list", values=values)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(wk, "STREAM_CHUNK", chunk)
             for n in {len(values), len(values) - 1}:  # odd and even horizons
-                assert_matches_reference(seq, n, seed, targets, trial, policy)
+                assert_matches_reference(seq, n, seed, targets, trial, width_bits)
 
     @pytest.mark.parametrize("chunk", [2, 4])
     @settings(max_examples=30, deadline=None)
-    @given(st.sampled_from([1, 3, 100, 1 << 61]), st.integers(0, 500), POLICIES)
-    def test_narrow_and_wide_widths(self, chunk, value, seed, policy):
+    @given(st.sampled_from([1, 3, 100, 1 << 61]), st.integers(0, 500), WIDTHS)
+    def test_narrow_and_wide_widths(self, chunk, value, seed, width_bits):
         # constant steps reach a width of 8 bits within a few blocks
         seq = sq.make_sequence("constant", value=value)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(wk, "STREAM_CHUNK", chunk)
-            assert_matches_reference(seq, 41, seed, [(0, 0), (value, 0)], policy=policy)
-            assert_matches_reference(
-                seq, 9, seed, [(0, 0)], policy=wk.PositionPolicy(width_bits=63)
-            )
+            assert_matches_reference(seq, 41, seed, [(0, 0), (value, 0)], width_bits=width_bits)
+            assert_matches_reference(seq, 9, seed, [(0, 0)], width_bits=63)
 
     @pytest.mark.parametrize("n", [(1 << 15) - 1, 1 << 15, (1 << 15) + 1])
     def test_across_the_default_chunk(self, n):
@@ -862,17 +851,16 @@ class TestBlockwiseWalk:
 
     def test_overflow_visitor_sees_the_steps_before(self):
         seq = sq.make_sequence("constant", value=100)
-        policy = wk.PositionPolicy(width_bits=8)
         blocks = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(wk, "STREAM_CHUNK", 4)
             for seed in range(40):
-                want, states = reference_walk(seq, 12, seed, policy=policy)
+                want, states = reference_walk(seq, 12, seed, width_bits=8)
                 if not isinstance(want, PositionOverflowError):
                     continue
                 blocks.clear()
                 with pytest.raises(PositionOverflowError) as exc:
-                    wk.simulate(seq, 12, seed, blocks.append, policy=policy)
+                    wk.simulate(seq, 12, seed, blocks.append, width_bits=8)
                 assert exc.value.step == want.step
                 seen = [k for b in blocks for k in range(b.start, b.start + len(b.codes))]
                 assert seen == list(range(1, want.step))

@@ -40,7 +40,7 @@ from . import rng as _rng
 from .errors import CoprimalityError, ExhaustionError, ParameterError, _int_param
 from .rng import json_decode, json_encode, wilson_interval
 from .sequences import INT64_STEP_SUM, StepSequence, _data_lines
-from .walk import _hits, _trial_params, _walk_trials
+from .walk import _hit_counter, _trial_params, _walk_trials
 
 
 @dataclass(frozen=True)
@@ -483,11 +483,12 @@ def build_recurrent_sequence(
     round's N0 search runs against that radius; its pattern is then emitted
     N0 times.  Every pair of elements is consumed exactly once, so any finite
     run uses each element finitely many times.  The plan is only marked
-    certified when every round certified.
+    certified when every round certified.  ``horizon_cap`` must be at least
+    16, the first horizon of each round's search, whatever ``rounds`` is.
     """
     trials, workers = _trial_params(trials, master_seed, workers, confidence)
     rounds = _int_param(rounds, "rounds", 0)
-    horizon_cap = _int_param(horizon_cap, "horizon_cap", 1)
+    horizon_cap = _int_param(horizon_cap, "horizon_cap", 16)
     if radius_mode not in ("coarse", "realized"):
         raise ParameterError("radius_mode must be 'coarse' or 'realized'")
     plan_rounds: list[RoundPlan] = []
@@ -583,10 +584,10 @@ def evaluate_plan(
         raise ParameterError("plan has no rounds to evaluate")
     bounds = [(rp.n_start, rp.n_end) for rp in plan.rounds]
 
-    origin = np.zeros(2, dtype=np.int64)
+    hits = _hit_counter(np.zeros(2, dtype=np.int64))
 
     def score(batch: range, uv: np.ndarray) -> np.ndarray:
-        return np.array([_hits(uv[:, lo:hi], origin) for lo, hi in bounds])
+        return np.array([hits(uv[:, lo:hi]) for lo, hi in bounds])
 
     totals = _walk_trials(
         plan.n_end, lambda: _plan_steps(plan.rounds), trials, master_seed, score, workers=workers

@@ -41,7 +41,7 @@ from . import rng as _rng
 from .errors import ParameterError, PreconditionError, _int_param
 from .rng import ConfidenceInterval, json_encode, wilson_interval
 from .sequences import INT64_STEP_SUM
-from .walk import _hits, _trial_params, _walk_trials
+from .walk import _hit_counter, _hits, _trial_params, _walk_trials
 
 #: Value assigned to the log potential at the origin.
 ORIGIN_POTENTIAL = -5.0
@@ -513,11 +513,11 @@ def hitting_time_experiment(
         origin[t] = (-(x0 + y0), -(x0 - y0))
         return gen.integers(0, _rng.NUM_DIRECTIONS, size=horizon, dtype=np.int64)
 
-    axis_origin = np.array([-start_units, -start_units])
+    axis_hits = _hit_counter(np.array([-start_units, -start_units]))
 
     def score(batch: range, uv: np.ndarray) -> int:
         if ring is None:
-            return _hits(uv, axis_origin)
+            return axis_hits(uv)
         return _hits(uv, np.array([origin.pop(t) for t in batch]))  # one target per row
 
     successes = trials if at_origin else _walk_trials(

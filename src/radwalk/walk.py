@@ -25,10 +25,19 @@ calls its visitor once per chunk with a :class:`WalkBlock` of consecutive
 steps: their exact positions, step sizes and direction codes.  Every Monte
 Carlo estimate runs its trials through one loop, :func:`_walk_trials`, and
 reduces each batch of paths to a score, most often a count of the paths
-that hit a point (:func:`_hits`).  That loop walks on int32 when the steps
-sum below ``2**31``, which bounds every ``|u|`` and ``|v|``, so the kernel
-moves half the bytes and :func:`_hits` compares each ``(u, v)`` pair as one
-64-bit word; :func:`simulate` stays on int64.
+that hit a point (:func:`_hits`).  That loop decodes each batch's codes at
+once (:meth:`~radwalk.rng.CodeReader.fill`) and walks int64 steps on int32,
+so the kernel moves half the bytes and :func:`_hits` compares each
+``(u, v)`` pair as one 64-bit word, in two cases:
+
+- proved: the steps sum below ``2**31``, which bounds every ``|u|`` and
+  ``|v|``;
+- checked: ``max(a) + SPREAD_SIGMAS * sqrt(sum(a**2)) < 2**31``, growing
+  steps whose walks spread far less than their sum.  Each batch is checked
+  to stay within ``+-(2**31 - 1 - max(a))`` and, if it does not, walked
+  again on int64 from the same codes, so every count stays exact.
+
+:func:`simulate` stays on int64.
 
 Every Monte Carlo entry, here and in :mod:`radwalk.construction` and
 :mod:`radwalk.verify`, checks its request first, by :func:`_trial_params`.
@@ -146,20 +155,51 @@ STREAM_CHUNK = 1 << 15
 #: short horizons run as (rows x n) arrays of at most this many steps.
 BATCH_STEPS = 1 << 16
 
+#: Headroom, in standard deviations, of the checked int32 walk: int64 steps
+#: with ``max(a) + SPREAD_SIGMAS * sqrt(sum(a**2)) < 2**31`` walk on int32.
+#: ``u`` and ``v`` each sum ``+-a_k`` with independent fair signs, so by
+#: Levy's maximal inequality and Hoeffding's, ``max_k |u_k|`` reaches
+#: ``8 sqrt(sum(a**2))`` with probability at most ``4 exp(-32)``, about 5e-14:
+#: the re-walk on int64 that keeps counts exact almost never runs.
+SPREAD_SIGMAS = 8
+
+
+def _per_trial(codes_of: Callable[[int], np.ndarray]) -> Callable[[range, np.ndarray], None]:
+    """The :func:`rotated_paths` fill that sets each row to ``codes_of(trial)``."""
+
+    def fill(batch: range, codes: np.ndarray) -> None:
+        for r, t in enumerate(batch):
+            codes[r] = codes_of(t)
+
+    return fill
+
 
 def rotated_paths(
-    steps: np.ndarray, trials: range, codes_of: Callable[[int], np.ndarray]
+    steps: np.ndarray,
+    trials: range,
+    fill: Callable[[range, np.ndarray], None],
+    wide: np.ndarray | None = None,
 ) -> Iterator[tuple[range, np.ndarray]]:
     """The walk kernel: yields ``(batch, uv)`` for consecutive batches of
     ``trials``, ``uv[r, k]`` being the pair ``(u, v) = (x + y, x - y)`` after
     step ``k + 1`` of trial ``batch[r]``.
 
-    ``codes_of(trial)`` gives a trial's direction codes; ``steps`` is int32
-    or int64 with a sum <= :data:`~radwalk.sequences.INT64_STEP_SUM`, or exact
-    objects, and ``uv`` has their dtype.  Code ``c = 2*b1 + b0`` moves ``u``
-    by ``a * (1 - 2*b0)`` and ``v`` by ``a * (1 - 2*(b0 ^ b1))``: +e1 by
-    ``(a, a)``, -e1 by ``(-a, -a)``, +e2 by ``(a, -a)``, -e2 by ``(-a, a)``.
-    A batch holds at most :data:`BATCH_STEPS` steps or one trial.
+    ``fill(batch, codes)`` sets row ``r`` of ``codes``, a ``(len(batch), n)``
+    uint8 array, to the direction codes of trial ``batch[r]``: a
+    :meth:`~radwalk.rng.CodeReader.fill`, or :func:`_per_trial` of a function
+    of one trial.  ``steps`` is int32 or int64 with a sum <=
+    :data:`~radwalk.sequences.INT64_STEP_SUM`, or exact objects, and ``uv``
+    has their dtype.  Code ``c = 2*b1 + b0`` moves ``u`` by ``a * (1 - 2*b0)``
+    and ``v`` by ``a * (1 - 2*(b0 ^ b1))``: +e1 by ``(a, a)``, -e1 by
+    ``(-a, -a)``, +e2 by ``(a, -a)``, -e2 by ``(-a, a)``.  A batch holds at
+    most :data:`BATCH_STEPS` steps or one trial.
+
+    ``wide``, the int64 steps that int32 ``steps`` narrow, asks for the
+    checked walk: one max and one min check each batch's positions against
+    ``+-(2**31 - 1 - max(a))``, and a batch that leaves that range is walked
+    again on ``wide`` from the same codes and yielded as int64.  Inside it no
+    int32 position can have wrapped, as each is the exact one before it plus
+    at most ``max(a)``.
 
     ``uv`` is a ``(len(batch), n, 2)`` slice of one buffer allocated per
     call, so the next batch overwrites it; ``uv[..., 0]`` and ``uv[..., 1]``
@@ -174,23 +214,34 @@ def rotated_paths(
     # four times faster than numpy's dependent loop over each row on its own.
     codes = np.empty((rows, n), dtype=np.uint8)
     uv = np.empty((rows, n, 2), dtype=steps.dtype)
+    limit = None if wide is None else (1 << 31) - 1 - int(steps.max())
+    uv_wide = None  # the re-walk's buffer, made when a batch first needs it
+
+    def walk(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> None:
+        # 1 - 2*bit as uint8 is 1 or 255, that is +1 or -1 as int8
+        neg = c & 1
+        np.multiply(a, (1 - 2 * neg).view(np.int8), out=b[..., 0])
+        np.multiply(a, (1 - 2 * (neg ^ (c >> 1))).view(np.int8), out=b[..., 1])
+        np.cumsum(b, axis=1, out=b)
+
     for lo in range(trials.start, trials.stop, rows):
         batch = range(lo, min(lo + rows, trials.stop))
         c, b = codes[: len(batch)], uv[: len(batch)]
-        for r, t in enumerate(batch):
-            c[r] = codes_of(t)
-        # 1 - 2*bit as uint8 is 1 or 255, that is +1 or -1 as int8
-        neg = c & 1
-        np.multiply(steps, (1 - 2 * neg).view(np.int8), out=b[..., 0])
-        np.multiply(steps, (1 - 2 * (neg ^ (c >> 1))).view(np.int8), out=b[..., 1])
-        np.cumsum(b, axis=1, out=b)
+        fill(batch, c)
+        walk(steps, c, b)
+        if limit is not None and (b.max() > limit or b.min() < -limit):
+            if uv_wide is None:
+                uv_wide = np.empty((rows, n, 2), dtype=np.int64)
+            b = uv_wide[: len(batch)]
+            walk(wide, c, b)
         yield batch, b
 
 
 def _hits(uv: np.ndarray, target: np.ndarray) -> int:
     """The number of paths (rows of a :func:`rotated_paths` ``uv``) that pass
     through the rotated point ``target``: a ``(2,)`` array ``(tu, tv)``, or one
-    such row per path as a ``(rows, 2)`` array, int64 or exact objects.
+    such row per path as a ``(rows, 2)`` array, int64 or exact objects.  For a
+    fixed target, :func:`_hit_counter` builds the compare key once.
 
     A compare on ``uv[..., 0]`` alone reads every other element, and costs
     3-4 times one on contiguous data, so neither case makes one:
@@ -199,8 +250,9 @@ def _hits(uv: np.ndarray, target: np.ndarray) -> int:
       the target packed the same way (65 paths x 1000 steps: 0.118 -> 0.015
       ms, 1 x 49152: 0.089 -> 0.013 ms; best of 60-80, numpy 2.4.6, 2-vCPU
       host).  Packing would wrap a coordinate outside int32, so it packs
-      ``-2**31`` instead, which no int32 walk reaches (``|u|, |v| <= sum(a)
-      < 2**31``).
+      ``-2**31`` instead, which no int32 walk reaches: a proved one has
+      ``|u|, |v| <= sum(a) < 2**31``, and a checked one is yielded as int32
+      only within ``2**31 - 1 - max(a)``.
     - int64 or exact positions: one compare of the whole buffer, each step's
       pair of bools read as one uint16, both true when it is 0x0101.  A
       target with ``tu == tv`` (the origin) is compared as a scalar; any other
@@ -211,14 +263,41 @@ def _hits(uv: np.ndarray, target: np.ndarray) -> int:
       0.08 ms, against 0.20 ms coordinate by coordinate).  numpy compares
       mixed dtypes without wrapping.
     """
+    return _count_hits(uv, _hit_key(uv, target))
+
+
+def _hit_key(uv: np.ndarray, target: np.ndarray):
+    """What :func:`_hits` compares paths like ``uv`` with: the packed int32
+    word, the scalar of a target on the diagonal, or the target repeated
+    along the steps."""
     t = target
     if uv.dtype == np.int32:
         t = np.where((t > -(1 << 31)) & (t < 1 << 31), t, -(1 << 31)).astype(np.int32)
-        key = t.view(np.int64)  # (1,), or (rows, 1)
+        return t.view(np.int64)  # (1,), or (rows, 1)
+    return t[0] if t.ndim == 1 and t[0] == t[1] else np.tile(t, uv.shape[1])
+
+
+def _count_hits(uv: np.ndarray, key) -> int:
+    if uv.dtype == np.int32:
         return int((uv.view(np.int64)[..., 0] == key).any(axis=1).sum())
     rows, n = uv.shape[:2]
-    key = t[0] if t.ndim == 1 and t[0] == t[1] else np.tile(t, n)
     return int(((uv.reshape(rows, 2 * n) == key).view(np.uint16) == 0x0101).any(axis=1).sum())
+
+
+def _hit_counter(target: np.ndarray) -> Callable[[np.ndarray], int]:
+    """``uv -> _hits(uv, target)`` for one ``(2,)`` target, its key built once
+    for each dtype and path length it meets (a checked walk yields int32 and,
+    rarely, int64 batches).  Threads sharing it may at worst build a key
+    twice."""
+    keys = {}
+
+    def hits(uv: np.ndarray) -> int:
+        form = (uv.dtype, uv.shape[1])
+        if form not in keys:
+            keys[form] = _hit_key(uv, target)
+        return _count_hits(uv, keys[form])
+
+    return hits
 
 
 def _trial_params(trials, master_seed, workers, level: float) -> tuple[int, int]:
@@ -243,22 +322,32 @@ def _walk_trials(
     chunk's scores, then the chunks' results in order, so ``workers`` cannot
     change the result.  Arrays too large to allocate raise :class:`ParameterError`.
 
-    int64 steps summing below ``2**31`` walk as int32: every partial sum has
-    ``|u_k|, |v_k| <= sum(steps)``, so int32 positions are exact, and they
-    halve the memory the kernel and the scores move.  ``trials`` and ``workers``
-    come checked, from :func:`_trial_params`.
+    The default codes are decoded a batch at a time by the reader's
+    :meth:`~radwalk.rng.CodeReader.fill`; a ``codes_of`` runs per trial.
+    int64 steps walk as int32, which halves the memory the kernel and the
+    scores move, in two cases.  Proved: they sum below ``2**31``, so every
+    partial sum has ``|u_k|, |v_k| <= sum(steps)``.  Checked:
+    ``max(a) + SPREAD_SIGMAS * sqrt(sum(a**2)) < 2**31``; the kernel then
+    walks a batch again on int64 when it leaves ``+-(2**31 - 1 - max(a))``
+    (see :func:`rotated_paths`).  Either way every score sees exact
+    positions.  ``trials`` and ``workers`` come checked, from
+    :func:`_trial_params`.
     """
     key = _rng._philox_key(master_seed)
-    draw = codes_of or (lambda reader, t: reader.codes(t, n))
     try:
-        walked = steps()
-        if walked.dtype == np.int64 and int(walked.sum()) < 1 << 31:
-            walked = walked.astype(np.int32)
+        walked, wide = steps(), None
+        if walked.dtype == np.int64:
+            if int(walked.sum()) < 1 << 31:
+                walked = walked.astype(np.int32)
+            else:
+                sigma = float(np.square(walked, dtype=np.float64).sum()) ** 0.5  # of u_n, v_n
+                if int(walked.max()) + SPREAD_SIGMAS * sigma < 1 << 31:
+                    walked, wide = walked.astype(np.int32), walked
 
         def run_chunk(chunk: range):
             reader = _rng.CodeReader(key)  # not thread-safe: one per chunk
-            batches = rotated_paths(walked, chunk, lambda t: draw(reader, t))
-            return combine(score(*paths) for paths in batches)
+            fill = reader.fill if codes_of is None else _per_trial(lambda t: codes_of(reader, t))
+            return combine(score(*paths) for paths in rotated_paths(walked, chunk, fill, wide))
 
         return _rng.map_trial_chunks(trials, run_chunk, combine, workers)
     except MemoryError:
@@ -303,7 +392,8 @@ def simulate(
     reader.seek(trial)
     for lo in range(0, n, STREAM_CHUNK):
         codes = reader.read(min(STREAM_CHUNK, n - lo))
-        _, uv = next(rotated_paths(walked[lo : lo + len(codes)], range(1), lambda t: codes))
+        fill = _per_trial(lambda t: codes)
+        _, uv = next(rotated_paths(walked[lo : lo + len(codes)], range(1), fill))
         u, v = uv[0, :, 0] + u_end, uv[0, :, 1] + v_end
         u_end, v_end = u[-1:].item(), v[-1:].item()
         horizontal += int((codes < 2).sum())
@@ -409,10 +499,10 @@ def monte_carlo_return(
     tu, tv = (Fraction(t) * scale for t in (target[0] + target[1], target[0] - target[1]))
     on_lattice = tu.denominator == tv.denominator == 1
     wide = max(abs(tu), abs(tv)) >= 1 << 63  # int64 would not hold it
-    point = np.array([int(tu), int(tv)], dtype=object if wide else np.int64)
+    hits = _hit_counter(np.array([int(tu), int(tv)], dtype=object if wide else np.int64))
     successes = _walk_trials(
         n, lambda: walked, trials, master_seed,
-        lambda batch, uv: _hits(uv, point) if on_lattice else 0, workers=workers,
+        lambda batch, uv: hits(uv) if on_lattice else 0, workers=workers,
     )
     ci = wilson_interval(successes, trials, level)
     params = {"horizon": n, "target": list(target), "sequence": seq.to_config()}

@@ -322,7 +322,12 @@ class TestExitCodes:
              "width_bits must be >= 0, got -3"),
             (["sequence", "make", "--seq", CONST1, "--n=-1"], "n must be >= 0, got -1"),
             (["construct", "build", "--good-set", "2,3", "--rounds", "0", "--horizon-cap=-1"],
-             "horizon_cap must be >= 1, got -1"),
+             "horizon_cap must be >= 16, got -1"),
+            # below the first horizon of a search, with or without a round to search
+            (["construct", "build", "--good-set", "2,3", "--rounds", "0", "--horizon-cap", "8"],
+             "horizon_cap must be >= 16, got 8"),
+            (["construct", "build", "--good-set", "2,3", "--rounds", "1", "--horizon-cap", "15"],
+             "horizon_cap must be >= 16, got 15"),
         ],
     )
     def test_out_of_range_values_fail_by_name(self, argv, named, capsys):

@@ -81,7 +81,7 @@ COUNTS = [
     ("estimate_N0", "horizon_start", 1, 2, lambda v: n0(horizon_start=v)),
     ("estimate_N0", "horizon_cap", 1, 8, lambda v: n0(horizon_cap=v)),
     ("build_recurrent_sequence", "rounds", 0, 1, lambda v: build(v)),
-    ("build_recurrent_sequence", "horizon_cap", 1, 16, lambda v: build(0, horizon_cap=v)),
+    ("build_recurrent_sequence", "horizon_cap", 16, 16, lambda v: build(0, horizon_cap=v)),
     ("evaluate_plan", "trials", 1, 3, lambda v: cn.evaluate_plan(PLAN, v, 0)),
     ("evaluate_plan", "workers", 1, 2, lambda v: cn.evaluate_plan(PLAN, 3, 0, workers=v)),
 ]

@@ -123,16 +123,9 @@ class TestOverflowPolicy:
         assert 1 <= exc.value.step <= 3
 
     def test_promotion_keeps_exact_values(self):
-        seq = sq.make_sequence("explicit-list", values=[self.BIG, self.BIG, self.BIG])
-        summary = wk.simulate(seq, 3, 0, width_bits=None)
-        assert abs(summary.final.x) + abs(summary.final.y) in (
-            self.BIG,
-            3 * self.BIG,
-        )
-
-    def test_unbounded_width(self):
         seq = sq.make_sequence("explicit-list", values=[self.BIG] * 3)
         summary = wk.simulate(seq, 3, 0, width_bits=None)
+        assert abs(summary.final.x) + abs(summary.final.y) in (self.BIG, 3 * self.BIG)
         assert abs(summary.final.x) <= 3 * self.BIG
 
     def test_negative_width_rejected(self):
@@ -346,7 +339,7 @@ class TestRotatedKernel:
         reader = rw.CodeReader(rw._philox_key(seed))
         steps = np.array(values[:n], dtype=np.int64)
         one = range(trial, trial + 1)
-        batches = list(wk.rotated_paths(steps, one, lambda t: reader.codes(t, n)))
+        batches = list(wk.rotated_paths(steps, one, reader.fill))
         assert len(batches) == 1
         batch, uv = batches[0]
         assert batch == range(trial, trial + 1)
@@ -370,7 +363,7 @@ class TestRotatedKernel:
         reader = rw.CodeReader(rw._philox_key(17))
         moves = {0: (1, 0), 1: (-1, 0), 2: (0, 1), 3: (0, -1)}
         seen = []
-        for batch, uv in wk.rotated_paths(steps, trials, lambda t: reader.codes(t, n)):
+        for batch, uv in wk.rotated_paths(steps, trials, reader.fill):
             assert len(batch) <= max(1, batch_steps // n)
             assert uv.shape == (len(batch), n, 2)
             assert uv.dtype == steps.dtype
@@ -385,6 +378,16 @@ class TestRotatedKernel:
                 assert u[r].tolist() == want_u and v[r].tolist() == want_v, t
             seen += list(batch)
         assert seen == list(trials)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 1000])
+    def test_fill_matches_direction_codes(self, n):
+        reader = rw.CodeReader(rw._philox_key(23))
+        # a first batch, a shorter one on the same buffer, then a new horizon
+        for trials, width in [(range(3, 9), n), (range(40, 42), n), (range(0, 4), n + 1)]:
+            codes = np.full((len(trials), width), 9, dtype=np.uint8)
+            reader.fill(trials, codes)
+            for row, t in zip(codes.tolist(), trials):
+                assert row == rw.direction_codes(23, t, width).tolist(), (t, width)
 
     @pytest.mark.parametrize("trials", [1, 255, 256, 257, 513])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -496,7 +499,7 @@ class TestTrialDriver:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_unallocatable_kernel_buffers_fail_by_name(self, monkeypatch, workers):
-        def no_buffers(steps, trials, codes_of):
+        def no_buffers(*args):
             raise MemoryError
 
         monkeypatch.setattr(wk, "rotated_paths", no_buffers)
@@ -542,15 +545,16 @@ INT32_EDGE = [1 << 29] * 3 + [(1 << 29) - 1]  # sums to 2**31 - 1: the last int3
 INT64_EDGE = [1 << 29] * 4  # sums to 2**31: walks on int64
 
 
-def _reference_successes(values, seed, trials, target):
+def _reference_successes(values, seed, trials, target, codes_of=None):
     """Trials visiting ``target`` at some step, walked in Python ints from the
-    reference direction codes."""
+    reference direction codes, or from ``codes_of(t)``."""
     moves = {0: (1, 0), 1: (-1, 0), 2: (0, 1), 3: (0, -1)}
+    codes_of = codes_of or (lambda t: rw.direction_codes(seed, t, len(values)))
     hits = 0
     for t in range(trials):
         x = y = 0
         seen = False
-        for a, c in zip(values, rw.direction_codes(seed, t, len(values)).tolist()):
+        for a, c in zip(values, codes_of(t).tolist()):
             x, y = x + a * moves[c][0], y + a * moves[c][1]
             seen = seen or (x, y) == target
         hits += seen
@@ -597,29 +601,115 @@ class TestInt32Positions:
         targets = np.array([[3, -1], [3, -1], [1 << 32, 0]])
         assert wk._hits(uv, targets) == 1
 
-    def test_kernel_gets_int32_steps_exactly_below_2_to_31(self, monkeypatch):
-        """A guard on the fast path: Monte Carlo walks narrow their steps to
-        int32 when, and only when, they sum below 2**31; a streamed walk
-        always gets int64."""
-        seen = []
-        kernel = wk.rotated_paths
 
-        def spy(steps, trials, codes_of):
-            seen.append(steps.dtype)
-            return kernel(steps, trials, codes_of)
+FLOOR1 = sq.make_sequence("floor-power", gamma=1)
+FLOOR2 = sq.make_sequence("floor-power", gamma=2)
+PAIR23 = cn.positive_bezout(2, 3)
+#: Steps summing to 2**32 whose walks spread to 8 sigma = 2**29: checked int32.
+CHECKED = [1 << 20] * 4096
 
-        monkeypatch.setattr(wk, "rotated_paths", spy)
-        for values, want in [(INT32_EDGE, np.int32), (INT64_EDGE, np.int64)]:
-            seq = sq.make_sequence("explicit-list", values=values)
-            seen.clear()
-            wk.monte_carlo_return(seq, 4, 300, 0)
-            assert seen == [want] * 2  # one call per chunk of trials
-            seen.clear()
-            wk.simulate(seq, 4, 0)
-            assert seen == [np.int64]
-        seen.clear()
-        vf.hitting_time_experiment(2, trials=5, master_seed=0)
-        assert seen == [np.int32]
+
+def _explicit(values):
+    return sq.make_sequence("explicit-list", values=values)
+
+
+def _mc_long_build():
+    """The benchmark's build job, at 2 trials a search."""
+    prefix = cn.GoodSetPrefix([2, 3, 5, 7, 11, 13, 17, 19, 23, 29])
+    return cn.build_recurrent_sequence(prefix, 2, trials=2, horizon_cap=1 << 14)
+
+
+@pytest.fixture(scope="module")
+def mc_long_plan():
+    return _mc_long_build()[0]
+
+
+def _mc(values, n, trials):
+    return wk.monte_carlo_return(_explicit(values), n, trials, 0)
+
+
+#: (run of a plan, the steps' dtype the kernel gets, whether it checks them)
+KERNEL_STEPS = {
+    "int32-edge": (lambda plan: _mc(INT32_EDGE, 4, 300), np.int32, False),
+    "int64-edge": (lambda plan: _mc(INT64_EDGE, 4, 300), np.int64, False),
+    "checked-edge": (lambda plan: _mc(CHECKED, 4096, 3), np.int32, True),
+    # the job shapes of the benchmark's mc_long workload, at its horizons
+    "hit_r10": (lambda plan: vf.hitting_time_experiment(10, trials=3), np.int32, False),
+    "mc_floor1": (lambda plan: wk.monte_carlo_return(FLOOR1, 10**5, 2, 0), np.int32, True),
+    "n0_23": (lambda plan: cn.estimate_N0(PAIR23, 0, trials=2, horizon_cap=1 << 14), np.int32, False),
+    "build": (lambda plan: _mc_long_build(), np.int32, False),
+    "evaluate": (lambda plan: cn.evaluate_plan(plan, 2, 0), np.int32, False),
+    # a_n = n**2 spreads past int32: int64 from the start
+    "floor2": (lambda plan: wk.monte_carlo_return(FLOOR2, 10**5, 2, 0), np.int64, False),
+    "simulate-int32-edge": (lambda plan: wk.simulate(_explicit(INT32_EDGE), 4, 0), np.int64, False),
+    "simulate-checked": (lambda plan: wk.simulate(_explicit(CHECKED), 4096, 0), np.int64, False),
+}
+
+
+def _spy_kernel(monkeypatch) -> list:
+    """Per :func:`rotated_paths` call: the steps' dtype, whether ``wide`` was
+    given, and the dtypes of the batches it yielded."""
+    calls = []
+    kernel = wk.rotated_paths
+
+    def spy(steps, trials, fill, wide=None):
+        call = (steps.dtype, wide is not None, [])
+        calls.append(call)
+        for batch, uv in kernel(steps, trials, fill, wide):
+            call[2].append(uv.dtype)
+            yield batch, uv
+
+    monkeypatch.setattr(wk, "rotated_paths", spy)
+    return calls
+
+
+class TestKernelSteps:
+    """A guard on the fast paths: each walk reaches the kernel on the dtype
+    the narrowing rule gives it, so a silent fall back to int64 fails here."""
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_STEPS))
+    def test_kernel_gets_the_narrowed_steps(self, monkeypatch, mc_long_plan, case):
+        run, dtype, checked = KERNEL_STEPS[case]
+        calls = _spy_kernel(monkeypatch)
+        run(mc_long_plan)
+        assert calls
+        for steps_dtype, wide, batches in calls:
+            assert (steps_dtype, wide) == (dtype, checked)
+            assert batches and all(b == dtype for b in batches)  # none was walked twice
+        if case in ("int32-edge", "int64-edge"):
+            assert len(calls) == 2  # one per chunk of 300 trials
+
+
+class TestCheckedInt32Walk:
+    """Walks under the check count exactly what exact arithmetic counts, also
+    when a batch leaves the range and is walked again on int64."""
+
+    TRIALS = 48  # three batches of 16 rows
+
+    @pytest.mark.parametrize("target", [(0, 0), (1 << 32, 0)])
+    def test_a_batch_out_of_range_is_walked_again(self, monkeypatch, target):
+        n = len(CHECKED)
+        east = np.zeros(n, dtype=np.uint8)  # trials 16..19 move +e1 all the way to (2**32, 0)
+
+        def codes(t):
+            return east if 16 <= t < 20 else rw.direction_codes(43, t, n)
+
+        want = _reference_successes(CHECKED, 43, self.TRIALS, target, codes)
+        assert want >= (4 if target == (1 << 32, 0) else 1)
+        calls = _spy_kernel(monkeypatch)
+        rotated = np.array([target[0] + target[1], target[0] - target[1]])
+        got = wk._walk_trials(
+            n, lambda: np.array(CHECKED, dtype=np.int64), self.TRIALS, 43,
+            lambda batch, uv: wk._hits(uv, rotated), codes_of=lambda reader, t: codes(t),
+        )
+        assert got == want
+        assert calls == [(np.int32, True, [np.int32, np.int64, np.int32])]
+
+    @pytest.mark.parametrize("target", [(0, 0), (1 << 32, 0), (1 << 20, -(1 << 20))])
+    def test_random_codes_match_a_python_walk(self, target):
+        want = _reference_successes(CHECKED, 44, self.TRIALS, target)
+        got = wk.monte_carlo_return(_explicit(CHECKED), len(CHECKED), self.TRIALS, 44, target)
+        assert got.successes == want
 
 
 @pytest.mark.parametrize("workers", [0, -1, 2.5, True])

@@ -126,6 +126,10 @@ class TestOverflowPolicy:
         seq = sq.make_sequence("explicit-list", values=[self.BIG] * 3)
         summary = wk.simulate(seq, 3, 0, width_bits=None)
         assert abs(summary.final.x) + abs(summary.final.y) in (self.BIG, 3 * self.BIG)
+
+    def test_unbounded_width(self):
+        seq = sq.make_sequence("explicit-list", values=[self.BIG] * 3)
+        summary = wk.simulate(seq, 3, 0, width_bits=None)
         assert abs(summary.final.x) <= 3 * self.BIG
 
     def test_negative_width_rejected(self):

@@ -53,7 +53,7 @@ def _from_json_file(path, flag: str, build):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return build(json.load(fh))
-    except (UnicodeDecodeError, json.JSONDecodeError, ParameterError) as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, ParameterError
         raise ParameterError(f"{flag} {path}: {exc}") from None
 
 
@@ -93,8 +93,8 @@ def _sequence_from_args(args: dict) -> _sequences.StepSequence:
     if spec:
         try:
             config = json.loads(spec)
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"--seq must be a JSON object: {exc}") from exc
+        except ValueError as exc:  # not JSON, or an int past the digit limit
+            raise ParameterError(f"--seq must be a JSON object: {exc}") from None
         return _sequences.sequence_from_config(config)
     if path:
         return _from_json_file(path, "--seq-file", _sequences.sequence_from_config)
@@ -378,20 +378,14 @@ def _handle_mc_return(command: str, a: dict):
     return EXIT_OK, rec, [row], list(row)
 
 
-def _pmf_rows_1d(p: _exact.ExactPmf1D):
-    rows = []
-    for v, w in zip(p.values, p.weights):
-        m = Fraction(w, p.total)
-        rows.append({"value": str(v), "mass": f"{m.numerator}/{m.denominator}"})
-    return rows
-
-
 def _handle_exact(command: str, a: dict):
     if command == "exact.pmf1d":
         p = _exact.pmf_1d(_number_list(a["d"]))
         rec = {"steps": [str(s) for s in p.steps], "support_size": len(p.values),
                "pmf": {str(v): str(m) for v, m in p.as_dict().items()}}
-        return EXIT_OK, rec, _pmf_rows_1d(p), ["value", "mass"]
+        rows = [{"value": str(v), "mass": f"{m.numerator}/{m.denominator}"}
+                for v, m in zip(p.values, p.masses)]
+        return EXIT_OK, rec, rows, ["value", "mass"]
     if command == "exact.pmf2d":
         p = _exact.pmf_2d(_number_list(a["a"]))
         rows = [
@@ -495,6 +489,7 @@ def _handle_construct(command: str, a: dict):
         return status, rec, [row], list(row)
     if command == "construct.build":
         prefix = _good_set_from_args(a)
+        _int_param(a["evaluate_trials"], "evaluate_trials", 0)
         plan, _seq = _construction.build_recurrent_sequence(
             prefix,
             a["rounds"],
@@ -645,9 +640,8 @@ def run(config: RunConfig) -> int:
     args.setdefault("workers", 1)
     status, record, rows, columns = _dispatch(RunConfig(config.command, args))
     document = emit_report(config.command, record, rows, columns, out, fmt, status)
-    if not out:
-        json.dump(document, sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
+    if not out:  # the whole text first: a number too long to print leaves no half report
+        sys.stdout.write(json.dumps(document, sort_keys=True, indent=2) + "\n")
     return status
 
 
@@ -660,6 +654,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     except OSError as exc:
         print(f"radwalk: i/o error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except ValueError as exc:  # str() of an int past sys.get_int_max_str_digits()
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(f"radwalk: error: the output holds an integer of over {limit} digits", file=sys.stderr)
         return EXIT_ERROR
 
 

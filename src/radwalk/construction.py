@@ -19,9 +19,12 @@ disk, within a configurable horizon cap and the target budget
 it never silently succeeds.
 
 Fair warning from the numbers themselves: hit probabilities of exact lattice
-points in the plane grow only logarithmically with the horizon (measured
-slope here: roughly 0.015 per e-fold for the (2,3) pair), so the certified
-level of 1/2 sits at horizons around 1e13 periods even for C = 0.  At desk
+points in the plane grow only logarithmically with the horizon.  For the
+(2,3) pair the period-end Green's function G grows by 1/(17*pi), about
+0.0187, per e-fold of the horizon (the local-CLT constant), and the return
+probability 1 - 1/G by that over G**2, a slope that falls as G grows.
+Extrapolated so, the certified level of 1/2 sits at a few times 1e22
+periods for C = 0 (a linear fit in log N gave the too-low 1e13).  At desk
 scale these searches report ``inconclusive`` with their best lower bounds,
 which is the honest outcome.
 """
@@ -39,7 +42,7 @@ import numpy as np
 from . import rng as _rng
 from .errors import CoprimalityError, ExhaustionError, ParameterError, _int_param
 from .rng import json_decode, json_encode, wilson_interval
-from .sequences import INT64_STEP_SUM, StepSequence, _data_lines
+from .sequences import INT64_STEP_SUM, StepSequence, _read_values
 from .walk import _hit_counter, _trial_params, _walk_trials
 
 
@@ -89,6 +92,13 @@ def positive_bezout(b1: int, b2: int) -> BezoutPair:
     return BezoutPair(b1, b2, c1, c2)
 
 
+def _element(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParameterError(f"expected an integer, got {text!r}") from None
+
+
 class GoodSetPrefix:
     """A finite prefix of a candidate good set, with per-element used flags."""
 
@@ -107,14 +117,7 @@ class GoodSetPrefix:
     @classmethod
     def from_file(cls, path) -> "GoodSetPrefix":
         """One element per line; blank lines and ``#`` comments are skipped."""
-        values = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for i, ln in _data_lines(fh):
-                try:
-                    values.append(int(ln))
-                except ValueError:
-                    raise ParameterError(f"{path}, line {i}: expected an integer, got {ln!r}") from None
-        return cls(values)
+        return cls(_read_values(path, _element))
 
     def unused_indices(self) -> list[int]:
         return [i for i, u in enumerate(self.used) if not u]

@@ -126,14 +126,9 @@ class CodeReader:
         words >>= 30  # in place: the raw buffer is this read's own
         return words.astype(np.uint8)
 
-    def codes(self, trial: int, n: int) -> np.ndarray:
-        """``direction_codes(master_seed, trial, n)``, as uint8."""
-        self.seek(trial)
-        return self.read(n)
-
     def fill(self, trials: range, codes: np.ndarray) -> None:
         """Set row ``r`` of ``codes``, a ``(len(trials), n)`` uint8 array, to
-        ``self.codes(trials[r], n)``.
+        the codes ``read(n)`` gives after ``seek(trials[r])``.
 
         Per trial only the seek and the raw draw run, into one
         ``(rows, ceil(n/2))`` uint64 buffer the reader keeps for the next

@@ -25,8 +25,11 @@ count (an index, a horizon, a prefix length, a bit budget) is checked once by
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -113,6 +116,18 @@ def _exact_array(values: Sequence[Number], factor: int = 1) -> tuple[np.ndarray,
 
 
 def _fraction_param(value, name: str) -> Fraction:
+    """``value`` as a Fraction.  Text whose numerator or denominator would exceed
+    the interpreter's digit limit (:func:`sys.get_int_max_str_digits`, if it has
+    one) fails by name before it is built: ``1e9999999`` takes seconds to build."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 where there is none
+    if isinstance(value, str) and limit and ("e" in value.lower() or len(value) > limit):
+        mantissa, _, exponent = value.lower().partition("e")
+        digits = max(len(re.sub(r"\D", "", part)) for part in mantissa.split("/"))
+        with contextlib.suppress(ValueError):  # not an exponent: Fraction refuses it below
+            digits += abs(int(exponent or 0))
+        if digits > limit:
+            shown = value if len(value) <= 40 else value[:20] + "..."
+            raise ParameterError(f"{name} must have at most {limit} digits, got {shown!r}")
     try:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
@@ -388,23 +403,33 @@ def sequence_from_config(config: dict) -> StepSequence:
     return make_sequence(family, **params)
 
 
-def _data_lines(lines: Iterable[str]) -> list[tuple[int, str]]:
-    """``(line number, stripped text)`` of each line neither blank nor a ``#`` comment."""
-    return [(i, ln) for i, raw in enumerate(lines, 1) if (ln := raw.strip()) and not ln.startswith("#")]
+def _read_values(path, parse: Callable[[str], Number]) -> list:
+    """``parse`` of each line of the text file ``path`` that is neither blank
+    nor a ``#`` comment.  A file that is not UTF-8 fails naming it, and a line
+    that ``parse`` refuses fails naming the file and the line."""
+    values = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for i, raw in enumerate(fh, 1):
+                if (ln := raw.strip()) and not ln.startswith("#"):
+                    values.append(parse(ln))
+    except UnicodeDecodeError:
+        raise ParameterError(f"{path}: the file is not UTF-8 text") from None
+    except ParameterError as exc:  # from parse, at line i
+        raise ParameterError(f"{path}, line {i}: {exc}") from None
+    return values
+
+
+def _step_value(text: str) -> Number:
+    v = _decode_number(text)
+    if v <= 0:
+        raise ParameterError(f"value must be > 0, got {v}")
+    return v
 
 
 def load_explicit_list(path) -> StepSequence:
     """Read a one-value-per-line text file into an explicit-list sequence."""
-    values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, ln in _data_lines(fh):
-            try:
-                values.append(v := _decode_number(ln))
-                if v <= 0:
-                    raise ParameterError(f"value must be > 0, got {v}")
-            except ParameterError as exc:
-                raise ParameterError(f"{path}, line {i}: {exc}") from None
-    return make_sequence("explicit-list", values=values)
+    return make_sequence("explicit-list", values=_read_values(path, _step_value))
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +454,6 @@ class RunLengthDecomposition:
         for v, m in zip(self.values, self.multiplicities):
             out.extend([v] * m)
         return out
-
-    @property
-    def prefix_length(self) -> int:
-        return sum(self.multiplicities)
 
 
 def run_length_decompose(seq: StepSequence, n: int) -> RunLengthDecomposition:

@@ -15,19 +15,20 @@ derived from the master seed (see :mod:`radwalk.rng`), so estimates do not
 depend on batching or worker count.
 
 All walks, here and in :mod:`radwalk.construction` and :mod:`radwalk.verify`,
-run through one kernel, :func:`rotated_paths`, in the rotated coordinates
-``u = x + y`` and ``v = x - y``: each step moves both by ``+-a_n``.  A
-sequence's walk takes the ints of :meth:`StepSequence.lattice`, its steps
-times the lcm of their denominators: positions are divided back only for a
-visitor and the final state, and a target is scaled to the same lattice.
-:func:`simulate` streams one walk through it a chunk of codes at a time and
-calls its visitor once per chunk with a :class:`WalkBlock` of consecutive
-steps: their exact positions, step sizes and direction codes.  Every Monte
-Carlo estimate runs its trials through one loop, :func:`_walk_trials`, and
-reduces each batch of paths to a score, most often a count of the paths
-that hit a point (:func:`_hits`).  That loop decodes each batch's codes at
-once (:meth:`~radwalk.rng.CodeReader.fill`) and walks int64 steps on int32,
-so the kernel moves half the bytes and :func:`_hits` compares each
+run through one private kernel, :func:`_rotated`, which walks a batch of codes
+in the rotated coordinates ``u = x + y`` and ``v = x - y``: each step moves
+both by ``+-a_n``.  A sequence's walk takes the ints of
+:meth:`StepSequence.lattice`, its steps times the lcm of their denominators:
+positions are divided back only for a visitor and the final state, and a
+target is scaled to the same lattice.  :func:`simulate` calls the kernel and
+its visitor once per read of :data:`STREAM_CHUNK` codes, the visitor with a
+:class:`WalkBlock` of consecutive steps: their exact positions, step sizes and
+direction codes.  Every Monte Carlo estimate runs its trials through one loop,
+:func:`_walk_trials`, which calls the kernel once per batch of at most
+:data:`BATCH_STEPS` steps and reduces each to a score, most often a count of
+the paths that hit a point (:func:`_hits`).  That loop decodes each batch's
+codes at once (:meth:`~radwalk.rng.CodeReader.fill`) and walks int64 steps on
+int32, so the kernel moves half the bytes and :func:`_hits` compares each
 ``(u, v)`` pair as one 64-bit word, in two cases:
 
 - proved: the steps sum below ``2**31``, which bounds every ``|u|`` and
@@ -48,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -151,7 +152,7 @@ class TrajectoryRecorder:
 #: and the reads concatenate to :func:`radwalk.rng.direction_codes` exactly.
 STREAM_CHUNK = 1 << 15
 
-#: Trials x steps of one batch of walks in :func:`rotated_paths`: walks with
+#: Trials x steps of one batch of walks in :func:`_walk_trials`: walks with
 #: short horizons run as (rows x n) arrays of at most this many steps.
 BATCH_STEPS = 1 << 16
 
@@ -164,81 +165,43 @@ BATCH_STEPS = 1 << 16
 SPREAD_SIGMAS = 8
 
 
-def _per_trial(codes_of: Callable[[int], np.ndarray]) -> Callable[[range, np.ndarray], None]:
-    """The :func:`rotated_paths` fill that sets each row to ``codes_of(trial)``."""
+def _rotated(steps: np.ndarray, codes: np.ndarray, out: np.ndarray, wide=None, limit=0) -> np.ndarray:
+    """The walk kernel: the ``(rows, n, 2)`` positions ``out[r, k] = (u, v) =
+    (x + y, x - y)`` after step ``k + 1`` of each row of ``codes``, a
+    ``(rows, n)`` uint8 batch of direction codes, walked on the ``n`` steps.
 
-    def fill(batch: range, codes: np.ndarray) -> None:
-        for r, t in enumerate(batch):
-            codes[r] = codes_of(t)
-
-    return fill
-
-
-def rotated_paths(
-    steps: np.ndarray,
-    trials: range,
-    fill: Callable[[range, np.ndarray], None],
-    wide: np.ndarray | None = None,
-) -> Iterator[tuple[range, np.ndarray]]:
-    """The walk kernel: yields ``(batch, uv)`` for consecutive batches of
-    ``trials``, ``uv[r, k]`` being the pair ``(u, v) = (x + y, x - y)`` after
-    step ``k + 1`` of trial ``batch[r]``.
-
-    ``fill(batch, codes)`` sets row ``r`` of ``codes``, a ``(len(batch), n)``
-    uint8 array, to the direction codes of trial ``batch[r]``: a
-    :meth:`~radwalk.rng.CodeReader.fill`, or :func:`_per_trial` of a function
-    of one trial.  ``steps`` is int32 or int64 with a sum <=
-    :data:`~radwalk.sequences.INT64_STEP_SUM`, or exact objects, and ``uv``
+    ``steps`` is int32 or int64 with a sum <=
+    :data:`~radwalk.sequences.INT64_STEP_SUM`, or exact objects, and ``out``
     has their dtype.  Code ``c = 2*b1 + b0`` moves ``u`` by ``a * (1 - 2*b0)``
     and ``v`` by ``a * (1 - 2*(b0 ^ b1))``: +e1 by ``(a, a)``, -e1 by
-    ``(-a, -a)``, +e2 by ``(a, -a)``, -e2 by ``(-a, a)``.  A batch holds at
-    most :data:`BATCH_STEPS` steps or one trial.
+    ``(-a, -a)``, +e2 by ``(a, -a)``, -e2 by ``(-a, a)``.  With u and v
+    interleaved, one cumsum along the steps adds both at once, about four
+    times faster than numpy's dependent loop over each row on its own.
 
     ``wide``, the int64 steps that int32 ``steps`` narrow, asks for the
-    checked walk: one max and one min check each batch's positions against
-    ``+-(2**31 - 1 - max(a))``, and a batch that leaves that range is walked
-    again on ``wide`` from the same codes and yielded as int64.  Inside it no
-    int32 position can have wrapped, as each is the exact one before it plus
-    at most ``max(a)``.
-
-    ``uv`` is a ``(len(batch), n, 2)`` slice of one buffer allocated per
-    call, so the next batch overwrites it; ``uv[..., 0]`` and ``uv[..., 1]``
-    are the coordinates.  With int32 steps each ``(u, v)`` pair is one
-    8-byte word, which :func:`_hits` compares at once.
+    checked walk: one max and one min check the positions against
+    ``+-limit``, ``limit = 2**31 - 1 - max(a)``, and a batch that leaves
+    that range is walked again on ``wide`` from the same codes and returned
+    as int64.  Inside it no int32 position can have wrapped, as each is the
+    exact one before it plus at most ``max(a)``.
     """
-    n = len(steps)
-    rows = max(1, min(len(trials), BATCH_STEPS // max(n, 1)))
-    # Buffers are allocated once per call: a fresh array per batch costs
-    # page faults that, on long walks, take as long as the arithmetic.  With
-    # u and v interleaved, one cumsum along the steps adds both at once, about
-    # four times faster than numpy's dependent loop over each row on its own.
-    codes = np.empty((rows, n), dtype=np.uint8)
-    uv = np.empty((rows, n, 2), dtype=steps.dtype)
-    limit = None if wide is None else (1 << 31) - 1 - int(steps.max())
-    uv_wide = None  # the re-walk's buffer, made when a batch first needs it
+    neg = codes & 1
+    # 1 - 2*bit as uint8 is 1 or 255, that is +1 or -1 as int8
+    su, sv = (1 - 2 * neg).view(np.int8), (1 - 2 * (neg ^ (codes >> 1))).view(np.int8)
 
-    def walk(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> None:
-        # 1 - 2*bit as uint8 is 1 or 255, that is +1 or -1 as int8
-        neg = c & 1
-        np.multiply(a, (1 - 2 * neg).view(np.int8), out=b[..., 0])
-        np.multiply(a, (1 - 2 * (neg ^ (c >> 1))).view(np.int8), out=b[..., 1])
-        np.cumsum(b, axis=1, out=b)
+    def walk(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        np.multiply(a, su, out=b[..., 0])
+        np.multiply(a, sv, out=b[..., 1])
+        return np.cumsum(b, axis=1, out=b)
 
-    for lo in range(trials.start, trials.stop, rows):
-        batch = range(lo, min(lo + rows, trials.stop))
-        c, b = codes[: len(batch)], uv[: len(batch)]
-        fill(batch, c)
-        walk(steps, c, b)
-        if limit is not None and (b.max() > limit or b.min() < -limit):
-            if uv_wide is None:
-                uv_wide = np.empty((rows, n, 2), dtype=np.int64)
-            b = uv_wide[: len(batch)]
-            walk(wide, c, b)
-        yield batch, b
+    out = walk(steps, out)
+    if wide is not None and (out.max() > limit or out.min() < -limit):
+        out = walk(wide, np.empty(out.shape, dtype=np.int64))
+    return out
 
 
 def _hits(uv: np.ndarray, target: np.ndarray) -> int:
-    """The number of paths (rows of a :func:`rotated_paths` ``uv``) that pass
+    """The number of paths (rows of a :func:`_rotated` ``uv``) that pass
     through the rotated point ``target``: a ``(2,)`` array ``(tu, tv)``, or one
     such row per path as a ``(rows, 2)`` array, int64 or exact objects.  For a
     fixed target, :func:`_hit_counter` builds the compare key once.
@@ -251,7 +214,7 @@ def _hits(uv: np.ndarray, target: np.ndarray) -> int:
       ms, 1 x 49152: 0.089 -> 0.013 ms; best of 60-80, numpy 2.4.6, 2-vCPU
       host).  Packing would wrap a coordinate outside int32, so it packs
       ``-2**31`` instead, which no int32 walk reaches: a proved one has
-      ``|u|, |v| <= sum(a) < 2**31``, and a checked one is yielded as int32
+      ``|u|, |v| <= sum(a) < 2**31``, and a checked one is returned as int32
       only within ``2**31 - 1 - max(a)``.
     - int64 or exact positions: one compare of the whole buffer, each step's
       pair of bools read as one uint16, both true when it is 0x0101.  A
@@ -286,7 +249,7 @@ def _count_hits(uv: np.ndarray, key) -> int:
 
 def _hit_counter(target: np.ndarray) -> Callable[[np.ndarray], int]:
     """``uv -> _hits(uv, target)`` for one ``(2,)`` target, its key built once
-    for each dtype and path length it meets (a checked walk yields int32 and,
+    for each dtype and path length it meets (a checked walk returns int32 and,
     rarely, int64 batches).  Threads sharing it may at worst build a key
     twice."""
     keys = {}
@@ -316,38 +279,55 @@ def _walk_trials(
     *, workers: int = 1, codes_of: Callable | None = None, combine: Callable = sum,
 ):
     """The one Monte Carlo trial loop: ``combine`` of ``score(batch, uv)`` over
-    the :func:`rotated_paths` batches of trials ``0..trials-1`` on the ``n`` steps
-    ``steps()`` builds.  Trial ``t`` walks ``codes_of(reader, t)`` on its chunk's
-    reader, by default its first ``n`` direction codes.  ``combine`` folds a
-    chunk's scores, then the chunks' results in order, so ``workers`` cannot
-    change the result.  Arrays too large to allocate raise :class:`ParameterError`.
+    batches of trials ``0..trials-1``, ``uv`` being the :func:`_rotated`
+    positions of the batch's walks on the ``n`` steps ``steps()`` builds.
+    Trial ``t`` walks ``codes_of(reader, t)`` on its chunk's reader, by
+    default its first ``n`` direction codes.  ``combine`` folds a chunk's
+    scores, then the chunks' results in order, so ``workers`` cannot change
+    the result.  Arrays too large to allocate raise :class:`ParameterError`.
 
-    The default codes are decoded a batch at a time by the reader's
+    A batch holds at most :data:`BATCH_STEPS` steps or one trial, and each
+    chunk allocates its codes and positions buffers once, so the next batch
+    overwrites ``uv``: a fresh array per batch costs page faults that, on
+    long walks, take as long as the arithmetic.  The default codes are
+    decoded a batch at a time by the reader's
     :meth:`~radwalk.rng.CodeReader.fill`; a ``codes_of`` runs per trial.
     int64 steps walk as int32, which halves the memory the kernel and the
     scores move, in two cases.  Proved: they sum below ``2**31``, so every
     partial sum has ``|u_k|, |v_k| <= sum(steps)``.  Checked:
     ``max(a) + SPREAD_SIGMAS * sqrt(sum(a**2)) < 2**31``; the kernel then
-    walks a batch again on int64 when it leaves ``+-(2**31 - 1 - max(a))``
-    (see :func:`rotated_paths`).  Either way every score sees exact
-    positions.  ``trials`` and ``workers`` come checked, from
-    :func:`_trial_params`.
+    walks a batch again on int64 when it leaves ``+-(2**31 - 1 - max(a))``.
+    Either way every score sees exact positions.  ``trials`` and ``workers``
+    come checked, from :func:`_trial_params`.
     """
     key = _rng._philox_key(master_seed)
     try:
-        walked, wide = steps(), None
+        walked, wide, limit = steps(), None, 0
         if walked.dtype == np.int64:
             if int(walked.sum()) < 1 << 31:
                 walked = walked.astype(np.int32)
             else:
                 sigma = float(np.square(walked, dtype=np.float64).sum()) ** 0.5  # of u_n, v_n
-                if int(walked.max()) + SPREAD_SIGMAS * sigma < 1 << 31:
-                    walked, wide = walked.astype(np.int32), walked
+                top = int(walked.max())
+                if top + SPREAD_SIGMAS * sigma < 1 << 31:
+                    walked, wide, limit = walked.astype(np.int32), walked, (1 << 31) - 1 - top
 
         def run_chunk(chunk: range):
             reader = _rng.CodeReader(key)  # not thread-safe: one per chunk
-            fill = reader.fill if codes_of is None else _per_trial(lambda t: codes_of(reader, t))
-            return combine(score(*paths) for paths in rotated_paths(walked, chunk, fill, wide))
+            rows = max(1, min(len(chunk), BATCH_STEPS // max(n, 1)))
+            codes = np.empty((rows, n), dtype=np.uint8)
+            uv = np.empty((rows, n, 2), dtype=walked.dtype)
+            scores = []
+            for lo in range(chunk.start, chunk.stop, rows):
+                batch = range(lo, min(lo + rows, chunk.stop))
+                c = codes[: len(batch)]
+                if codes_of is None:
+                    reader.fill(batch, c)
+                else:
+                    for r, t in enumerate(batch):
+                        c[r] = codes_of(reader, t)
+                scores.append(score(batch, _rotated(walked, c, uv[: len(batch)], wide, limit)))
+            return combine(scores)
 
         return _rng.map_trial_chunks(trials, run_chunk, combine, workers)
     except MemoryError:
@@ -390,11 +370,11 @@ def simulate(
     u_end = v_end = horizontal = 0
     reader = _rng.CodeReader(_rng._philox_key(master_seed))
     reader.seek(trial)
+    uv = np.empty((1, min(n, STREAM_CHUNK), 2), dtype=walked.dtype)
     for lo in range(0, n, STREAM_CHUNK):
         codes = reader.read(min(STREAM_CHUNK, n - lo))
-        fill = _per_trial(lambda t: codes)
-        _, uv = next(rotated_paths(walked[lo : lo + len(codes)], range(1), fill))
-        u, v = uv[0, :, 0] + u_end, uv[0, :, 1] + v_end
+        (uv_read,) = _rotated(walked[lo : lo + len(codes)], codes[None], uv[:, : len(codes)])
+        u, v = uv_read[:, 0] + u_end, uv_read[:, 1] + v_end
         u_end, v_end = u[-1:].item(), v[-1:].item()
         horizontal += int((codes < 2).sum())
         x = (u >> 1) + (v >> 1) + (u & 1)  # (u + v) / 2, as u + v may not fit in int64

@@ -282,8 +282,9 @@ def test_criterion_07_recurrent_construction(crit7_run):
     certify the 1/2 hit level at 95% confidence, and fresh walks must hit the
     origin inside every round's segment with Wilson lower bound >= 0.40.
 
-    The certified 1/2 level lies at horizons around 1e13 periods even for the
-    first round (log-speed recurrence), so at any runnable cap this criterion
+    The certified 1/2 level lies at a few times 1e22 periods even for the
+    first round (log-speed recurrence, extrapolated by the local-CLT slope
+    1/(17*pi) of the Green's function), so at any runnable cap this criterion
     fails; it is reported honestly rather than weakened.  The first round's
     fraction does clear 0.40; later rounds start far from the origin and
     cannot return within their capped segments.

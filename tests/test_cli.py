@@ -243,6 +243,11 @@ class TestExitCodes:
             ["sequence", "make", "--seq", '{"family":"constant","params":{"value":"abc"}}'],
             ["sequence", "monotone", "--seq", CONST1, "--n-max", "4", "--r", "r"],
             ["sequence", "doubling", "--seq", CONST1, "--n", "4", "--gap-bound", "1/0"],
+            # past the interpreter's int/str digit limit: in the input, or in the output
+            ["exact", "pmf1d", "--d", "1e99999"],
+            ["sequence", "make", "--seq", '{"family":"constant","params":{"value":%s}}' % ("9" * 5000)],
+            ["sequence", "make", "--n", "2", "--seq", '{"family":"floor-power","params":{"gamma":20000}}'],
+            ["sequence", "blocks", "--k", "4", "--i", "1", "--max-bits", "100000"],
         ],
     )
     def test_bad_numbers_fail_by_name(self, argv, capsys):
@@ -574,12 +579,11 @@ NUMBER_FLAG_COMMANDS = [
 @settings(max_examples=200, deadline=None)
 @given(
     command=st.sampled_from(NUMBER_FLAG_COMMANDS),
-    text=st.text(alphabet="0123456789/,.- xe", max_size=8).filter(
-        lambda t: "e" not in t or len(t) <= 4  # exponents up to 10**99
-    ),
+    text=st.text(alphabet="0123456789/,.- xe", max_size=8),
 )
 @example(command=NUMBER_FLAG_COMMANDS[0], text="1,abc")
 @example(command=NUMBER_FLAG_COMMANDS[-1], text="1/0")
+@example(command=NUMBER_FLAG_COMMANDS[0], text="1e5000")
 def test_number_flags_never_raise(command, text):
     """Any string in a number flag (at each @) ends in an exit code, never a traceback."""
     argv = [part.replace("@", text) for part in command]
@@ -710,3 +714,32 @@ def test_hostile_ints_fail_by_name(command, flag, value, tmp_path):
         json.loads(stdout.getvalue(), parse_constant=_refuse_constant)
     if from_file:
         assert code == cli.EXIT_ERROR and stderr.getvalue()
+    if value == -1 and code == cli.EXIT_ERROR:  # a refused -1 names its flag's dest
+        assert flag.lstrip("-").replace("-", "_") in stderr.getvalue(), stderr.getvalue()
+
+
+#: A command reading each line file flag, with the file's path at @.
+LINE_FILE_COMMANDS = {
+    "--seq-list": ["sequence", "make", "--n", "1", "--seq-list", "@"],
+    "--good-set-file": ["construct", "check-good", "--good-set-file", "@"],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(flag=st.sampled_from(sorted(LINE_FILE_COMMANDS)), data=st.binary(max_size=24))
+@example(flag="--seq-list", data=b"\xff\xfe1\n")
+@example(flag="--good-set-file", data=b"\xff\xfe2\n3\n")
+@example(flag="--seq-list", data=b"2\n1e5000\n")
+def test_line_files_never_raise(flag, data, tmp_path_factory):
+    """Any bytes in a one-value-per-line file end in an exit code, and stderr
+    holds only named errors."""
+    path = tmp_path_factory.mktemp("lines") / "values.txt"
+    path.write_bytes(data)
+    argv = [str(path) if part == "@" else part for part in LINE_FILE_COMMANDS[flag]]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_ERROR, cli.EXIT_VERIFY_FAILED, cli.EXIT_INCONCLUSIVE)
+    assert all(line.startswith("radwalk: error:") for line in stderr.getvalue().splitlines())
+    if data.startswith(b"\xff\xfe"):
+        assert stderr.getvalue() == f"radwalk: error: {path}: the file is not UTF-8 text\n"

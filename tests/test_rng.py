@@ -24,7 +24,8 @@ class TestDecodeGuard:
         for trial in TRIALS:
             for n in HORIZONS:
                 want = rw.trial_generator(seed, trial).integers(0, 4, size=n, dtype=np.int64)
-                got = reader.codes(trial, n)
+                reader.seek(trial)
+                got = reader.read(n)
                 assert got.dtype == np.uint8 and np.array_equal(got, want), (trial, n)
 
     def test_direction_codes_is_the_reference_draw(self):

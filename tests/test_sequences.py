@@ -5,6 +5,7 @@ import inspect
 import itertools
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,33 @@ class TestSerialization:
     def test_unknown_params_rejected_by_name(self, family, params, key):
         with pytest.raises(ParameterError, match=f"'{key}'"):
             sq.sequence_from_config({"family": family, "params": params})
+
+    # texts of L + 1 digits and of L, L = sys.get_int_max_str_digits()
+    PAST_LIMIT = {
+        "huge exponent": lambda L: "1e9999999",  # 10**9999999 alone takes seconds to build
+        "exponent": lambda L: f"1e{L}",
+        "mantissa and exponent": lambda L: f"1.5e{L - 1}",
+        "negative exponent": lambda L: f"1e-{L}",
+        "digits": lambda L: "9" * (L + 1),
+        "denominator": lambda L: "1/" + "9" * (L + 1),
+    }
+    AT_LIMIT = {
+        "exponent": lambda L: f"1e{L - 1}",
+        "negative exponent": lambda L: f"5e-{L - 1}",
+        "digits": lambda L: "9" * L,
+        "denominator": lambda L: "1/" + "9" * L,
+    }
+
+    @pytest.mark.parametrize("form", sorted(PAST_LIMIT))
+    def test_text_past_the_digit_limit_fails_by_name(self, form):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ParameterError, match=f"^gamma must have at most {limit} digits, got"):
+            sq.make_sequence("floor-power", gamma=self.PAST_LIMIT[form](limit))
+
+    @pytest.mark.parametrize("form", sorted(AT_LIMIT))
+    def test_text_at_the_digit_limit_is_taken(self, form):
+        text = self.AT_LIMIT[form](sys.get_int_max_str_digits())
+        assert sq._fraction_param(text, "x") == Fraction(text)
 
     def test_unknown_config_key_rejected(self):
         with pytest.raises(ParameterError):

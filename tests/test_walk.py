@@ -341,12 +341,11 @@ class TestRotatedKernel:
         seq = sq.make_sequence("explicit-list", values=values)
         _, rec = wk.simulate_recording(seq, n, seed, trial=trial)
         reader = rw.CodeReader(rw._philox_key(seed))
+        reader.seek(trial)
         steps = np.array(values[:n], dtype=np.int64)
-        one = range(trial, trial + 1)
-        batches = list(wk.rotated_paths(steps, one, reader.fill))
-        assert len(batches) == 1
-        batch, uv = batches[0]
-        assert batch == range(trial, trial + 1)
+        out = np.empty((1, n, 2), dtype=np.int64)
+        uv = wk._rotated(steps, reader.read(n)[None], out)
+        assert uv is out
         got = [((a + b) // 2, (a - b) // 2) for a, b in uv[0].tolist()]
         assert got == [rec.position_at(k) for k in range(1, n + 1)]
 
@@ -360,28 +359,47 @@ class TestRotatedKernel:
             ([2**30 - 9, 1, 4, 1, 5], np.int32, 15, range(3, 9)),  # int32, 3 rows a batch
         ],
     )
-    def test_matches_step_by_step_walk(self, monkeypatch, values, dtype, batch_steps, trials):
-        monkeypatch.setattr(wk, "BATCH_STEPS", batch_steps)
+    def test_matches_step_by_step_walk(self, values, dtype, batch_steps, trials):
+        # batches as the trial loop cuts them, each walked into one reused buffer
         steps = np.array(values, dtype=dtype)
         n = len(values)
+        rows = max(1, min(len(trials), batch_steps // n))
         reader = rw.CodeReader(rw._philox_key(17))
+        codes, out = np.empty((rows, n), dtype=np.uint8), np.empty((rows, n, 2), dtype=dtype)
         moves = {0: (1, 0), 1: (-1, 0), 2: (0, 1), 3: (0, -1)}
         seen = []
-        for batch, uv in wk.rotated_paths(steps, trials, reader.fill):
-            assert len(batch) <= max(1, batch_steps // n)
+        for lo in range(trials.start, trials.stop, rows):
+            batch = range(lo, min(lo + rows, trials.stop))
+            reader.fill(batch, codes[: len(batch)])
+            uv = wk._rotated(steps, codes[: len(batch)], out[: len(batch)])
             assert uv.shape == (len(batch), n, 2)
             assert uv.dtype == steps.dtype
             u, v = uv[..., 0], uv[..., 1]
             for r, t in enumerate(batch):
                 x = y = 0
                 want_u, want_v = [], []
-                for a, code in zip(values, reader.codes(t, n).tolist()):
+                for a, code in zip(values, rw.direction_codes(17, t, n).tolist()):
                     x, y = x + a * moves[code][0], y + a * moves[code][1]
                     want_u.append(x + y)
                     want_v.append(x - y)
                 assert u[r].tolist() == want_u and v[r].tolist() == want_v, t
             seen += list(batch)
         assert seen == list(trials)
+
+    @pytest.mark.parametrize("batch_steps", [40, 24, 7, 1 << 16])
+    def test_batches_cover_each_chunk_once(self, monkeypatch, batch_steps):
+        # 5, 3, 1 and 256 rows a batch: the chunks of 256, 256 and 88 trials
+        # end in a shorter batch where the rows do not divide them
+        monkeypatch.setattr(wk, "BATCH_STEPS", batch_steps)
+
+        def score(batch, uv):
+            assert len(batch) <= max(1, batch_steps // 8)
+            assert uv.shape == (len(batch), 8, 2) and uv.dtype == np.int32
+            return list(batch)
+
+        got = wk._walk_trials(8, lambda: np.ones(8, dtype=np.int64), 600, 17, score,
+                              combine=_concat)
+        assert got == list(range(600))
 
     @pytest.mark.parametrize("n", [1, 7, 8, 1000])
     def test_fill_matches_direction_codes(self, n):
@@ -506,7 +524,7 @@ class TestTrialDriver:
         def no_buffers(*args):
             raise MemoryError
 
-        monkeypatch.setattr(wk, "rotated_paths", no_buffers)
+        monkeypatch.setattr(wk, "_rotated", no_buffers)
         with pytest.raises(ParameterError, match="horizon 27: "):
             vf.hitting_time_experiment(3, trials=300, master_seed=0, workers=workers)
         with pytest.raises(ParameterError, match="horizon 40: "):
@@ -524,13 +542,13 @@ class TestTrialDriver:
 
         for mod in (cn, vf):
             tree = ast.parse(inspect.getsource(mod))
-            assert not calls(tree) & {"rotated_paths", "reader", "map_trial_chunks", "CodeReader"}
+            assert not calls(tree) & {"_rotated", "reader", "map_trial_chunks", "CodeReader"}
             imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
-            assert "rotated_paths" not in imported, mod.__name__
+            assert "_rotated" not in imported, mod.__name__
         walk = ast.parse(inspect.getsource(wk))
         kernel_callers = {
             fn.name for fn in walk.body
-            if isinstance(fn, ast.FunctionDef) and "rotated_paths" in calls(fn)
+            if isinstance(fn, ast.FunctionDef) and "_rotated" in calls(fn)
         }
         assert kernel_callers == {"_walk_trials", "simulate"}
 
@@ -651,19 +669,17 @@ KERNEL_STEPS = {
 
 
 def _spy_kernel(monkeypatch) -> list:
-    """Per :func:`rotated_paths` call: the steps' dtype, whether ``wide`` was
-    given, and the dtypes of the batches it yielded."""
+    """Per :func:`_rotated` call: the steps' dtype, whether ``wide`` was
+    given, and the dtype of the positions it returned."""
     calls = []
-    kernel = wk.rotated_paths
+    kernel = wk._rotated
 
-    def spy(steps, trials, fill, wide=None):
-        call = (steps.dtype, wide is not None, [])
-        calls.append(call)
-        for batch, uv in kernel(steps, trials, fill, wide):
-            call[2].append(uv.dtype)
-            yield batch, uv
+    def spy(steps, codes, out, wide=None, limit=0):
+        uv = kernel(steps, codes, out, wide, limit)
+        calls.append((steps.dtype, wide is not None, uv.dtype))
+        return uv
 
-    monkeypatch.setattr(wk, "rotated_paths", spy)
+    monkeypatch.setattr(wk, "_rotated", spy)
     return calls
 
 
@@ -677,11 +693,11 @@ class TestKernelSteps:
         calls = _spy_kernel(monkeypatch)
         run(mc_long_plan)
         assert calls
-        for steps_dtype, wide, batches in calls:
+        for steps_dtype, wide, walked in calls:
             assert (steps_dtype, wide) == (dtype, checked)
-            assert batches and all(b == dtype for b in batches)  # none was walked twice
+            assert walked == dtype  # none was walked twice
         if case in ("int32-edge", "int64-edge"):
-            assert len(calls) == 2  # one per chunk of 300 trials
+            assert len(calls) == 2  # one batch per chunk of 300 trials
 
 
 class TestCheckedInt32Walk:
@@ -707,7 +723,22 @@ class TestCheckedInt32Walk:
             lambda batch, uv: wk._hits(uv, rotated), codes_of=lambda reader, t: codes(t),
         )
         assert got == want
-        assert calls == [(np.int32, True, [np.int32, np.int64, np.int32])]
+        assert calls == [(np.int32, True, np.int32), (np.int32, True, np.int64), (np.int32, True, np.int32)]
+
+    def test_a_wrap_inside_the_range_is_walked_again(self, monkeypatch):
+        # steps of 2**20 + 1 all along +e1 pass 2**31 by 2048, which int32 wraps
+        # to -2**31 + 2048, inside +-(2**31 - 1): only the max(a) margin of the
+        # checked range catches the step before it
+        values = [(1 << 20) + 1] * 4096
+        east = np.zeros(len(values), dtype=np.uint8)
+        far = np.array([sum(values), sum(values)])  # (u, v) of (sum, 0)
+        calls = _spy_kernel(monkeypatch)
+        got = wk._walk_trials(
+            len(values), lambda: np.array(values, dtype=np.int64), 16, 45,
+            lambda batch, uv: wk._hits(uv, far), codes_of=lambda reader, t: east,
+        )
+        assert got == 16
+        assert calls == [(np.int32, True, np.int64)]
 
     @pytest.mark.parametrize("target", [(0, 0), (1 << 32, 0), (1 << 20, -(1 << 20))])
     def test_random_codes_match_a_python_walk(self, target):

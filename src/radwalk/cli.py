@@ -47,6 +47,14 @@ class RunConfig:
     from_dict = classmethod(json_decode)  # a command string and an optional args object
 
 
+def _digit_limit(exc: ValueError, where: str) -> ParameterError | None:
+    """The refusal of an int past ``sys.get_int_max_str_digits()`` in ``where``,
+    if that is what ``exc`` reports: read from JSON, or written to a report."""
+    if "integer string conversion" in str(exc):
+        return ParameterError(f"{where} holds an integer of over {sys.get_int_max_str_digits()} digits")
+    return None
+
+
 def _from_json_file(path, flag: str, build):
     """``build`` of the JSON value in the file ``path`` given by ``flag``: a
     file that is not JSON, or a value ``build`` refuses, fails naming the file."""
@@ -54,7 +62,7 @@ def _from_json_file(path, flag: str, build):
         with open(path, "r", encoding="utf-8") as fh:
             return build(json.load(fh))
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, ParameterError
-        raise ParameterError(f"{flag} {path}: {exc}") from None
+        raise _digit_limit(exc, f"{flag} {path}") or ParameterError(f"{flag} {path}: {exc}") from None
 
 
 def _int_list(text: str) -> list[int]:
@@ -93,8 +101,9 @@ def _sequence_from_args(args: dict) -> _sequences.StepSequence:
     if spec:
         try:
             config = json.loads(spec)
-        except ValueError as exc:  # not JSON, or an int past the digit limit
-            raise ParameterError(f"--seq must be a JSON object: {exc}") from None
+        except ValueError as exc:
+            refusal = _digit_limit(exc, "--seq") or ParameterError(f"--seq must be a JSON object: {exc}")
+            raise refusal from None
         return _sequences.sequence_from_config(config)
     if path:
         return _from_json_file(path, "--seq-file", _sequences.sequence_from_config)
@@ -655,11 +664,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"radwalk: i/o error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except ValueError as exc:  # str() of an int past sys.get_int_max_str_digits()
-        if "integer string conversion" not in str(exc):
+    except ValueError as exc:  # str() of an int in the report
+        if not (refusal := _digit_limit(exc, "the output")):
             raise
-        limit = sys.get_int_max_str_digits()
-        print(f"radwalk: error: the output holds an integer of over {limit} digits", file=sys.stderr)
+        print(f"radwalk: error: {refusal}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -94,9 +94,10 @@ def positive_bezout(b1: int, b2: int) -> BezoutPair:
 
 def _element(text: str) -> int:
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise ParameterError(f"expected an integer, got {text!r}") from None
+    return _int_param(value, "element", 1)
 
 
 class GoodSetPrefix:
@@ -295,10 +296,8 @@ def estimate_N0(
     )
     # Analytic size guard first: the disk holds ~pi*r^2 lattice points, so do
     # not even enumerate it when it cannot fit the budget.
-    if math.pi * radius * radius > 2 * TARGET_BUDGET:
-        count = math.ceil(math.pi * radius**2)
-    else:
-        count = len(_disk_targets(radius))
+    targets = None if math.pi * radius * radius > 2 * TARGET_BUDGET else _disk_targets(radius)
+    count = math.ceil(math.pi * radius**2) if targets is None else len(targets)
     if count > TARGET_BUDGET:
         return N0Estimate(
             status="inconclusive",
@@ -313,7 +312,6 @@ def estimate_N0(
             f"budget of {TARGET_BUDGET}; certification not attempted",
         )
 
-    targets = _disk_targets(radius)
     period = pair.period
     if sum(pair.pattern()) * horizon_cap > INT64_STEP_SUM:
         raise ParameterError("horizon cap too large for 64-bit positions; lower horizon_cap")

@@ -21,10 +21,10 @@ O(horizon**2) products of counts.
 Derived quantities used by the verification module (mod-m probabilities,
 sliding-interval suprema, maximal point masses) are computed from the same
 exact representations.  Step lists are checked by the package's one step
-validator, in :mod:`radwalk.sequences`.  The engine checks the support of the
-steps it is given (for a 1-D law, times the 64-bit limbs of one packed slot),
-and the residue route its m slots, against :data:`SUPPORT_BUDGET` before its
-first shift.
+validator, in :mod:`radwalk.sequences`.  Against :data:`SUPPORT_BUDGET`, before
+any shift, the engine charges a 1-D law's support times the 64-bit limbs of one
+packed slot, each planar query charges its own squared support, and the residue
+route its m slots.
 """
 
 from __future__ import annotations
@@ -91,22 +91,28 @@ class ExactPmf2D:
         return {p: Fraction(w, self.total) for p, w in zip(self.points, self.weights)}
 
 
+def _count(n: int) -> str:
+    """``n`` in full up to 18 digits, past that as the nearest power of two."""
+    return str(n) if n < 10**18 else f"about 2**{round(math.log2(n))}"
+
+
 def _check_support(points: int, limbs: int = 1) -> None:
     """Refuse ``points`` packed slots of ``limbs`` 64-bit limbs each beyond
     :data:`SUPPORT_BUDGET`.  A planar walk is charged its squared support and
-    one limb: that outnumbers the limbs of its 1-D factors
+    one limb, before its 1-D factors: that outnumbers their limbs
     (``2 * sum + 1 > depth // 64 + 1``)."""
     required = points * limbs
     if required > SUPPORT_BUDGET:
-        per_slot = f" x {limbs} 64-bit limbs = {required}" if limbs > 1 else ""
+        per_slot = f" x {limbs} 64-bit limbs = {_count(required)}" if limbs > 1 else ""
         raise SupportBudgetError(
-            f"exact support needs {points} points{per_slot}, exceeding the budget of {SUPPORT_BUDGET}",
+            f"exact support needs {_count(points)} points{per_slot}, "
+            f"exceeding the budget of {SUPPORT_BUDGET}",
             required=required,
             budget=SUPPORT_BUDGET,
         )
 
 
-def _running_laws(ints: Sequence[int], depth: int, square: bool = False):
+def _running_laws(ints: Sequence[int], depth: int):
     """Yield the signed-sum law of ``ints[:n]`` as ``(packed, span)``, n = 1, 2, ...
 
     ``prod(1 + z**s)`` at ``z = 2**bits``, ``bits`` the multiple of 64 above
@@ -114,7 +120,7 @@ def _running_laws(ints: Sequence[int], depth: int, square: bool = False):
     up to ``2**depth`` never carry.  The support of the whole list is checked
     against :data:`SUPPORT_BUDGET` first, by :func:`_check_support`.
     """
-    _check_support((2 * sum(ints) + 1) ** (2 if square else 1), 1 if square else depth // 64 + 1)
+    _check_support(2 * sum(ints) + 1, depth // 64 + 1)
     bits = 64 * (depth // 64 + 1)
     packed, span = 1, 0
     for s in ints:
@@ -145,9 +151,9 @@ def _nonzero_slots(packed: int, slots: int, depth: int) -> tuple[np.ndarray, lis
     return j, values.tolist()
 
 
-def _signed_sum_weights(ints: Sequence[int], square: bool = False) -> tuple[list[int], list[int]]:
+def _signed_sum_weights(ints: Sequence[int]) -> tuple[list[int], list[int]]:
     """Support values and weights of the signed sum of the integer steps."""
-    for packed, span in _running_laws(ints, len(ints), square):  # ints is nonempty
+    for packed, span in _running_laws(ints, len(ints)):  # ints is nonempty
         pass
     j, weights = _nonzero_slots(packed, span + 1, len(ints))
     return (2 * j - span).tolist(), weights
@@ -180,7 +186,8 @@ def pmf_2d(a: Sequence) -> ExactPmf2D:
     """
     steps = _positive_steps(a, "a")
     ints, scale = scaled_ints(steps)
-    values, weights = _signed_sum_weights(ints, square=True)
+    _check_support((2 * sum(ints) + 1) ** 2)  # the planar support
+    values, weights = _signed_sum_weights(ints)
     u = np.array(values)
     # u and v share the parity of span, so every pair is a lattice point
     xs = ((u[:, None] + u[None, :]) // 2).ravel()
@@ -349,12 +356,9 @@ def hit_probability_2d(a: Sequence, target: tuple[int, int], horizon: int) -> Fr
             continue
         if row is None:
             laws = _running_laws(ints[m:], horizon)
-            if last:  # a row used once is streamed, not kept
-                for n, (packed, span) in enumerate(laws, m + 1):
-                    if w := _weight_at(packed, span, 0, horizon):
-                        first[n] -= f * w * w
-                continue
-            row = rows[m % period] = [_weight_at(packed, span, 0, horizon) ** 2 for packed, span in laws]
+            row = [_weight_at(packed, span, 0, horizon) ** 2 for packed, span in laws]
+            if not last:
+                rows[m % period] = row
         for n, w in zip(range(m + 1, horizon + 1), row):
             first[n] -= f * w
     num = 0

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from radwalk import cli, sequences, verify
+from radwalk import cli, construction, exact, sequences, verify
 from radwalk.errors import ParameterError
 
 CONST1 = '{"family":"constant","params":{"value":1}}'
@@ -254,6 +254,36 @@ class TestExitCodes:
         assert run_cli(argv) == cli.EXIT_ERROR
         assert capsys.readouterr().err.startswith("radwalk: error: ")
 
+    @pytest.mark.parametrize("flag", ["--seq", "--seq-file", "--config"])
+    def test_json_int_past_the_digit_limit_fails_by_name(self, flag, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        big = "9" * (limit + 1)
+        argv = ["sequence", "make"]
+        if flag == "--seq":
+            argv += [flag, '{"family":"constant","params":{"value":%s}}' % big]
+            where = flag
+        else:
+            path = tmp_path / "big.json"
+            if flag == "--seq-file":
+                path.write_text('{"family":"constant","params":{"value":%s}}' % big, encoding="utf-8")
+            else:
+                path.write_text('{"command":"sequence.make","args":{"n":%s}}' % big, encoding="utf-8")
+                argv += ["--seq", CONST1]
+            argv += [flag, str(path)]
+            where = f"{flag} {path}"
+        assert run_cli(argv) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"radwalk: error: {where} holds an integer of over {limit} digits\n"
+        assert len(err) < 200
+
+    def test_a_huge_support_is_counted_in_short(self, capsys):
+        # 2 * 10**4299 + 1 points: a 4300-digit count, shown as a power of two
+        assert run_cli(["exact", "pmf1d", "--d", "1e4299"]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        want = "exact support needs about 2**14282 points, exceeding the budget of 10000000"
+        assert err == f"radwalk: error: {want}\n"
+        assert len(err) < 200
+
     @pytest.mark.parametrize(
         "plan, argv",
         [
@@ -463,6 +493,19 @@ class TestReports:
         assert code == cli.EXIT_ERROR
         err = capsys.readouterr().err
         assert err == f"radwalk: error: {path}, line 4: expected an integer, got {bad!r}\n"
+
+    @pytest.mark.parametrize("bad", ["0", "-4"])
+    @pytest.mark.parametrize(
+        "command",
+        [["construct", "check-good"], ["construct", "build", "--rounds", "1"]],
+        ids=["check-good", "build"],
+    )
+    def test_good_set_file_element_below_one_fails_by_line(self, command, bad, tmp_path, capsys):
+        path = tmp_path / "good.txt"
+        path.write_text(f"2\n{bad}\n3\n", encoding="utf-8")
+        assert run_cli(command + ["--good-set-file", str(path)]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"radwalk: error: {path}, line 2: element must be >= 1, got {bad}\n"
 
     @pytest.mark.parametrize("bad", ["abc", "1/0"])
     def test_bad_explicit_list_line_fails_by_name(self, bad, tmp_path, capsys):
@@ -743,3 +786,82 @@ def test_line_files_never_raise(flag, data, tmp_path_factory):
     assert all(line.startswith("radwalk: error:") for line in stderr.getvalue().splitlines())
     if data.startswith(b"\xff\xfe"):
         assert stderr.getvalue() == f"radwalk: error: {path}: the file is not UTF-8 text\n"
+
+
+#: Tiny runs of every command with a choice flag, by command; the global
+#: flags' choices run with the first of them.
+CHOICE_RUNS = {
+    "exact.mod": ["--d", "1,2,3", "--m", "4"],
+    "construct.build": ["--good-set", "2,3,5,7", "--rounds", "2", "--trials", "8",
+                        "--horizon-cap", "16", "--seed", "3"],
+    "verify.hitting": ["--r", "2", "--trials", "20", "--seed", "3"],
+}
+
+#: A tiny config of each sequence family, run as ``sequence make --seq``.
+FAMILY_RUNS = {
+    "constant": {"value": 3},
+    "floor-power": {"gamma": "3/2"},
+    "real-power": {"alpha": "1/2", "precision_bits": 8},
+    "explicit-block": {},
+    "from-construction-plan": {"plan": PLAN},
+    "explicit-list": {"values": [1, "1/2", 2]},
+}
+
+#: Every choice of every flag, every sequence family, and ``--evaluate-trials``,
+#: which adds the plan's evaluation to the build record.
+CHOICE_CASES = (
+    [(c, f, v) for c, flags in cli._COMMANDS.items() for f, kw in flags for v in kw.get("choices", ())]
+    + [(next(iter(CHOICE_RUNS)), f, v) for f, kw in cli._GLOBAL_FLAGS for v in kw.get("choices", ())]
+    + [("sequence.make", "--seq", family) for family in sequences.FAMILIES]
+    + [("construct.build", "--evaluate-trials", "12")]
+)
+
+
+def _library_record(command: str, flag: str, value: str):
+    """The JSON of the library call that ``command`` with ``flag value`` makes."""
+    if command == "verify.hitting":
+        res = verify.hitting_time_experiment(2.0, 1, 20, 3, start_mode=value)
+        return res.to_json_dict()
+    if command == "construct.build":
+        mode = value if flag == "--radius-mode" else "coarse"
+        plan, _ = construction.build_recurrent_sequence(
+            construction.GoodSetPrefix([2, 3, 5, 7]), 2, master_seed=3, trials=8, horizon_cap=16,
+            radius_mode=mode,
+        )
+        rec = plan.to_json_dict()
+        if flag == "--evaluate-trials":
+            rec["evaluation"] = construction.evaluate_plan(plan, int(value), (3, 201)).to_json_dict()
+        return rec
+    if command == "exact.mod":
+        method = value if flag == "--method" else "auto"
+        prob = exact.mod_probability([1, 2, 3], 4, 0, method=method)
+        return {"m": 4, "residue": 0, "probability": str(prob), "probability_float": float(prob),
+                "method": method}
+    seq = sequences.sequence_from_config({"family": value, "params": FAMILY_RUNS[value]})
+    return {"config": seq.to_config(), "prefix": [str(v) for v in seq.prefix(3)]}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value", CHOICE_CASES, ids=[f"{c}{f}={v}" for c, f, v in CHOICE_CASES]
+)
+def test_every_choice_runs(command, flag, value, tmp_path, capsys):
+    """Each value runs through the CLI, and its record is the library call's
+    own JSON (a hitting check adds its floor and verdict)."""
+    if flag == "--seq":
+        config = {"family": value, "params": FAMILY_RUNS[value]}
+        argv = ["sequence", "make", "--n", "3", "--seq", json.dumps(config)]
+    else:
+        argv = command.split(".") + CHOICE_RUNS[command] + [flag, value]
+    code = run_cli(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_VERIFY_FAILED, cli.EXIT_INCONCLUSIVE)
+    record = json.loads(capsys.readouterr().out)["record"]
+    want = json.loads(json.dumps(_library_record(command, flag, value)))
+    if command == "verify.hitting":
+        assert record.pop("floor") == 0.15
+        assert record.pop("passed") == (want["ci"]["low"] > 0.15)
+    assert record == want
+    if flag == "--format":
+        out = tmp_path / "report"
+        assert run_cli(argv + ["--out", str(out)]) == code
+        written = {p.suffix for p in tmp_path.iterdir()}
+        assert written == {"structured": {".json"}, "csv": {".csv"}, "both": {".json", ".csv"}}[value]

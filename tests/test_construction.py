@@ -145,6 +145,25 @@ class TestEstimateN0:
         assert est.evaluated_targets == 0
         assert "budget" in est.reason
 
+    @pytest.mark.parametrize(
+        "radius, budget, enumerated",
+        [(0, 100, 1), (3, 100, 1), (2, 10, 1), (10_000, 100, 0)],
+        ids=["origin", "disk", "over-budget-disk", "analytic-count"],
+    )
+    def test_disk_enumerated_at_most_once(self, radius, budget, enumerated, monkeypatch):
+        calls = []
+        disk = cn._disk_targets
+
+        def counting(r):
+            calls.append(r)
+            return disk(r)
+
+        monkeypatch.setattr(cn, "_disk_targets", counting)
+        monkeypatch.setattr(cn, "TARGET_BUDGET", budget)
+        est = cn.estimate_N0(self.PAIR23, radius, trials=10, horizon_start=16, horizon_cap=16)
+        assert calls == [radius] * enumerated
+        assert (est.evaluated_targets > 0) is (est.target_count <= budget)
+
     def test_grid_is_doubling_to_cap(self):
         est = cn.estimate_N0(
             self.PAIR23, 0, trials=50, horizon_start=16, horizon_cap=100

@@ -216,6 +216,23 @@ class TestPackedRoutes:
             exact.hit_probability_2d(steps, (0, 0), len(steps))
         assert (exc.value.required, exc.value.budget) == (width**2, width**2 - 1)
 
+    @pytest.mark.parametrize(
+        "n, m, shown",
+        [
+            (1, 10**18 - 1, "999999999999999999 points"),
+            (1, 10**18, "about 2**60 points"),
+            (64, 6 * 10**17, "600000000000000000 points x 2 64-bit limbs = about 2**60"),
+            (64, 1 << 200, "about 2**200 points x 2 64-bit limbs = about 2**201"),
+        ],
+        ids=["18-digits", "19-digits", "limbs-19-digits", "limbs-61-digits"],
+    )
+    def test_a_count_past_18_digits_is_shown_as_a_power_of_two(self, n, m, shown):
+        # the residue route charges m slots of n // 64 + 1 limbs
+        with pytest.raises(SupportBudgetError) as exc:
+            exact.mod_probability_profile([1] * n, m)
+        assert str(exc.value) == f"exact support needs {shown}, exceeding the budget of 10000000"
+        assert exc.value.required == m * (n // 64 + 1)  # exact, whatever the message shows
+
     def test_interval_budget_counts_the_half_width_lattice(self, monkeypatch):
         # steps 1, 2 on the lattice of D = 1/2: scaled 2 and 4, 13 points
         monkeypatch.setattr(exact, "SUPPORT_BUDGET", 13)
@@ -558,9 +575,9 @@ class TestHitProbability:
         built = []
         laws = exact._running_laws
 
-        def counting(ints, depth, square=False):
+        def counting(ints, depth):
             built.append(len(ints))
-            return laws(ints, depth, square)
+            return laws(ints, depth)
 
         monkeypatch.setattr(exact, "_running_laws", counting)
         assert exact.hit_probability_2d(a, target, len(a)) == dp_hit_probability(a, target, len(a))

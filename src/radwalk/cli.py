@@ -25,7 +25,7 @@ from . import exact as _exact
 from . import sequences as _sequences
 from . import verify as _verify
 from . import walk as _walk
-from .errors import RadwalkError, ParameterError, _int_param
+from .errors import RadwalkError, ParameterError, _digit_limit, _int_param
 from .rng import RNG_ID, SEED_RULE_ID, json_decode, json_encode
 
 EXIT_OK = 0
@@ -45,14 +45,6 @@ class RunConfig:
 
     to_dict = json_encode
     from_dict = classmethod(json_decode)  # a command string and an optional args object
-
-
-def _digit_limit(exc: ValueError, where: str) -> ParameterError | None:
-    """The refusal of an int past ``sys.get_int_max_str_digits()`` in ``where``,
-    if that is what ``exc`` reports: read from JSON, or written to a report."""
-    if "integer string conversion" in str(exc):
-        return ParameterError(f"{where} holds an integer of over {sys.get_int_max_str_digits()} digits")
-    return None
 
 
 def _from_json_file(path, flag: str, build):

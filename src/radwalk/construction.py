@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as _rng
-from .errors import CoprimalityError, ExhaustionError, ParameterError, _int_param
+from .errors import CoprimalityError, ExhaustionError, ParameterError, _digit_limit, _int_param
 from .rng import json_decode, json_encode, wilson_interval
 from .sequences import INT64_STEP_SUM, StepSequence, _read_values
 from .walk import _hit_counter, _trial_params, _walk_trials
@@ -95,8 +95,8 @@ def positive_bezout(b1: int, b2: int) -> BezoutPair:
 def _element(text: str) -> int:
     try:
         value = int(text)
-    except ValueError:
-        raise ParameterError(f"expected an integer, got {text!r}") from None
+    except ValueError as exc:
+        raise _digit_limit(exc, "element") or ParameterError(f"expected an integer, got {text!r}") from None
     return _int_param(value, "element", 1)
 
 

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and its one rule for counts."""
+"""Exception types shared across the package, its one rule for counts, and
+its one wording for integers past the interpreter's digit limit."""
 
 import numbers
+import sys
 
 
 class RadwalkError(Exception):
@@ -21,6 +23,15 @@ def _int_param(value, name: str, low: int | None = None) -> int:
     if low is not None and value < low:
         raise ParameterError(f"{name} must be >= {low}, got {value!r}")
     return int(value)
+
+
+def _digit_limit(exc: ValueError, where: str) -> ParameterError | None:
+    """The refusal of an int past ``sys.get_int_max_str_digits()`` in ``where``,
+    if that is what ``exc`` reports: read from text or JSON, or written to a
+    report."""
+    if "integer string conversion" in str(exc):
+        return ParameterError(f"{where} holds an integer of over {sys.get_int_max_str_digits()} digits")
+    return None
 
 
 class PreconditionError(RadwalkError):

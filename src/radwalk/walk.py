@@ -8,7 +8,9 @@ lets them grow to arbitrary precision.
 
 Direction codes are 0:+e1, 1:-e1, 2:+e2, 3:-e2.  The trajectory recorder
 writes each as (kappa, eps): kappa is 1 for horizontal steps and 0 for
-vertical, eps is the sign of the moving coordinate.
+vertical, eps is the sign of the moving coordinate.  It keeps the walk's
+blocks as arrays and builds its row tuples only on their first read; its
+CSV export formats int64 blocks with numpy and exact objects with ``str``.
 
 Every trial of every Monte Carlo routine owns an independent substream
 derived from the master seed (see :mod:`radwalk.rng`), so estimates do not
@@ -46,6 +48,7 @@ Every Monte Carlo entry, here and in :mod:`radwalk.construction` and
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -118,33 +121,124 @@ class WalkBlock:
 
 
 class TrajectoryRecorder:
-    """Visitor that records (n, x, y, a_n, kappa, eps) rows for export."""
+    """Visitor that records (n, x, y, a_n, kappa, eps) rows for export.
+
+    It keeps each :class:`WalkBlock` as it comes, arrays and all, and builds
+    no per-step Python object: :attr:`rows`, the list of row tuples (ints,
+    or Fractions), is built on its first read and kept.  :meth:`export_csv`
+    formats int64 blocks with numpy and exact objects with ``str``.
+    """
 
     def __init__(self):
-        self.rows: list[tuple] = []
+        self._blocks: list[WalkBlock] = []
+        self._ends: list[int] = []  # rows recorded through each block
+        self._rows: list[tuple] | None = None
 
     def __call__(self, block: WalkBlock) -> None:
-        c = block.codes.astype(np.int8)
-        cols = (block.x, block.y, block.steps, 1 - (c >> 1), 1 - 2 * (c & 1))  # kappa, eps
-        self.rows.extend(zip(range(block.start, block.start + len(c)), *(a.tolist() for a in cols)))
+        self._blocks.append(block)
+        self._ends.append(len(self) + len(block.codes))
+        self._rows = None
+
+    @property
+    def rows(self) -> list[tuple]:
+        """The recorded rows as tuples, built from the blocks on the first
+        read after a block arrives."""
+        if self._rows is None:
+            self._rows = []
+            for b in self._blocks:
+                c = b.codes.astype(np.int8)
+                cols = (b.x, b.y, b.steps, 1 - (c >> 1), 1 - 2 * (c & 1))  # kappa, eps
+                self._rows.extend(zip(range(b.start, b.start + len(c)), *(a.tolist() for a in cols)))
+        return self._rows
+
+    def _pieces(self, lo: int, hi: int):
+        """``(block, i, j)``: rows ``lo..hi-1`` (0-based) as slices of blocks."""
+        k = bisect_right(self._ends, lo)
+        while lo < hi:
+            b = self._blocks[k]
+            first = self._ends[k] - len(b.codes)
+            j = min(hi, self._ends[k]) - first
+            yield b, lo - first, j
+            lo, k = first + j, k + 1
 
     def position_at(self, n: int):
         """Exact position after step n (n=0 is the origin)."""
-        if 0 <= n <= len(self.rows):
-            return self.rows[n - 1][1:3] if n else (0, 0)
-        raise ParameterError(f"trajectory covers steps 1..{len(self.rows)}, not {n}")
+        if not 0 <= n <= len(self):
+            raise ParameterError(f"trajectory covers steps 1..{len(self)}, not {n}")
+        if n == 0:
+            return (0, 0)
+        ((b, i, _),) = self._pieces(n - 1, n)
+        return b.x.item(i), b.y.item(i)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._ends[-1] if self._ends else 0
 
     def export_csv(self, fh) -> None:
         """Write a header and the rows to ``fh``, each value as ``str``, with
         CRLF line ends (the bytes of ``csv.writer``): one formatted write per
-        :data:`STREAM_CHUNK` rows."""
+        :data:`STREAM_CHUNK` rows.  A chunk whose positions and steps are all
+        int64 is formatted by :func:`_csv_text`; one holding exact objects
+        (Fractions, or the ints of an object walk) goes through ``%s``."""
         fh.write("n,x,y,a_n,kappa,eps\r\n")
-        for i in range(0, len(self.rows), STREAM_CHUNK):
-            chunk = self.rows[i : i + STREAM_CHUNK]
-            fh.write("%s,%s,%s,%s,%s,%s\r\n" * len(chunk) % tuple(chain.from_iterable(chunk)))
+        for lo in range(0, len(self), STREAM_CHUNK):
+            hi = min(lo + STREAM_CHUNK, len(self))
+            parts = [
+                (np.arange(b.start + i, b.start + j), b.x[i:j], b.y[i:j], b.steps[i:j], b.codes[i:j])
+                for b, i, j in self._pieces(lo, hi)
+            ]
+            if all(a.dtype == np.int64 for p in parts for a in p[1:4]):
+                fh.write(_csv_text(*(c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*parts))))
+            else:
+                chunk = self.rows[lo:hi]
+                fh.write("%s,%s,%s,%s,%s,%s\r\n" * len(chunk) % tuple(chain.from_iterable(chunk)))
+
+
+#: ``,kappa,eps\r\n``, the end of a CSV row, for each direction code: eight
+#: bytes, padded on the left with zeros, read as one native uint64.
+_CSV_TAILS = np.frombuffer(
+    b"".join(f",{1 - (c >> 1)},{1 - 2 * (c & 1)}\r\n".encode().rjust(8, b"\0") for c in range(4)),
+    dtype=np.uint64,
+)
+
+
+def _csv_text(n: np.ndarray, x: np.ndarray, y: np.ndarray, steps: np.ndarray, codes: np.ndarray) -> str:
+    """The CSV rows of int64 columns ``n, x, y, a_n`` and uint8 direction
+    codes, as ``str`` writes each value.
+
+    Each column fills a right-aligned field of a ``(rows, width)`` uint8
+    table, as wide as its longest value, and each row ends in its code's
+    :data:`_CSV_TAILS` word (``width`` is a multiple of 8, the slack going to
+    the first field); bytes no digit, sign or separator fills stay 0, and one
+    boolean mask drops them all.  (``np.compress`` is faster but builds an
+    int64 index per kept byte, eight times the text.)  Digits come by ``q //
+    10`` and ``q - 10 * (q // 10)``, which numpy vectorises for int64 and
+    int32 (``%`` it does not), on int32 where a field has at most 9
+    characters."""
+    cols = (n, x, y, steps)
+    bounds = [(int(c.min()), int(c.max())) for c in cols]
+    spans = [max(len(str(lo)), len(str(hi))) for lo, hi in bounds]
+    width = -(-(sum(spans) + len(spans) + 7) // 8) * 8  # fields, commas, tail
+    table = np.zeros((len(codes), width), dtype=np.uint8)
+    table.view(np.uint64)[:, -1] = _CSV_TAILS[codes]
+    end = width - 8
+    for k in reversed(range(len(cols))):
+        c, (lo, _), span = cols[k], bounds[k], spans[k]
+        field = table[:, end - span : end]
+        end -= span + 1
+        if k:
+            table[:, end] = ord(",")
+        q = np.abs(c) if lo < 0 else c
+        q = q.astype(np.int32) if span < 10 else q
+        for j in range(1, span + 1):
+            nq = q // 10
+            digit = q - 10 * nq + ord("0")
+            if j > 1:
+                digit[q == 0] = 0  # left of the leading digit
+            field[:, -j] = digit
+            q = nq
+        if lo < 0:  # no negative value's digits reach its field's first byte
+            field[c < 0, 0] = ord("-")
+    return str(table[table != 0], "ascii")
 
 
 #: Codes per read of a streamed walk in :func:`simulate`: even, so no 64-bit
@@ -421,6 +515,10 @@ def visit_statistics(
     tlist = [(t[0], t[1]) for t in targets]
     # per target: count, first hit, last hit, least squared distance
     acc = {t: [0, None, None, None] for t in tlist}
+    # int64 squared distances go into two buffers made once per call: fresh
+    # temporaries per target and block cost page faults whenever malloc
+    # hands arrays of their size back to the system
+    buffers = []
 
     def visitor(block: WalkBlock) -> None:
         x, y = block.x, block.y
@@ -429,8 +527,15 @@ def visit_statistics(
             small = x.dtype == np.int64 and type(tx) is int and type(ty) is int and max(
                 int(x.max()) - tx, tx - int(x.min()), int(y.max()) - ty, ty - int(y.min())
             ) < 1 << 31
-            dx, dy = (x - tx, y - ty) if small else (x.astype(object) - tx, y.astype(object) - ty)
-            sq = dx * dx + dy * dy
+            if small:
+                if not buffers or len(buffers[0]) < len(x):
+                    buffers[:] = np.empty(len(x), dtype=np.int64), np.empty(len(x), dtype=np.int64)
+                sq, dy = (b[: len(x)] for b in buffers)
+                np.square(np.subtract(x, tx, out=sq), out=sq)
+                np.add(sq, np.square(np.subtract(y, ty, out=dy), out=dy), out=sq)
+            else:
+                dx, dy = x.astype(object) - tx, y.astype(object) - ty
+                sq = dx * dx + dy * dy
             # the first least value, as a scan with a strict < keeps it
             low = sq.min().item() if small else min(sq.tolist())
             hits = np.flatnonzero(sq == 0)

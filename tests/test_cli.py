@@ -276,6 +276,20 @@ class TestExitCodes:
         assert err == f"radwalk: error: {where} holds an integer of over {limit} digits\n"
         assert len(err) < 200
 
+    @pytest.mark.parametrize(
+        "command",
+        [["construct", "check-good"], ["construct", "build", "--rounds", "1"]],
+        ids=["check-good", "build"],
+    )
+    def test_good_set_file_int_past_the_digit_limit_fails_by_line(self, command, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "good.txt"
+        path.write_text(f"2\n{'9' * (limit + 1)}\n3\n", encoding="utf-8")
+        assert run_cli(command + ["--good-set-file", str(path)]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"radwalk: error: {path}, line 2: element holds an integer of over {limit} digits\n"
+        assert len(err) < 200
+
     def test_a_huge_support_is_counted_in_short(self, capsys):
         # 2 * 10**4299 + 1 points: a 4300-digit count, shown as a power of two
         assert run_cli(["exact", "pmf1d", "--d", "1e4299"]) == cli.EXIT_ERROR

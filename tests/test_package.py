@@ -1,6 +1,8 @@
 """Package-wide source checks."""
 
 import ast
+import importlib.util
+import inspect
 import pathlib
 
 import pytest
@@ -67,3 +69,25 @@ def test_every_private_name_is_used():
         if n not in used
     }
     assert not unused, f"private names nothing in the package reads: {sorted(unused)}"
+
+
+def bench_spans():
+    """``bench/spans.py``, the span tracer the benchmark wraps the package with."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_bench_tracer_still_finds_what_it_wraps():
+    # a rename here would silently zero walk.export_ms or walk.stream_steps
+    spans = bench_spans()
+    for layer, cls_name, meth in spans.METHODS:
+        cls = getattr(getattr(radwalk, layer), cls_name)
+        assert inspect.isfunction(vars(cls).get(meth)), f"{layer}.{cls_name}.{meth}"
+    for name in {*spans.TAGS, *spans.COUNTERS}:
+        layer, fn = name.split(".")
+        assert inspect.isfunction(getattr(getattr(radwalk, layer), fn, None)), name
+    # the tracer reads simulate's visitor as its 4th positional argument
+    assert list(inspect.signature(radwalk.walk.simulate).parameters)[3] == "visitor"

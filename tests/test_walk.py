@@ -797,6 +797,79 @@ class TestExports:
         rec.export_csv(buf)
         assert buf.getvalue() == self.csv_reference(rec)
 
+    @staticmethod
+    def recorded(*walks, chunk=None):
+        """One recorder fed the blocks of each ``(seq, n, seed, width_bits)``
+        walk in turn, read ``chunk`` codes at a time; an overflow ends a walk."""
+        rec = wk.TrajectoryRecorder()
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk:
+                mp.setattr(wk, "STREAM_CHUNK", chunk)
+            for seq, n, seed, width_bits in walks:
+                try:
+                    wk.simulate(seq, n, seed, rec, width_bits=width_bits)
+                except PositionOverflowError:
+                    pass
+        return rec
+
+    HUGE = sq.make_sequence("constant", value=1 << 61)  # from 3 steps on, an object walk
+
+    @pytest.mark.parametrize(
+        "walks, chunk",
+        [
+            ([(CONST1, 2 * wk.STREAM_CHUNK + 5, 3, 63)], None),  # three blocks
+            ([(CONST1, 300, 3, 63)], None),  # negative coordinates
+            # int64 extremes: 2**62 and -2**62 in x and in y, steps of 2**62 and 2**61
+            (
+                [(sq.make_sequence("explicit-list", values=[1 << 62]), 1, find_seed_with_codes([c]), 63)
+                 for c in range(4)]
+                + [(sq.make_sequence("constant", value=1 << 61), 2, find_seed_with_codes([c, c]), 63)
+                   for c in range(4)],
+                None,
+            ),
+            ([(sq.make_sequence("constant", value=100), 40, 0, 8)], 4),  # cut short by an overflow
+            ([(HUGE, 40, 5, None)], None),  # object positions
+            ([(sq.make_sequence("constant", value=Fraction(3, 7)), 40, 1, 63)], None),  # fractions
+            ([(CONST1, 6, 1, 63), (HUGE, 5, 2, None), (CONST1, 7, 3, 63)], 4),  # int64 and object blocks
+        ],
+        ids=["blocks", "negative", "int64-extremes", "overflow", "object", "fractions", "mixed"],
+    )
+    @pytest.mark.parametrize("export_chunk", [None, 7], ids=["chunk-default", "chunk-7"])
+    def test_export_routes_match_csv_writer(self, walks, chunk, export_chunk, monkeypatch):
+        rec = self.recorded(*walks, chunk=chunk)
+        rows = rec.rows
+        assert len(rec) == len(rows)
+        assert repr([rec.position_at(k) for k in range(len(rows) + 1)]) == repr(
+            [(0, 0)] + [r[1:3] for r in rows]
+        )
+        for k in (-1, len(rows) + 1):
+            with pytest.raises(ParameterError, match="trajectory covers"):
+                rec.position_at(k)
+        if export_chunk:  # chunks that start and end inside blocks
+            monkeypatch.setattr(wk, "STREAM_CHUNK", export_chunk)
+        buf = io.StringIO()
+        rec.export_csv(buf)
+        assert buf.getvalue() == self.csv_reference(rec)
+
+    def test_each_chunk_takes_its_own_route(self, monkeypatch):
+        rec = self.recorded((CONST1, 6, 1, 63), (self.HUGE, 5, 2, None), (CONST1, 7, 3, 63))
+        calls, numpy_route = [], wk._csv_text
+        monkeypatch.setattr(wk, "_csv_text", lambda *cols: calls.append(cols[0].tolist()) or numpy_route(*cols))
+        monkeypatch.setattr(wk, "STREAM_CHUNK", 4)
+        buf = io.StringIO()
+        rec.export_csv(buf)
+        assert buf.getvalue() == self.csv_reference(rec)
+        # rows 5-12 hold the object walk's steps 1-5: those two chunks go through %s
+        assert calls == [[1, 2, 3, 4], [2, 3, 4, 5], [6, 7]]
+
+    def test_rows_are_built_once_and_rebuilt_after_a_block(self):
+        rec = self.recorded((CONST1, 10, 1, 63))
+        assert rec.rows is rec.rows
+        with pytest.raises(AttributeError):
+            rec.rows = []
+        wk.simulate(CONST1, 3, 2, rec)
+        assert len(rec.rows) == len(rec) == 13
+
     def test_csv_of_an_empty_recorder(self):
         buf = io.StringIO()
         wk.TrajectoryRecorder().export_csv(buf)

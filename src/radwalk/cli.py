@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import sys
 from dataclasses import dataclass, field
@@ -119,7 +120,8 @@ _COMMANDS: dict[str, list[tuple[str, dict]]] = {
         ("--n", {"type": int, "required": True, "help": "horizon (steps)"}),
         ("--seed", {"type": int, "default": 0}),
         ("--trial", {"type": int, "default": 0}),
-        ("--record", {"action": "store_true", "help": "also export the trajectory CSV"}),
+        ("--record", {"action": "store_true", "help": "record the trajectory; its CSV, the recorder's "
+                      "table with LF line ends, is written with --out and --format csv|both"}),
         ("--width-bits", {"type": int, "default": 63}),
         ("--promote", {"action": "store_true", "help": "grow past the width instead of failing"}),
     ],
@@ -335,26 +337,30 @@ def parse_config(argv: list[str]) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Handlers: each returns (status, record, rows, columns)
+# Handlers: each returns (status, record, table), the table as CSV text
 # ---------------------------------------------------------------------------
+
+
+def _table(rows: list[dict], columns: list[str]) -> str:
+    """CSV text of ``rows``: a header of ``columns``, then each row's values
+    in that order as ``str``, every line ending in LF."""
+    lines = [columns] + [[row[c] for c in columns] for row in rows]
+    return "".join(",".join(map(str, line)) + "\n" for line in lines)
 
 
 def _handle_simulate(command: str, a: dict):
     seq = _sequence_from_args(a)
     width_bits = _int_param(a["width_bits"], "width_bits", 0)  # checked with --promote too
-    kw = {"trial": a["trial"], "width_bits": None if a["promote"] else width_bits}
-    if a["record"]:
-        summary, rec = _walk.simulate_recording(seq, a["n"], a["seed"], **kw)
-        rows = [
-            {"n": r[0], "x": str(r[1]), "y": str(r[2]), "a_n": str(r[3]), "kappa": r[4], "eps": r[5]}
-            for r in rec.rows
-        ]
-    else:
-        summary = _walk.simulate(seq, a["n"], a["seed"], **kw)
-        rows = []
+    rec = _walk.TrajectoryRecorder()  # stays empty, its table a bare header, without --record
+    summary = _walk.simulate(
+        seq, a["n"], a["seed"], rec if a["record"] else None,
+        trial=a["trial"], width_bits=None if a["promote"] else width_bits,
+    )
+    table = io.StringIO()
+    rec.export_csv(table)
     record = summary.to_json_dict()
     record["sequence"] = seq.to_config()
-    return EXIT_OK, record, rows, ["n", "x", "y", "a_n", "kappa", "eps"]
+    return EXIT_OK, record, table.getvalue().replace("\r\n", "\n")
 
 
 def _handle_mc_return(command: str, a: dict):
@@ -376,7 +382,7 @@ def _handle_mc_return(command: str, a: dict):
         "ci_low": est.ci.low,
         "ci_high": est.ci.high,
     }
-    return EXIT_OK, rec, [row], list(row)
+    return EXIT_OK, rec, _table([row], list(row))
 
 
 def _handle_exact(command: str, a: dict):
@@ -386,7 +392,7 @@ def _handle_exact(command: str, a: dict):
                "pmf": {str(v): str(m) for v, m in p.as_dict().items()}}
         rows = [{"value": str(v), "mass": f"{m.numerator}/{m.denominator}"}
                 for v, m in zip(p.values, p.masses)]
-        return EXIT_OK, rec, rows, ["value", "mass"]
+        return EXIT_OK, rec, _table(rows, ["value", "mass"])
     if command == "exact.pmf2d":
         p = _exact.pmf_2d(_number_list(a["a"]))
         rows = [
@@ -395,48 +401,48 @@ def _handle_exact(command: str, a: dict):
         ]
         rec = {"steps": [str(s) for s in p.steps], "support_size": len(p.points),
                "pmf": {f"{x},{y}": str(Fraction(w, p.total)) for (x, y), w in zip(p.points, p.weights)}}
-        return EXIT_OK, rec, rows, ["x", "y", "mass"]
+        return EXIT_OK, rec, _table(rows, ["x", "y", "mass"])
     if command == "exact.mod":
         prob = _exact.mod_probability(
             _number_list(a["d"]), a["m"], a["residue"], method=a["method"]
         )
         rec = {"m": a["m"], "residue": a["residue"], "probability": str(prob),
                "probability_float": float(prob), "method": a["method"]}
-        return EXIT_OK, rec, [rec], list(rec)
+        return EXIT_OK, rec, _table([rec], list(rec))
     if command == "exact.interval":
         sup, x = _exact.max_interval_probability(
             _number_list(a["d"]), _sequences._fraction_param(a["half_width"], "half-width")
         )
         rec = {"sup": str(sup), "sup_float": float(sup), "argmax_x": str(x),
                "half_width": a["half_width"]}
-        return EXIT_OK, rec, [rec], list(rec)
+        return EXIT_OK, rec, _table([rec], list(rec))
     if command == "exact.hit":
         prob = _exact.hit_probability_2d(
             _number_list(a["a"]), _point(a["target"]), a["horizon"]
         )
         rec = {"target": a["target"], "horizon": a["horizon"],
                "probability": str(prob), "probability_float": float(prob)}
-        return EXIT_OK, rec, [rec], list(rec)
+        return EXIT_OK, rec, _table([rec], list(rec))
     raise AssertionError(command)
 
 
 def _handle_sequence(command: str, a: dict):
     if command == "sequence.blocks":
         rec = json_encode(_sequences.sub_block_length(a["k"], a["i"], max_bits=a["max_bits"]))
-        return EXIT_OK, rec, [rec], list(rec)
+        return EXIT_OK, rec, _table([rec], list(rec))
     seq = _sequence_from_args(a)
     if command == "sequence.make":
         prefix = seq.prefix(a["n"])
         rec = {"config": seq.to_config(), "prefix": [str(v) for v in prefix]}
         rows = [{"n": i + 1, "a_n": str(v)} for i, v in enumerate(prefix)]
-        return EXIT_OK, rec, rows, ["n", "a_n"]
+        return EXIT_OK, rec, _table(rows, ["n", "a_n"])
     if command == "sequence.decompose":
         d = _sequences.run_length_decompose(seq, a["n"])
         rows = [
             {"block": j + 1, "value": v, "multiplicity": m, "start": s}
             for j, (v, m, s) in enumerate(zip(d.values, d.multiplicities, d.starts))
         ]
-        return EXIT_OK, json_encode(d), rows, ["block", "value", "multiplicity", "start"]
+        return EXIT_OK, json_encode(d), _table(rows, ["block", "value", "multiplicity", "start"])
     if command == "sequence.doubling":
         gap = a.get("gap_bound")
         cert = _sequences.extract_doubling_subsequence(
@@ -449,11 +455,11 @@ def _handle_sequence(command: str, a: dict):
             "ratio": None if cert.ratio is None else str(cert.ratio),
         }
         rows = [{"position": i + 1, "index": idx} for i, idx in enumerate(cert.indices)]
-        return EXIT_OK, rec, rows, ["position", "index"]
+        return EXIT_OK, rec, _table(rows, ["position", "index"])
     if command == "sequence.monotone":
         rep = _sequences.check_rs_monotone(seq, a["r"], a["s"], a["n_max"])
         rows = [{"n": n, "m": m} for n, m in rep.violations]
-        return EXIT_OK, json_encode(rep), rows, ["n", "m"]
+        return EXIT_OK, json_encode(rep), _table(rows, ["n", "m"])
     raise AssertionError(command)
 
 
@@ -470,7 +476,7 @@ def _handle_construct(command: str, a: dict):
         pair = _construction.positive_bezout(a["b1"], a["b2"])
         rec = {"b1": pair.b1, "b2": pair.b2, "c1": pair.c1, "c2": pair.c2,
                "period": pair.period, "pattern": pair.pattern()}
-        return EXIT_OK, rec, [rec], ["b1", "b2", "c1", "c2", "period"]
+        return EXIT_OK, rec, _table([rec], ["b1", "b2", "c1", "c2", "period"])
     if command == "construct.n0":
         pair = _construction.positive_bezout(a["b1"], a["b2"])
         est = _construction.estimate_N0(
@@ -487,7 +493,7 @@ def _handle_construct(command: str, a: dict):
         status = EXIT_OK if est.certified else EXIT_INCONCLUSIVE
         row = {"status": est.status, "n0": est.n0, "worst_lb": est.worst_lb,
                "targets": est.target_count}
-        return status, rec, [row], list(row)
+        return status, rec, _table([row], list(row))
     if command == "construct.build":
         prefix = _good_set_from_args(a)
         _int_param(a["evaluate_trials"], "evaluate_trials", 0)
@@ -514,7 +520,7 @@ def _handle_construct(command: str, a: dict):
             for r in plan.rounds
         ]
         status = EXIT_OK if plan.status == "certified" else EXIT_INCONCLUSIVE
-        return status, rec, rows, ["round", "b1", "b2", "n0", "n_start", "n_end", "status"]
+        return status, rec, _table(rows, ["round", "b1", "b2", "n0", "n_start", "n_end", "status"])
     if command == "construct.check-good":
         prefix = _good_set_from_args(a)
         rep = _construction.check_good_set(prefix, a.get("horizon"))
@@ -525,7 +531,7 @@ def _handle_construct(command: str, a: dict):
         rec = {"elements": list(rep.elements), "partner_counts": list(rep.partner_counts),
                "flagged": list(rep.flagged), "ok": rep.ok}
         status = EXIT_OK if rep.ok else EXIT_VERIFY_FAILED
-        return status, rec, rows, ["element", "partners", "flagged"]
+        return status, rec, _table(rows, ["element", "partners", "flagged"])
     raise AssertionError(command)
 
 
@@ -535,21 +541,21 @@ def _handle_verify(command: str, a: dict):
         rec = rep.to_json_dict()
         row = {"radius": rep.radius, "points": rep.points, "max_delta": rep.max_delta,
                "max_agreement_gap": rep.max_agreement_gap, "passed": rep.passed}
-        return (EXIT_OK if rep.passed else EXIT_VERIFY_FAILED), rec, [row], list(row)
+        return (EXIT_OK if rep.passed else EXIT_VERIFY_FAILED), rec, _table([row], list(row))
     if command == "verify.elo":
         cmp_ = _verify.verify_elo(
             _number_list(a["d"]), _sequences._fraction_param(a["half_width"], "half-width")
         )
         rec = cmp_.to_json_dict()
         row = {"exact": str(cmp_.exact), "bound": cmp_.bound, "passed": cmp_.passed}
-        return (EXIT_OK if cmp_.passed else EXIT_VERIFY_FAILED), rec, [row], list(row)
+        return (EXIT_OK if cmp_.passed else EXIT_VERIFY_FAILED), rec, _table([row], list(row))
     if command == "verify.modlemma":
         rep = _verify.verify_mod_lemma(_number_list(a["d"]), a["m"], cap=a["cap"])
         rec = rep.to_json_dict()
         row = {"k": rep.k, "m": rep.m, "sup": str(rep.sup), "ratio": rep.ratio,
                "passed": rep.passed}
         ok = rep.passed is None or rep.passed
-        return (EXIT_OK if ok else EXIT_VERIFY_FAILED), rec, [row], list(row)
+        return (EXIT_OK if ok else EXIT_VERIFY_FAILED), rec, _table([row], list(row))
     if command == "verify.hitting":
         if not 0 <= a["floor"] <= 1:
             raise ParameterError(f"floor must lie in [0, 1], got {a['floor']}")
@@ -563,7 +569,7 @@ def _handle_verify(command: str, a: dict):
         rec["passed"] = passed
         row = {"r": res.r, "horizon": res.horizon, "estimate": res.estimate,
                "ci_low": res.ci.low, "passed": passed}
-        return (EXIT_OK if passed else EXIT_VERIFY_FAILED), rec, [row], list(row)
+        return (EXIT_OK if passed else EXIT_VERIFY_FAILED), rec, _table([row], list(row))
     if command == "verify.suppmf":
         rep = _verify.sup_pmf_trend(
             a["k_max"], k_floor=a["k_floor"], ratio_cap=a["ratio_cap"],
@@ -571,7 +577,7 @@ def _handle_verify(command: str, a: dict):
         )
         rec = rep.to_json_dict()
         rows = [{"k": r.k, "sup": str(r.sup), "ratio": r.ratio} for r in rep.rows]
-        return (EXIT_OK if rep.passed else EXIT_VERIFY_FAILED), rec, rows, ["k", "sup", "ratio"]
+        return (EXIT_OK if rep.passed else EXIT_VERIFY_FAILED), rec, _table(rows, ["k", "sup", "ratio"])
     raise AssertionError(command)
 
 
@@ -595,13 +601,13 @@ def _dispatch(config: RunConfig):
 def emit_report(
     command: str,
     record: dict,
-    rows: list[dict],
-    columns: list[str],
+    table: str,
     out: str | None,
     fmt: str,
     status: int,
 ) -> dict:
     """Write the structured and/or CSV report; returns the full document.
+    The CSV report is a comment line naming the command, then ``table``.
 
     The data sections are byte-stable for identical inputs and seeds; the
     metadata header carries the report version and static stream identifiers.
@@ -625,11 +631,8 @@ def emit_report(
                 json.dumps(document, sort_keys=True, indent=2) + "\n", encoding="utf-8"
             )
         if fmt in ("csv", "both"):
-            lines = [f"# radwalk-report v{REPORT_VERSION} command={command}"]
-            lines.append(",".join(columns))
-            for row in rows:
-                lines.append(",".join(str(row.get(c, "")) for c in columns))
-            base.with_suffix(".csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+            comment = f"# radwalk-report v{REPORT_VERSION} command={command}\n"
+            base.with_suffix(".csv").write_text(comment + table, encoding="utf-8")
     return document
 
 
@@ -639,8 +642,8 @@ def run(config: RunConfig) -> int:
     out = args.get("out")
     fmt = args.get("format", "structured")
     args.setdefault("workers", 1)
-    status, record, rows, columns = _dispatch(RunConfig(config.command, args))
-    document = emit_report(config.command, record, rows, columns, out, fmt, status)
+    status, record, table = _dispatch(RunConfig(config.command, args))
+    document = emit_report(config.command, record, table, out, fmt, status)
     if not out:  # the whole text first: a number too long to print leaves no half report
         sys.stdout.write(json.dumps(document, sort_keys=True, indent=2) + "\n")
     return status

@@ -10,7 +10,8 @@ Direction codes are 0:+e1, 1:-e1, 2:+e2, 3:-e2.  The trajectory recorder
 writes each as (kappa, eps): kappa is 1 for horizontal steps and 0 for
 vertical, eps is the sign of the moving coordinate.  It keeps the walk's
 blocks as arrays and builds its row tuples only on their first read; its
-CSV export formats int64 blocks with numpy and exact objects with ``str``.
+CSV export writes one chunk per block, formatting int64 blocks with numpy and
+exact objects with ``str``.
 
 Every trial of every Monte Carlo routine owns an independent substream
 derived from the master seed (see :mod:`radwalk.rng`), so estimates do not
@@ -48,11 +49,11 @@ Every Monte Carlo entry, here and in :mod:`radwalk.construction` and
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -126,7 +127,8 @@ class TrajectoryRecorder:
     It keeps each :class:`WalkBlock` as it comes, arrays and all, and builds
     no per-step Python object: :attr:`rows`, the list of row tuples (ints,
     or Fractions), is built on its first read and kept.  :meth:`export_csv`
-    formats int64 blocks with numpy and exact objects with ``str``.
+    writes one chunk per block, formatting int64 blocks with numpy and exact
+    objects with ``str``.
     """
 
     def __init__(self):
@@ -144,30 +146,18 @@ class TrajectoryRecorder:
         """The recorded rows as tuples, built from the blocks on the first
         read after a block arrives."""
         if self._rows is None:
-            self._rows = []
-            for b in self._blocks:
-                c = b.codes.astype(np.int8)
-                cols = (b.x, b.y, b.steps, 1 - (c >> 1), 1 - 2 * (c & 1))  # kappa, eps
-                self._rows.extend(zip(range(b.start, b.start + len(c)), *(a.tolist() for a in cols)))
+            self._rows = list(chain.from_iterable(map(_block_rows, self._blocks)))
         return self._rows
 
-    def _pieces(self, lo: int, hi: int):
-        """``(block, i, j)``: rows ``lo..hi-1`` (0-based) as slices of blocks."""
-        k = bisect_right(self._ends, lo)
-        while lo < hi:
-            b = self._blocks[k]
-            first = self._ends[k] - len(b.codes)
-            j = min(hi, self._ends[k]) - first
-            yield b, lo - first, j
-            lo, k = first + j, k + 1
-
     def position_at(self, n: int):
-        """Exact position after step n (n=0 is the origin)."""
-        if not 0 <= n <= len(self):
+        """Exact position after the n-th recorded step (n=0 is the origin)."""
+        n = _int_param(n, "n", 0)
+        if n > len(self):
             raise ParameterError(f"trajectory covers steps 1..{len(self)}, not {n}")
         if n == 0:
             return (0, 0)
-        ((b, i, _),) = self._pieces(n - 1, n)
+        k = bisect_left(self._ends, n)  # the block holding row n
+        b, i = self._blocks[k], n - 1 - (self._ends[k - 1] if k else 0)
         return b.x.item(i), b.y.item(i)
 
     def __len__(self) -> int:
@@ -176,21 +166,23 @@ class TrajectoryRecorder:
     def export_csv(self, fh) -> None:
         """Write a header and the rows to ``fh``, each value as ``str``, with
         CRLF line ends (the bytes of ``csv.writer``): one formatted write per
-        :data:`STREAM_CHUNK` rows.  A chunk whose positions and steps are all
-        int64 is formatted by :func:`_csv_text`; one holding exact objects
-        (Fractions, or the ints of an object walk) goes through ``%s``."""
+        recorded block.  A block whose positions and steps are all int64 is
+        formatted by :func:`_csv_text`; one holding exact objects (Fractions,
+        or the ints of an object walk) goes through ``%s`` over its own row
+        tuples."""
         fh.write("n,x,y,a_n,kappa,eps\r\n")
-        for lo in range(0, len(self), STREAM_CHUNK):
-            hi = min(lo + STREAM_CHUNK, len(self))
-            parts = [
-                (np.arange(b.start + i, b.start + j), b.x[i:j], b.y[i:j], b.steps[i:j], b.codes[i:j])
-                for b, i, j in self._pieces(lo, hi)
-            ]
-            if all(a.dtype == np.int64 for p in parts for a in p[1:4]):
-                fh.write(_csv_text(*(c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*parts))))
+        for b in self._blocks:
+            if all(a.dtype == np.int64 for a in (b.x, b.y, b.steps)):
+                fh.write(_csv_text(np.arange(b.start, b.start + len(b.codes)), b.x, b.y, b.steps, b.codes))
             else:
-                chunk = self.rows[lo:hi]
-                fh.write("%s,%s,%s,%s,%s,%s\r\n" * len(chunk) % tuple(chain.from_iterable(chunk)))
+                fh.write("%s,%s,%s,%s,%s,%s\r\n" * len(b.codes) % tuple(chain.from_iterable(_block_rows(b))))
+
+
+def _block_rows(b: WalkBlock) -> Iterator[tuple]:
+    """The ``(n, x, y, a_n, kappa, eps)`` tuples of one block's steps."""
+    c = b.codes.astype(np.int8)
+    cols = (b.x, b.y, b.steps, 1 - (c >> 1), 1 - 2 * (c & 1))  # kappa, eps
+    return zip(range(b.start, b.start + len(c)), *(a.tolist() for a in cols))
 
 
 #: ``,kappa,eps\r\n``, the end of a CSV row, for each direction code: eight

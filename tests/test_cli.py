@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from radwalk import cli, construction, exact, sequences, verify
+from radwalk import cli, construction, exact, sequences, verify, walk
 from radwalk.errors import ParameterError
 
 CONST1 = '{"family":"constant","params":{"value":1}}'
@@ -477,6 +477,34 @@ class TestReports:
         lines = out.with_suffix(".csv").read_text(encoding="utf-8").splitlines()
         assert lines[1] == "n,x,y,a_n,kappa,eps"
         assert len(lines) == 2 + 5
+
+    #: ``(seq config, n, extra flags)`` of the trajectory byte test's walks
+    WALKS = {
+        "two-blocks": ({"family": "constant", "params": {"value": 1}}, walk.STREAM_CHUNK + 5, []),
+        "fractions": ({"family": "constant", "params": {"value": "3/7"}}, 40, []),
+        "real-power": ({"family": "real-power", "params": {"alpha": "1/2", "precision_bits": 8}}, 40, []),
+        "promote": ({"family": "constant", "params": {"value": 1 << 61}}, 40, ["--promote"]),  # object walk
+        "n-0": ({"family": "constant", "params": {"value": 1}}, 0, []),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "both"])
+    @pytest.mark.parametrize("record", [True, False], ids=["record", "no-record"])
+    @pytest.mark.parametrize("walk_id", sorted(WALKS))
+    def test_simulate_csv_bytes(self, tmp_path, walk_id, record, fmt):
+        config, n, flags = self.WALKS[walk_id]
+        out = tmp_path / "walk"
+        argv = ["simulate", "--seq", json.dumps(config), "--n", str(n), "--seed", "11", *flags]
+        code = run_cli(argv + ["--record"] * record + ["--out", str(out), "--format", fmt])
+        assert code == cli.EXIT_OK
+        # the report as it was built from the recorder's row tuples, LF line ends
+        lines = ["# radwalk-report v1 command=simulate", "n,x,y,a_n,kappa,eps"]
+        if record:
+            seq = sequences.sequence_from_config(config)
+            width_bits = None if "--promote" in flags else 63
+            _, rec = walk.simulate_recording(seq, n, 11, width_bits=width_bits)
+            lines += [",".join(map(str, row)) for row in rec.rows]
+        assert out.with_suffix(".csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert out.with_suffix(".json").exists() == (fmt == "both")
 
     def test_construct_build_report(self, tmp_path, capsys):
         out = tmp_path / "plan"

@@ -71,10 +71,12 @@ def test_every_private_name_is_used():
     assert not unused, f"private names nothing in the package reads: {sorted(unused)}"
 
 
-def bench_spans():
-    """``bench/spans.py``, the span tracer the benchmark wraps the package with."""
-    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_module(name: str):
+    """``bench/<name>.py``, loaded under the name ``bench_<name>``."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -82,7 +84,7 @@ def bench_spans():
 
 def test_the_bench_tracer_still_finds_what_it_wraps():
     # a rename here would silently zero walk.export_ms or walk.stream_steps
-    spans = bench_spans()
+    spans = bench_module("spans")  # the span tracer the benchmark wraps the package with
     for layer, cls_name, meth in spans.METHODS:
         cls = getattr(getattr(radwalk, layer), cls_name)
         assert inspect.isfunction(vars(cls).get(meth)), f"{layer}.{cls_name}.{meth}"
@@ -91,3 +93,13 @@ def test_the_bench_tracer_still_finds_what_it_wraps():
         assert inspect.isfunction(getattr(getattr(radwalk, layer), fn, None)), name
     # the tracer reads simulate's visitor as its 4th positional argument
     assert list(inspect.signature(radwalk.walk.simulate).parameters)[3] == "visitor"
+
+
+@pytest.mark.parametrize("workload", ["desk_exact", "mc_long"])
+def test_pass_0_matches_the_bench_pins(workload, monkeypatch):
+    # a changed output or report byte shows here, before the benchmark refuses it
+    monkeypatch.syspath_prepend(str(BENCH))  # the harness imports its workloads by name
+    run = bench_module("run")
+    workloads = importlib.import_module("workloads")
+    pins = workloads.load_pins()[workloads.WORKLOADS[workload].problem]
+    assert run.pass0_digests(workload, workloads.PIN_SEED) == pins

@@ -780,6 +780,20 @@ class TestExports:
         writer.writerows(rec.rows)
         return buf.getvalue()
 
+    @staticmethod
+    def exported(rec):
+        """``rec``'s CSV text and the number of lines of each write."""
+        writes = []
+
+        class Sink(io.StringIO):
+            def write(self, text):
+                writes.append(text.count("\n"))
+                return super().write(text)
+
+        buf = Sink()
+        rec.export_csv(buf)
+        return buf.getvalue(), writes
+
     @pytest.mark.parametrize(
         "seq, n",
         [
@@ -842,25 +856,33 @@ class TestExports:
         assert repr([rec.position_at(k) for k in range(len(rows) + 1)]) == repr(
             [(0, 0)] + [r[1:3] for r in rows]
         )
-        for k in (-1, len(rows) + 1):
-            with pytest.raises(ParameterError, match="trajectory covers"):
-                rec.position_at(k)
-        if export_chunk:  # chunks that start and end inside blocks
+        with pytest.raises(ParameterError, match="^n must be >= 0"):
+            rec.position_at(-1)
+        with pytest.raises(ParameterError, match="trajectory covers"):
+            rec.position_at(len(rows) + 1)
+        if export_chunk:  # the export cuts at the recorded blocks, whatever STREAM_CHUNK reads now
             monkeypatch.setattr(wk, "STREAM_CHUNK", export_chunk)
-        buf = io.StringIO()
-        rec.export_csv(buf)
-        assert buf.getvalue() == self.csv_reference(rec)
+        text, writes = self.exported(rec)
+        assert text == self.csv_reference(rec)
+        assert writes == [1] + [len(b.codes) for b in rec._blocks]
+
+    def test_position_at_checks_n_by_name(self):
+        _, rec = wk.simulate_recording(CONST1, 3, 2)
+        for bad in (True, 2.5, "2"):
+            with pytest.raises(ParameterError, match="^n must be an integer"):
+                rec.position_at(bad)
+        assert rec.position_at(np.int64(2)) == rec.rows[1][1:3]
 
     def test_each_chunk_takes_its_own_route(self, monkeypatch):
         rec = self.recorded((CONST1, 6, 1, 63), (self.HUGE, 5, 2, None), (CONST1, 7, 3, 63))
         calls, numpy_route = [], wk._csv_text
         monkeypatch.setattr(wk, "_csv_text", lambda *cols: calls.append(cols[0].tolist()) or numpy_route(*cols))
-        monkeypatch.setattr(wk, "STREAM_CHUNK", 4)
         buf = io.StringIO()
         rec.export_csv(buf)
+        # one call per int64 block; the object walk's block goes through %s
+        assert calls == [[1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 7]]
+        assert rec._rows is None  # and builds only its own row tuples
         assert buf.getvalue() == self.csv_reference(rec)
-        # rows 5-12 hold the object walk's steps 1-5: those two chunks go through %s
-        assert calls == [[1, 2, 3, 4], [2, 3, 4, 5], [6, 7]]
 
     def test_rows_are_built_once_and_rebuilt_after_a_block(self):
         rec = self.recorded((CONST1, 10, 1, 63))
@@ -877,19 +899,13 @@ class TestExports:
 
     @pytest.mark.parametrize("chunk", [1, 7, 50, 64])
     def test_csv_writes_bounded_chunks(self, monkeypatch, chunk):
-        _, rec = wk.simulate_recording(sq.make_sequence("constant", value=Fraction(1, 3)), 50, 5)
         monkeypatch.setattr(wk, "STREAM_CHUNK", chunk)
-        writes = []
-
-        class Sink(io.StringIO):
-            def write(self, text):
-                writes.append(text.count("\n"))
-                return super().write(text)
-
-        buf = Sink()
-        rec.export_csv(buf)
-        assert buf.getvalue() == self.csv_reference(rec)
-        assert writes == [1] + [min(chunk, 50 - i) for i in range(0, 50, chunk)]
+        for seq in (sq.make_sequence("constant", value=Fraction(1, 3)), CONST1):  # %s and numpy
+            _, rec = wk.simulate_recording(seq, 50, 5)
+            text, writes = self.exported(rec)
+            assert text == self.csv_reference(rec)
+            # one write per block, each of at most STREAM_CHUNK rows
+            assert writes == [1] + [min(chunk, 50 - i) for i in range(0, 50, chunk)]
 
     def test_summary_json_carries_seed_metadata(self):
         summary = wk.simulate(CONST1, 5, 42)

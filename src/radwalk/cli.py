@@ -26,7 +26,7 @@ from . import exact as _exact
 from . import sequences as _sequences
 from . import verify as _verify
 from . import walk as _walk
-from .errors import RadwalkError, ParameterError, _digit_limit, _int_param
+from .errors import RadwalkError, ParameterError, _digit_limit, _int_param, _past_digit_limit
 from .rng import RNG_ID, SEED_RULE_ID, json_decode, json_encode
 
 EXIT_OK = 0
@@ -351,9 +351,11 @@ def _table(rows: list[dict], columns: list[str]) -> str:
 def _handle_simulate(command: str, a: dict):
     seq = _sequence_from_args(a)
     width_bits = _int_param(a["width_bits"], "width_bits", 0)  # checked with --promote too
-    rec = _walk.TrajectoryRecorder()  # stays empty, its table a bare header, without --record
+    # only the CSV report holds the trajectory: record it when --record has one to fill
+    rec = _walk.TrajectoryRecorder()  # else it stays empty, its table a bare header
+    to_csv = a["record"] and a.get("out") and a.get("format") in ("csv", "both")
     summary = _walk.simulate(
-        seq, a["n"], a["seed"], rec if a["record"] else None,
+        seq, a["n"], a["seed"], rec if to_csv else None,
         trial=a["trial"], width_bits=None if a["promote"] else width_bits,
     )
     table = io.StringIO()
@@ -428,7 +430,13 @@ def _handle_exact(command: str, a: dict):
 
 def _handle_sequence(command: str, a: dict):
     if command == "sequence.blocks":
-        rec = json_encode(_sequences.sub_block_length(a["k"], a["i"], max_bits=a["max_bits"]))
+        k, i, max_bits = a["k"], a["i"], a["max_bits"]
+        # The report prints 2**e and, if 2**e <= max_bits, 2**(2**e).  A power 2**m
+        # has over 0.3*m digits: refuse it unbuilt past the limit (near it, str() decides).
+        e, limit = k * k + i - 1, getattr(sys, "get_int_max_str_digits", int)()
+        if limit and 1 <= i <= k and 3 * (1 << e if e < max(max_bits, 0).bit_length() else e) > 10 * limit:
+            raise _past_digit_limit("the output")
+        rec = json_encode(_sequences.sub_block_length(k, i, max_bits=max_bits))
         return EXIT_OK, rec, _table([rec], list(rec))
     seq = _sequence_from_args(a)
     if command == "sequence.make":

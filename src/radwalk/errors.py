@@ -25,13 +25,15 @@ def _int_param(value, name: str, low: int | None = None) -> int:
     return int(value)
 
 
+def _past_digit_limit(where: str) -> ParameterError:
+    """The refusal of an int past ``sys.get_int_max_str_digits()`` in ``where``."""
+    return ParameterError(f"{where} holds an integer of over {sys.get_int_max_str_digits()} digits")
+
+
 def _digit_limit(exc: ValueError, where: str) -> ParameterError | None:
-    """The refusal of an int past ``sys.get_int_max_str_digits()`` in ``where``,
-    if that is what ``exc`` reports: read from text or JSON, or written to a
-    report."""
-    if "integer string conversion" in str(exc):
-        return ParameterError(f"{where} holds an integer of over {sys.get_int_max_str_digits()} digits")
-    return None
+    """:func:`_past_digit_limit` of ``where``, if that is what ``exc`` reports:
+    an int read from text or JSON, or written to a report."""
+    return _past_digit_limit(where) if "integer string conversion" in str(exc) else None
 
 
 class PreconditionError(RadwalkError):

@@ -52,7 +52,7 @@ FAMILY_PARAMS = {
     "constant": ("value",),
     "floor-power": ("gamma",),
     "real-power": ("alpha", "precision_bits"),
-    "explicit-block": ("scale", "growth", "exponent_bit_budget", "require_squared_growth"),
+    "explicit-block": ("scale", "growth", "exponent_bit_budget"),
     "from-construction-plan": ("plan",),
     "explicit-list": ("values",),
 }
@@ -262,9 +262,9 @@ def make_sequence(family: str, **params) -> StepSequence:
     * ``real-power``: alpha (rational in (0, 1]), precision_bits (default 64),
       a_n = the dyadic floor of n**alpha with denominator 2**precision_bits
     * ``explicit-list``: values (nonempty, all > 0)
-    * ``explicit-block``: scale ("exact" or "scaled"), growth (optional
-      callable for scaled mode, or ``"default-pow2"``), exponent_bit_budget,
-      require_squared_growth, see :func:`explicit_block_sequence`
+    * ``explicit-block``: scale ("exact" or "scaled"), growth (only
+      ``"default-pow2"``, the name its config gives scaled mode's one growth),
+      exponent_bit_budget, see :func:`explicit_block_sequence`
     * ``from-construction-plan``: plan (a construction plan or its dict form)
 
     Any other parameter is refused by name.
@@ -353,21 +353,15 @@ def make_sequence(family: str, **params) -> StepSequence:
 
     if family == "explicit-block":
         growth = params.get("growth")
-        if growth == "default-pow2":  # the name to_config gives the default
-            growth = default_scaled_growth
-        elif not (growth is None or callable(growth)):
-            raise ParameterError(
-                f"growth must be a callable or 'default-pow2', got {growth!r}: "
-                "a custom growth function cannot be rebuilt from a config"
-            )
-        return explicit_block_sequence(
-            scale=params.get("scale", "exact"),
-            growth=growth,
-            exponent_bit_budget=params.get(
-                "exponent_bit_budget", DEFAULT_EXPONENT_BIT_BUDGET
-            ),
-            require_squared_growth=params.get("require_squared_growth", False),
+        if growth not in (None, "default-pow2"):
+            raise ParameterError(f"growth must be 'default-pow2', got {growth!r}")
+        seq = explicit_block_sequence(
+            params.get("scale", "exact"),
+            exponent_bit_budget=params.get("exponent_bit_budget", DEFAULT_EXPONENT_BIT_BUDGET),
         )
+        if growth is not None and seq.params["scale"] == "exact":
+            raise ParameterError("growth is only meaningful in scaled mode")
+        return seq
 
     # from-construction-plan; imported lazily: the construction module builds on this one
     from .construction import ConstructionPlan
@@ -672,7 +666,8 @@ class SubBlockLength:
     def materialize(self) -> int:
         if self.value is None:
             raise OverflowRefusal(
-                f"sub-block length 2**{self.exponent} does not fit the configured width",
+                f"sub-block ({self.k},{self.i}) has length 2**{self.exponent}, "
+                "beyond the bit budget",
                 exponent=self.exponent,
             )
         return self.value
@@ -702,80 +697,34 @@ def default_scaled_growth(k: int, i: int) -> int:
     return 1 << (k * k + i - 1)
 
 
-def _exact_length(k: int, i: int, exponent_bit_budget: int) -> int:
-    e = k * k + i - 1
-    exponent = 1 << e
-    if exponent > exponent_bit_budget:
-        raise OverflowRefusal(
-            f"block ({k},{i}) has length 2**{exponent}, beyond the "
-            f"{exponent_bit_budget}-bit materialization budget",
-            exponent=exponent,
-        )
-    return 1 << exponent
-
-
 def explicit_block_sequence(
-    scale: str = "exact",
-    growth: Callable[[int, int], int] | None = None,
-    *,
-    exponent_bit_budget: int = DEFAULT_EXPONENT_BIT_BUDGET,
-    require_squared_growth: bool = False,
+    scale: str = "exact", *, exponent_bit_budget: int = DEFAULT_EXPONENT_BIT_BUDGET
 ) -> StepSequence:
     """The block sequence: block k holds k sub-blocks, sub-block i being
     ``L(k, i)`` copies of k followed (for i < k) by ``3*k*k`` copies of k-1.
 
-    In exact mode ``L(k, i) = 2**(2**(k*k + i - 1))``; positional queries are
-    honoured while the needed lengths fit the exponent-bit budget and refused
-    beyond it.  In scaled mode a growth function replaces L (default
-    ``2**(k*k + i - 1)``); it must be strictly increasing along the (k, i)
-    order, and with ``require_squared_growth`` it must also satisfy
-    ``g(k, i+1) >= g(k, i)**2`` wherever it is materialized.
+    In exact mode ``L(k, i) = 2**(2**(k*k + i - 1))`` is :func:`sub_block_length`
+    with ``max_bits=exponent_bit_budget``: a query that needs a longer sub-block
+    raises its :class:`OverflowRefusal`, and the config keeps a budget other than
+    the default.  In scaled mode :func:`default_scaled_growth` replaces L.
     """
     if scale not in ("exact", "scaled"):
         raise ParameterError("scale must be 'exact' or 'scaled'")
-    exponent_bit_budget = _int_param(exponent_bit_budget, "exponent_bit_budget", 0)
-    if type(require_squared_growth) is not bool:
-        raise ParameterError(
-            f"require_squared_growth must be true or false, got {require_squared_growth!r}"
-        )
-    if scale == "exact":
-        if growth is not None:
-            raise ParameterError("growth is only meaningful in scaled mode")
-        length_of = lambda k, i: _exact_length(k, i, exponent_bit_budget)  # noqa: E731
-        params = {"scale": "exact"}
+    budget = _int_param(exponent_bit_budget, "exponent_bit_budget", 0)
+    if scale == "scaled":
+        length_of, params = default_scaled_growth, {"scale": "scaled", "growth": "default-pow2"}
     else:
-        g = growth or default_scaled_growth
-
-        def length_of(k: int, i: int) -> int:
-            return _int_param(g(k, i), f"growth({k},{i})", 1)
-
-        params = {
-            "scale": "scaled",
-            "growth": "default-pow2" if g is default_scaled_growth else "custom",
-        }
+        length_of = lambda k, i: sub_block_length(k, i, max_bits=budget).materialize()  # noqa: E731
+        params = {"scale": "exact"}
+        if budget != DEFAULT_EXPONENT_BIT_BUDGET:  # so that the config rebuilds it
+            params["exponent_bit_budget"] = budget
 
     def runs() -> Iterator[tuple[int, int]]:
-        k = 1
-        prev: tuple[tuple[int, int], int] | None = None
-        while True:
+        for k in itertools.count(1):
             for i in range(1, k + 1):
-                L = length_of(k, i)
-                if scale == "scaled" and prev is not None:
-                    if L <= prev[1]:
-                        raise ParameterError(
-                            f"growth must be strictly increasing: "
-                            f"g{prev[0]}={prev[1]} but g({k},{i})={L}"
-                        )
-                    if require_squared_growth and prev[0] == (k, i - 1) and L < prev[1] ** 2:
-                        raise ParameterError(
-                            f"growth({k},{i})={L} is below the square of "
-                            f"growth({k},{i - 1})={prev[1]}"
-                        )
-                prev = ((k, i), L)
-                yield k, L
+                yield k, length_of(k, i)
                 if i < k:
                     yield k - 1, 3 * k * k
-            k += 1
 
     def evaluate(n: int) -> int:
         ends = itertools.accumulate(runs(), lambda last, run: (run[0], last[1] + run[1]))

@@ -332,6 +332,8 @@ class TestExitCodes:
         [
             ('{"family":"constant","params":{"vlaue":5}}', "vlaue"),
             ('{"family":"floor-power","params":{"gamma":"1/2","gama":3}}', "gama"),
+            ('{"family":"explicit-block","params":{"require_squared_growth":true}}',
+             "require_squared_growth"),
         ],
     )
     def test_unknown_sequence_params_fail_by_name(self, seq, key, capsys):
@@ -344,8 +346,6 @@ class TestExitCodes:
         [
             ('{"family":"explicit-block","params":{"exponent_bit_budget":"x"}}',
              "exponent_bit_budget"),
-            ('{"family":"explicit-block","params":{"require_squared_growth":1}}',
-             "require_squared_growth"),
             ('{"family":"constant","params":[1]}', "params"),
             ('{"family":"constant","params":{"value":[1]}}', "value"),
             ('{"family":"explicit-list","params":{"values":"12"}}', "values"),
@@ -522,6 +522,40 @@ class TestReports:
         doc = json.loads(capsys.readouterr().out)
         assert doc["record"]["exponent"] == 512
         assert doc["record"]["materializable"] is False
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--k", "60000", "--i", "1"], ["--k", "6", "--i", "4", "--max-bits", str(1 << 40)]],
+        ids=["exponent", "length"],
+    )
+    def test_sequence_blocks_past_the_digit_limit_fails_unbuilt(self, flags, monkeypatch, capsys):
+        # 2**e = 2**(3.6e9), or a 2**(2**39) of 64 GiB: the report could print
+        # neither, so neither is built
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("sub_block_length was called")
+
+        monkeypatch.setattr(sequences, "sub_block_length", unbuilt)
+        t0 = time.perf_counter()
+        assert run_cli(["sequence", "blocks", *flags]) == cli.EXIT_ERROR
+        assert time.perf_counter() - t0 < 0.5
+        limit = sys.get_int_max_str_digits()
+        assert capsys.readouterr().err == (
+            f"radwalk: error: the output holds an integer of over {limit} digits\n"
+        )
+
+    @pytest.mark.parametrize("flags", [[], ["--format", "structured"]], ids=["stdout", "structured"])
+    def test_simulate_records_only_for_a_csv(self, flags, tmp_path, monkeypatch, capsys):
+        visitors, simulate = [], walk.simulate
+
+        def spy(seq, n, seed, visitor=None, **kwargs):
+            visitors.append(visitor)
+            return simulate(seq, n, seed, visitor, **kwargs)
+
+        monkeypatch.setattr(walk, "simulate", spy)
+        out = ["--out", str(tmp_path / "walk")] if flags else []
+        argv = ["simulate", "--seq", CONST1, "--n", "5", "--record", *out, *flags]
+        assert run_cli(argv) == cli.EXIT_OK
+        assert visitors == [None]
 
     def test_check_good_flags_even_set(self, capsys):
         code = run_cli(["construct", "check-good", "--good-set", "2,4,6"])

@@ -18,7 +18,16 @@ from radwalk.errors import (
     OverflowRefusal,
     ParameterError,
     PreconditionError,
+    RadwalkError,
 )
+
+#: A one-round construction plan: the sequence 2, 2, 3, 2, 2, 3.
+PLAN = {
+    "rounds": [{"index": 0, "pair": [2, 3, 2, 1], "n0": 2, "n_start": 0, "n_end": 6,
+                "radius": 0, "alpha": 0, "estimate": None}],
+    "status": "inconclusive", "master_seed": 0, "confidence": 0.95, "trials": 8,
+    "radius_mode": "coarse",
+}
 
 
 class TestMakeSequence:
@@ -128,14 +137,43 @@ class TestSerialization:
     def test_whole_numbers_stay_ints(self, family, params, config):
         assert sq.make_sequence(family, **params).to_config() == {"family": family, "params": config}
 
+    @pytest.mark.parametrize(
+        "build, n",
+        [
+            (lambda: sq.make_sequence("constant", value=3), 50),
+            (lambda: sq.make_sequence("constant", value=Fraction(3, 7)), 50),
+            (lambda: sq.make_sequence("floor-power", gamma=2), 50),
+            (lambda: sq.make_sequence("floor-power", gamma=Fraction(1, 2)), 50),
+            (lambda: sq.make_sequence("real-power", alpha=Fraction(1, 2), precision_bits=8), 50),
+            (lambda: sq.make_sequence("explicit-list", values=[1, Fraction(5, 2), 3]), 3),
+            (lambda: sq.explicit_block_sequence(), 70_000),
+            (lambda: sq.explicit_block_sequence(exponent_bit_budget=16), 65553),
+            (lambda: sq.explicit_block_sequence(scale="scaled"), 5000),
+            (lambda: sq.make_sequence("from-construction-plan", plan=PLAN), 6),
+        ],
+        ids=["constant", "constant-3/7", "floor-power", "floor-power-1/2", "real-power",
+             "explicit-list", "block-exact", "block-exact-budget-16", "block-scaled", "plan"],
+    )
+    def test_config_text_rebuilds_the_sequence(self, build, n):
+        # the same config, and the same prefix or the same refusal
+        def prefix_or_refusal(seq):
+            try:
+                return seq.prefix(n)
+            except RadwalkError as exc:
+                return type(exc)
+
+        s = build()
+        rebuilt = sq.sequence_from_config(json.loads(json.dumps(s.to_config())))
+        assert rebuilt.to_config() == s.to_config()
+        assert prefix_or_refusal(rebuilt) == prefix_or_refusal(s)
+
     def test_scaled_block_growth_names(self):
         s = sq.make_sequence("explicit-block", scale="scaled", growth="default-pow2")
         assert s.to_config()["params"]["growth"] == "default-pow2"
         assert s.prefix(20) == sq.explicit_block_sequence(scale="scaled").prefix(20)
-        custom = sq.explicit_block_sequence(scale="scaled", growth=lambda k, i: 4 ** (k + i))
-        assert custom.to_config()["params"]["growth"] == "custom"
-        with pytest.raises(ParameterError, match="'custom'"):
-            sq.sequence_from_config(custom.to_config())
+        custom = {"family": "explicit-block", "params": {"scale": "scaled", "growth": "custom"}}
+        with pytest.raises(ParameterError, match="^growth must be .*'custom'"):
+            sq.sequence_from_config(custom)
 
     @pytest.mark.parametrize(
         "family, params, key",
@@ -694,22 +732,9 @@ class TestBlockSequence:
     def test_exact_positional_overflow_refusal(self):
         s = sq.explicit_block_sequence(exponent_bit_budget=16)
         assert s(65552) == 1  # block (2,1) and its tail still materialize
-        with pytest.raises(OverflowRefusal):
+        with pytest.raises(OverflowRefusal, match=r"^sub-block \(2,2\) has length 2\*\*32,") as exc:
             s(65553)  # needs L(2,2) = 2**32, whose exponent exceeds the budget
-
-    def test_scaled_growth_must_increase(self):
-        s = sq.explicit_block_sequence(scale="scaled", growth=lambda k, i: 5)
-        with pytest.raises(ParameterError):
-            s.prefix(30)
-
-    def test_squared_growth_opt_in(self):
-        s = sq.explicit_block_sequence(
-            scale="scaled",
-            growth=lambda k, i: 4 ** (k + i),
-            require_squared_growth=True,
-        )
-        with pytest.raises(ParameterError):
-            s.prefix(2000)  # 4**(k+i) grows strictly but far slower than squaring
+        assert exc.value.exponent == 32
 
 
 # ---------------------------------------------------------------------------

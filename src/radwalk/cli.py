@@ -236,8 +236,17 @@ def _dest(flag: str) -> str:
     return flag.lstrip("-").replace("-", "_")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its refusal in the CLI's own form: one ``radwalk: error:``
+    line that names the command, then argparse's exit code 2."""
+
+    def error(self, message):
+        command = self.prog.removeprefix("radwalk").strip()
+        self.exit(2, f"radwalk: error: {command + ': ' if command else ''}{message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="radwalk",
         description="Planar Rademacher-walk toolkit: simulation, exact oracles, checks.",
     )
@@ -390,19 +399,18 @@ def _handle_mc_return(command: str, a: dict):
 def _handle_exact(command: str, a: dict):
     if command == "exact.pmf1d":
         p = _exact.pmf_1d(_number_list(a["d"]))
+        values, masses = [str(v) for v in p.values], p.masses
         rec = {"steps": [str(s) for s in p.steps], "support_size": len(p.values),
-               "pmf": {str(v): str(m) for v, m in p.as_dict().items()}}
-        rows = [{"value": str(v), "mass": f"{m.numerator}/{m.denominator}"}
-                for v, m in zip(p.values, p.masses)]
+               "pmf": {v: str(m) for v, m in zip(values, masses)}}
+        rows = [{"value": v, "mass": f"{m.numerator}/{m.denominator}"} for v, m in zip(values, masses)]
         return EXIT_OK, rec, _table(rows, ["value", "mass"])
     if command == "exact.pmf2d":
         p = _exact.pmf_2d(_number_list(a["a"]))
-        rows = [
-            {"x": str(x), "y": str(y), "mass": str(Fraction(w, p.total))}
-            for (x, y), w in zip(p.points, p.weights)
-        ]
+        points = [(str(x), str(y)) for x, y in p.points]
+        masses = [str(Fraction(w, p.total)) for w in p.weights]
+        rows = [{"x": x, "y": y, "mass": m} for (x, y), m in zip(points, masses)]
         rec = {"steps": [str(s) for s in p.steps], "support_size": len(p.points),
-               "pmf": {f"{x},{y}": str(Fraction(w, p.total)) for (x, y), w in zip(p.points, p.weights)}}
+               "pmf": {f"{x},{y}": m for (x, y), m in zip(points, masses)}}
         return EXIT_OK, rec, _table(rows, ["x", "y", "mass"])
     if command == "exact.mod":
         prob = _exact.mod_probability(

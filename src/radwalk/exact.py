@@ -9,7 +9,11 @@ rest of the package.
 One engine builds every signed-sum law: :func:`_running_laws` yields the
 polynomial ``prod(1 + z**s)`` of the first n steps, packed as one big integer
 of fixed-width bit slots, after each step (one shift-add per step), and
-:func:`_weight_at` reads one value of it.  ``pmf_1d(d)`` decodes the last law;
+:func:`_weight_at` reads one value of it.  A one-shot law multiplies the steps
+in ascending order, which keeps the partial products shortest; the running
+laws keep the steps' own order.  :func:`_nonzero_slots` decodes a law below 64
+steps (one 64-bit limb per slot) straight to Python ints, and wider slots limb
+by limb.  ``pmf_1d(d)`` decodes the last law;
 ``pmf_2d(a)``, the planar walk with step ``i`` moving ``a[i]`` along one of the
 four axis directions, is the product of two such laws in the rotated
 coordinates ``x+y`` and ``x-y``; ``sup_pmf_running`` reads one central slot
@@ -30,6 +34,7 @@ route its m slots.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -144,6 +149,9 @@ def _nonzero_slots(packed: int, slots: int, depth: int) -> tuple[np.ndarray, lis
     limbs = depth // 64 + 1
     raw = packed.to_bytes(8 * limbs * slots, "little")
     words = np.frombuffer(raw, dtype="<u8").reshape(slots, limbs)
+    if limbs == 1:  # tolist() gives Python ints, with no object array on the way
+        j = np.flatnonzero(words)
+        return j, words[j, 0].tolist()
     j = np.flatnonzero(words.any(axis=1))
     values = words[j, -1].astype(object)
     for i in range(limbs - 2, -1, -1):
@@ -152,8 +160,11 @@ def _nonzero_slots(packed: int, slots: int, depth: int) -> tuple[np.ndarray, lis
 
 
 def _signed_sum_weights(ints: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Support values and weights of the signed sum of the integer steps."""
-    for packed, span in _running_laws(ints, len(ints)):  # ints is nonempty
+    """Support values and weights of the signed sum of the integer steps.
+
+    The product does not depend on the steps' order; ascending order keeps
+    every partial product, and so every shift-add, shortest."""
+    for packed, span in _running_laws(sorted(ints), len(ints)):  # ints is nonempty
         pass
     j, weights = _nonzero_slots(packed, span + 1, len(ints))
     return (2 * j - span).tolist(), weights
@@ -183,6 +194,8 @@ def pmf_2d(a: Sequence) -> ExactPmf2D:
     In the rotated coordinates ``u = x+y``, ``v = x-y`` every step moves by
     ``±a[i]`` in both, with independent uniform signs, so ``u`` and ``v`` are
     independent copies of the signed sum and ``w(x, y) = w1(x+y) * w1(x-y)``.
+    The products of 1-D weights are formed in int64 up to 31 steps (each
+    weight is below ``2**31``), as Python ints past that.
     """
     steps = _positive_steps(a, "a")
     ints, scale = scaled_ints(steps)
@@ -193,13 +206,17 @@ def pmf_2d(a: Sequence) -> ExactPmf2D:
     xs = ((u[:, None] + u[None, :]) // 2).ravel()
     ys = ((u[:, None] - u[None, :]) // 2).ravel()
     order = np.lexsort((ys, xs))
-    w = np.array(weights, dtype=object)
+    # a 1-D weight is below 2**n, so a product of two fits int64 up to n = 31
+    w = np.array(weights, dtype=np.int64 if 2 * len(ints) <= 62 else object)
     xs, ys = xs[order].tolist(), ys[order].tolist()
     if scale != 1:
         xs = [int_if_whole(Fraction(x, scale)) for x in xs]
         ys = [int_if_whole(Fraction(y, scale)) for y in ys]
+    # tuple(zip(...)) grows by resizing, and every resize hands the half-built
+    # tuple back to the youngest GC generation: build the list, copy it once
+    points = list(zip(xs, ys))
     return ExactPmf2D(
-        points=tuple(zip(xs, ys)),
+        points=tuple(points),
         weights=tuple(np.multiply.outer(w, w).ravel()[order].tolist()),
         total=1 << (2 * len(ints)),
         steps=tuple(steps),
@@ -294,11 +311,11 @@ def max_interval_probability(d: Sequence, half_width) -> tuple[Fraction, Number]
     if D <= 0:
         raise ParameterError("half-width D must be > 0")
     steps = _positive_steps(d, "d")
-    for i, f in enumerate(steps):
-        if f < D:
-            raise PreconditionError(f"step d[{i}]={f} is smaller than the half-width D={D}")
     ints, scale = scaled_ints(steps + [D])
     Ds = ints.pop()
+    for i, s in enumerate(ints):  # compared on the common lattice, as ints
+        if s < Ds:
+            raise PreconditionError(f"step d[{i}]={steps[i]} is smaller than the half-width D={D}")
     vals, weights = _signed_sum_weights(ints)
     best = 0
     best_right = vals[0]
@@ -314,7 +331,7 @@ def max_interval_probability(d: Sequence, half_width) -> tuple[Fraction, Number]
             best = window
             best_right = vj
     sup = Fraction(best, 1 << len(ints))
-    center = int_if_whole(Fraction(best_right, scale) - D)
+    center = int_if_whole(Fraction(best_right - Ds, scale))
     return sup, center
 
 
@@ -385,7 +402,10 @@ def hoeffding_tail(d: Sequence, t) -> HoeffdingTail:
 
     The raw bound can exceed 1 for small ``t``; the clamped value is also
     reported.  When the support budget permits, the exact ``P(|T| >= t)`` is
-    computed from the signed-sum law for side-by-side comparison.
+    computed from the signed-sum law for side-by-side comparison: on the
+    steps scaled to ints, ``|T| >= t`` is ``|T * scale| >= ceil(t * scale)``,
+    and the law is symmetric, so the tail is twice the weight from that
+    integer threshold up.  Past the budget the exact tail is None.
     """
     tf = _fraction_param(t, "threshold t")
     if tf <= 0:
@@ -393,12 +413,14 @@ def hoeffding_tail(d: Sequence, t) -> HoeffdingTail:
     steps = _positive_steps(d, "d")
     ssq = sum(Fraction(f) * f for f in steps)
     raw = 2.0 * math.exp(-float(tf * tf) / float(2 * ssq))
+    ints, scale = scaled_ints(steps)
     try:
-        law = pmf_1d(steps)
+        values, weights = _signed_sum_weights(ints)
     except SupportBudgetError:
         exact = None
     else:
-        exact = Fraction(sum(w for v, w in zip(law.values, law.weights) if abs(v) >= tf), law.total)
+        above = bisect_left(values, math.ceil(tf * scale))  # a threshold >= 1
+        exact = Fraction(2 * sum(weights[above:]), 1 << len(ints))
     return HoeffdingTail(
         threshold=tf,
         sum_squares=ssq,

@@ -460,11 +460,19 @@ def simulate(
     for lo in range(0, n, STREAM_CHUNK):
         codes = reader.read(min(STREAM_CHUNK, n - lo))
         (uv_read,) = _rotated(walked[lo : lo + len(codes)], codes[None], uv[:, : len(codes)])
-        u, v = uv_read[:, 0] + u_end, uv_read[:, 1] + v_end
+        u, v = uv_read[:, 0], uv_read[:, 1]
+        u += u_end
+        v += v_end
         u_end, v_end = u[-1:].item(), v[-1:].item()
         horizontal += int((codes < 2).sum())
-        x = (u >> 1) + (v >> 1) + (u & 1)  # (u + v) / 2, as u + v may not fit in int64
-        y = x - v
+        if visitor is None and limit is None:
+            continue
+        # x = (u >> 1) + (v >> 1) + (u & 1), that is (u + v) / 2, as u + v may
+        # not fit in int64; y = x - v.  Both are fresh, as a visitor may keep them.
+        x, y = np.right_shift(u, 1), np.bitwise_and(u, 1)
+        x += y
+        x += np.right_shift(v, 1, out=y)
+        np.subtract(x, v, out=y)
         out = np.flatnonzero((np.abs(x) > limit) | (np.abs(y) > limit)) if limit is not None else []
         stop = int(out[0]) if len(out) else len(codes)
         if visitor is not None and stop:

@@ -837,6 +837,69 @@ def test_hostile_ints_fail_by_name(command, flag, value, tmp_path):
         assert flag.lstrip("-").replace("-", "_") in stderr.getvalue(), stderr.getvalue()
 
 
+#: Tiny valid runs of every command: the start of each argv in the fuzz below.
+FUZZ_BASE = {
+    **{c: rest for c, (_, rest) in INT_FLAG_RUNS.items()},
+    "exact.pmf1d": ["--d", "1,2"],
+    "exact.pmf2d": ["--a", "1,2"],
+    "exact.interval": ["--d", "2,3", "--half-width", "1"],
+    "verify.elo": ["--d", "2,3", "--half-width", "1"],
+}
+
+#: Every flag name of the CLI but --out, whose value the fuzz always chooses,
+#: and two no command has.
+FUZZ_FLAGS = sorted(
+    {f for flags in cli._COMMANDS.values() for f, _ in flags + cli._GLOBAL_FLAGS} - {"--out"}
+    | {"--bogus", "-q"}
+)
+
+#: Flag values: numbers of at most 64, text that is no number, lists, JSON.
+FUZZ_TOKENS = st.one_of(
+    st.integers(-64, 64).map(str),
+    st.fractions(min_value=-64, max_value=64, max_denominator=64).map(str),
+    st.sampled_from(["", " ", "x", "nan", "-inf", "1e1", "2.5", "1,2", "1,,2", "0,0", "1/0",
+                     "-", "--", "{}", "[1, 2]", "true", "null", CONST1]),
+)
+
+
+@st.composite
+def malformed_argv(draw, out: str) -> list[str]:
+    """A command's words, often cut short or misspelled, its tiny run or
+    nothing, then flags of any command with values, missing values, ``=``
+    forms, repeats and strays, and maybe ``--out`` (with or without a value)."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    words = command.split(".")
+    words = draw(st.sampled_from([words, words[:-1], words[:-1] + ["bogus"]]))
+    argv = words + draw(st.sampled_from([FUZZ_BASE[command], []]))
+    item = st.one_of(
+        st.tuples(st.sampled_from(FUZZ_FLAGS), FUZZ_TOKENS).map(list),
+        st.tuples(st.sampled_from(FUZZ_FLAGS)).map(list),
+        st.tuples(st.sampled_from(FUZZ_FLAGS), FUZZ_TOKENS).map(lambda ft: ["=".join(ft)]),
+        st.tuples(FUZZ_TOKENS).map(list),
+    )
+    for part in draw(st.lists(item, max_size=5)):
+        argv += part
+    return argv + draw(st.sampled_from([[], ["--out", out], ["--out"]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_malformed_argv_never_raises(data, tmp_path_factory):
+    """Malformed argv ends in an exit code 0-3 (argparse's refusal exits 2)
+    and ``radwalk:`` error lines on stderr, never a traceback."""
+    out = str(tmp_path_factory.mktemp("fuzz") / "report")
+    argv = data.draw(malformed_argv(out))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code, refused = cli.main(argv), False
+        except SystemExit as exc:  # argparse refuses the argv
+            code, refused = exc.code, True
+    assert code in (cli.EXIT_OK, cli.EXIT_ERROR, cli.EXIT_VERIFY_FAILED, cli.EXIT_INCONCLUSIVE)
+    lines = stderr.getvalue().splitlines()
+    assert all(line.startswith(("radwalk: error: ", "radwalk: i/o error: ")) for line in lines), lines
+    assert lines or not (refused or code == cli.EXIT_ERROR)
+
 #: A command reading each line file flag, with the file's path at @.
 LINE_FILE_COMMANDS = {
     "--seq-list": ["sequence", "make", "--n", "1", "--seq-list", "@"],

@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import itertools
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -153,6 +154,50 @@ class TestPackedRoutes:
         expected = Fraction(math.comb(k, k // 2) ** 2, 4**k) if k % 2 == 0 else 0
         assert law.mass((0, 0)) == expected
         assert sum(law.weights) == law.total
+
+    @pytest.mark.parametrize("k", [31, 32, 33])
+    def test_unit_steps_planar_weights_are_binomial_products(self, k, monkeypatch):
+        # products of 1-D weights in int64 up to 31 steps, in Python ints from 32 on
+        monkeypatch.setattr(exact, "SUPPORT_BUDGET", (2 * k + 1) ** 2)
+        law = exact.pmf_2d([1] * k)
+        # u = x + y = 2i - k and v = x - y = 2j - k take C(k, i) and C(k, j) sign choices
+        expected = {
+            (i + j - k, i - j): math.comb(k, i) * math.comb(k, j)
+            for i in range(k + 1) for j in range(k + 1)
+        }
+        assert law.points == tuple(sorted(expected))
+        assert law.weights == tuple(expected[p] for p in law.points)
+        assert all(type(w) is int for w in law.weights)
+        assert law.total == 4**k
+
+    @pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 130])
+    def test_step_order_leaves_the_law(self, n):
+        """A shuffled list has the law of the list in its own order, one step at
+        a time; the weights pass 64 bits from 64 steps on."""
+        r = random.Random(n)
+        d = [r.randint(1, 9) for _ in range(n)]
+        law = {0: 1}  # the weights of the signed sum, step by step in d's order
+        for s in d:
+            step = {}
+            for v, w in law.items():
+                step[v - s] = step.get(v - s, 0) + w
+                step[v + s] = step.get(v + s, 0) + w
+            law = step
+        shuffled = r.sample(d, n)
+        got = exact.pmf_1d(shuffled)
+        assert got.values == tuple(sorted(law))
+        assert got.weights == tuple(law[v] for v in got.values)
+        assert got.steps == tuple(shuffled)
+
+    @pytest.mark.parametrize("k", [3, 63, 64, 130])
+    def test_nonzero_slots_are_python_ints(self, k):
+        # one 64-bit limb per slot below 64 steps, several from 64 on
+        for packed, span in exact._running_laws([1] * k, k):
+            pass
+        j, weights = exact._nonzero_slots(packed, span + 1, k)
+        assert j.tolist() == list(range(k + 1))
+        assert weights == [math.comb(k, i) for i in range(k + 1)]
+        assert all(type(w) is int for w in weights)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -682,6 +727,44 @@ class TestHoeffdingTail:
     def test_single_step_threshold_beyond_range(self):
         rep = exact.hoeffding_tail([1], 2)
         assert rep.exact_tail == 0
+
+    def test_a_threshold_on_a_support_value_counts_it(self):
+        d = [HALF, Fraction(1, 3)]  # the signed sum is +-5/6 or +-1/6
+        assert exact.hoeffding_tail(d, Fraction(5, 6)).exact_tail == HALF
+        assert exact.hoeffding_tail(d, Fraction(5, 6) + Fraction(1, 10**9)).exact_tail == 0
+        assert exact.hoeffding_tail(d, Fraction(1, 6)).exact_tail == 1
+        assert exact.hoeffding_tail(d, Fraction(1, 6) + Fraction(1, 10**9)).exact_tail == HALF
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=1, max_value=6),
+                st.fractions(min_value=Fraction(1, 6), max_value=4, max_denominator=6),
+            ).filter(lambda f: f > 0),
+            min_size=1,
+            max_size=7,
+        ),
+        st.data(),
+    )
+    def test_exact_tail_matches_enumeration(self, d, data):
+        law = enumerate_signed_sum(d)
+        on_support = sorted(v for v in law if v > 0) or [sum(d)]
+        t = data.draw(st.one_of(
+            st.sampled_from(on_support),
+            st.fractions(min_value=Fraction(1, 12), max_value=math.ceil(sum(d)) + 1, max_denominator=12)
+            .filter(lambda f: f > 0),
+        ))
+        assert exact.hoeffding_tail(d, t).exact_tail == sum(m for v, m in law.items() if abs(v) >= t)
+
+    def test_no_exact_tail_where_pmf_1d_is_refused(self, monkeypatch):
+        steps = [HALF, Fraction(1, 3)]  # 3 and 2 on the lattice of 1/6: 11 points
+        monkeypatch.setattr(exact, "SUPPORT_BUDGET", 11)
+        assert exact.hoeffding_tail(steps, 1).exact_tail == 0
+        monkeypatch.setattr(exact, "SUPPORT_BUDGET", 10)
+        with pytest.raises(SupportBudgetError):
+            exact.pmf_1d(steps)
+        assert exact.hoeffding_tail(steps, 1).exact_tail is None
 
     def test_small_threshold_clamped(self):
         rep = exact.hoeffding_tail([1, 1], Fraction(1, 100))

@@ -237,12 +237,13 @@ def _dest(flag: str) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with its refusal in the CLI's own form: one ``radwalk: error:``
-    line that names the command, then argparse's exit code 2."""
+    """argparse whose refusal is a :class:`ParameterError` naming the command,
+    which :func:`main` reports like any other: one ``radwalk: error:`` line
+    and :data:`EXIT_ERROR`.  ``--help`` still exits 0."""
 
     def error(self, message):
         command = self.prog.removeprefix("radwalk").strip()
-        self.exit(2, f"radwalk: error: {command + ': ' if command else ''}{message}\n")
+        raise ParameterError(f"{command + ': ' if command else ''}{message}")
 
 
 def build_parser() -> argparse.ArgumentParser:

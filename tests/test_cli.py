@@ -135,6 +135,25 @@ class TestExitCodes:
     def test_execution_error_on_bad_params(self, capsys):
         assert run_cli(["mc-return", "--seq", CONST1, "--n", "2", "--trials", "0"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["exact", "mod", "--d", "1,2", "--bogus"], "unrecognized arguments: --bogus"),
+            (["exact", "mod", "--d", "1,2", "--m"], "exact mod: argument --m: expected one argument"),
+            (["mc-return", "--workers", "x"], "mc-return: argument --workers: invalid int value: 'x'"),
+            ([], "the following arguments are required: group"),
+        ],
+    )
+    def test_malformed_argv_is_an_execution_error(self, argv, line, capsys):
+        # 2 stays EXIT_VERIFY_FAILED alone: argparse's refusal returns 1
+        assert run_cli(argv) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == f"radwalk: error: {line}\n"
+
+    def test_malformed_argv_exits_1_in_a_fresh_process(self):
+        proc = fresh_process(["exact", "mod", "--bogus"])
+        assert proc.returncode == cli.EXIT_ERROR
+        assert proc.stderr.startswith("radwalk: error: ") and len(proc.stderr.splitlines()) == 1
+
     @pytest.mark.parametrize("seed_source", ["flag", "config"])
     def test_bad_seed_fails_by_name(self, tmp_path, seed_source):
         # a negative flag value, or a float from a config file
@@ -655,11 +674,12 @@ class TestParserReuse:
             args = {"d": "5,7", "m": 4, "residue": 1, "method": "full"}
             path.write_text(json.dumps({"command": "exact.mod", "args": args}), encoding="utf-8")
             assert cli.main(["exact", "mod", "--config", str(path), "--residue", "2"]) == 0
+        elif before == "bad-flag":
+            assert cli.main(PLAIN_MOD + ["--bogus"]) == cli.EXIT_ERROR
         else:
-            flag = "--bogus" if before == "bad-flag" else "--help"
             with pytest.raises(SystemExit) as exc:
-                cli.main(PLAIN_MOD + [flag])
-            assert exc.value.code == (2 if before == "bad-flag" else 0)
+                cli.main(PLAIN_MOD + ["--help"])
+            assert exc.value.code == 0
         capsys.readouterr()
         assert cli.main(PLAIN_MOD) == cli.EXIT_OK
         fresh = fresh_process(PLAIN_MOD)
@@ -885,20 +905,18 @@ def malformed_argv(draw, out: str) -> list[str]:
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_malformed_argv_never_raises(data, tmp_path_factory):
-    """Malformed argv ends in an exit code 0-3 (argparse's refusal exits 2)
-    and ``radwalk:`` error lines on stderr, never a traceback."""
+    """Malformed argv ends in a returned exit code 0-3 (argparse's refusal
+    returns 1, like any other refused input) and ``radwalk:`` error lines on
+    stderr, never a traceback or a ``SystemExit``."""
     out = str(tmp_path_factory.mktemp("fuzz") / "report")
     argv = data.draw(malformed_argv(out))
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        try:
-            code, refused = cli.main(argv), False
-        except SystemExit as exc:  # argparse refuses the argv
-            code, refused = exc.code, True
+        code = cli.main(argv)
     assert code in (cli.EXIT_OK, cli.EXIT_ERROR, cli.EXIT_VERIFY_FAILED, cli.EXIT_INCONCLUSIVE)
     lines = stderr.getvalue().splitlines()
     assert all(line.startswith(("radwalk: error: ", "radwalk: i/o error: ")) for line in lines), lines
-    assert lines or not (refused or code == cli.EXIT_ERROR)
+    assert lines or code != cli.EXIT_ERROR
 
 #: A command reading each line file flag, with the file's path at @.
 LINE_FILE_COMMANDS = {

@@ -46,6 +46,46 @@ class TestDecodeGuard:
                 assert np.array_equal(np.concatenate(parts), rw.direction_codes(seed, 3, n))
 
 
+def _reference(seed, trial: int, n: int) -> np.ndarray:
+    return rw.trial_generator(seed, trial).integers(0, 4, size=n, dtype=np.int64)
+
+
+class TestFillRoutes:
+    """Both routes of ``CodeReader.fill`` give the ``Generator.integers(0, 4)``
+    draws: a one-row batch decodes its trial's own raw draw, a batch of
+    several rows goes through the reader's word buffer."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 32769, 100001])
+    def test_one_row(self, seed, n):
+        reader = rw.CodeReader(rw._philox_key(seed))
+        for trial in TRIALS:
+            codes = np.full((1, n), 9, dtype=np.uint8)
+            reader.fill(range(trial, trial + 1), codes)
+            assert np.array_equal(codes[0], _reference(seed, trial, n)), trial
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 999, 1000, 21845])
+    def test_several_rows(self, seed, n):
+        reader = rw.CodeReader(rw._philox_key(seed))
+        for trials in (range(0, 5), range(3, 5), range(1 << 40, (1 << 40) + 3)):
+            codes = np.full((len(trials), n), 9, dtype=np.uint8)
+            reader.fill(trials, codes)
+            for row, trial in zip(codes, trials):
+                assert np.array_equal(row, _reference(seed, trial, n)), (trial, n)
+
+    @pytest.mark.parametrize("n", [999, 1000])
+    def test_routes_alternate_on_one_reader(self, n):
+        # one row, many rows (the buffer is made), one row, fewer rows on the
+        # same buffer, one row: each batch reads only its own trials' words
+        reader = rw.CodeReader(rw._philox_key(2025))
+        for trials in (range(7, 8), range(10, 16), range(20, 21), range(30, 33), range(11, 12)):
+            codes = np.full((len(trials), n), 9, dtype=np.uint8)
+            reader.fill(trials, codes)
+            for row, trial in zip(codes, trials):
+                assert np.array_equal(row, _reference(2025, trial, n)), (trial, n)
+
+
 class TestMasterSeed:
     @pytest.mark.parametrize(
         "bad", [-1, 1.5, "7", None, True, [1, 2], (), (1, -2), (3, (2, -1)), (1, 2.0)]

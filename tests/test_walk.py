@@ -386,6 +386,15 @@ class TestRotatedKernel:
             seen += list(batch)
         assert seen == list(trials)
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("rows, n", [(1, 1), (1, 1001), (2, 7), (3, 8), (64, 33), (65, 1000)])
+    def test_unit_route_matches_the_multiply_route(self, dtype, rows, n):
+        codes = np.random.default_rng(rows * n).integers(0, 4, (rows, n), dtype=np.uint8)
+        ones = np.ones(n, dtype=dtype)
+        want = wk._rotated(ones, codes, np.empty((rows, n, 2), dtype=dtype))
+        got = wk._rotated(ones, codes, np.full((rows, n, 2), 7, dtype=dtype), unit=True)
+        assert got.dtype == dtype and np.array_equal(got, want)
+
     @pytest.mark.parametrize("batch_steps", [40, 24, 7, 1 << 16])
     def test_batches_cover_each_chunk_once(self, monkeypatch, batch_steps):
         # 5, 3, 1 and 256 rows a batch: the chunks of 256, 256 and 88 trials
@@ -650,33 +659,39 @@ def _mc(values, n, trials):
     return wk.monte_carlo_return(_explicit(values), n, trials, 0)
 
 
-#: (run of a plan, the steps' dtype the kernel gets, whether it checks them)
+#: (run of a plan, the steps' dtype the kernel gets, whether it checks them,
+#: whether it takes the unit-step route)
 KERNEL_STEPS = {
-    "int32-edge": (lambda plan: _mc(INT32_EDGE, 4, 300), np.int32, False),
-    "int64-edge": (lambda plan: _mc(INT64_EDGE, 4, 300), np.int64, False),
-    "checked-edge": (lambda plan: _mc(CHECKED, 4096, 3), np.int32, True),
+    "int32-edge": (lambda plan: _mc(INT32_EDGE, 4, 300), np.int32, False, False),
+    "int64-edge": (lambda plan: _mc(INT64_EDGE, 4, 300), np.int64, False, False),
+    "checked-edge": (lambda plan: _mc(CHECKED, 4096, 3), np.int32, True, False),
     # the job shapes of the benchmark's mc_long workload, at its horizons
-    "hit_r10": (lambda plan: vf.hitting_time_experiment(10, trials=3), np.int32, False),
-    "mc_floor1": (lambda plan: wk.monte_carlo_return(FLOOR1, 10**5, 2, 0), np.int32, True),
-    "n0_23": (lambda plan: cn.estimate_N0(PAIR23, 0, trials=2, horizon_cap=1 << 14), np.int32, False),
-    "build": (lambda plan: _mc_long_build(), np.int32, False),
-    "evaluate": (lambda plan: cn.evaluate_plan(plan, 2, 0), np.int32, False),
+    "hit_r10": (lambda plan: vf.hitting_time_experiment(10, trials=3), np.int32, False, True),
+    "mc_floor1": (lambda plan: wk.monte_carlo_return(FLOOR1, 10**5, 2, 0), np.int32, True, False),
+    "n0_23": (lambda plan: cn.estimate_N0(PAIR23, 0, trials=2, horizon_cap=1 << 14), np.int32, False, False),
+    "build": (lambda plan: _mc_long_build(), np.int32, False, False),
+    "evaluate": (lambda plan: cn.evaluate_plan(plan, 2, 0), np.int32, False, False),
     # a_n = n**2 spreads past int32: int64 from the start
-    "floor2": (lambda plan: wk.monte_carlo_return(FLOOR2, 10**5, 2, 0), np.int64, False),
-    "simulate-int32-edge": (lambda plan: wk.simulate(_explicit(INT32_EDGE), 4, 0), np.int64, False),
-    "simulate-checked": (lambda plan: wk.simulate(_explicit(CHECKED), 4096, 0), np.int64, False),
+    "floor2": (lambda plan: wk.monte_carlo_return(FLOOR2, 10**5, 2, 0), np.int64, False, False),
+    "simulate-int32-edge": (lambda plan: wk.simulate(_explicit(INT32_EDGE), 4, 0), np.int64, False, False),
+    "simulate-checked": (lambda plan: wk.simulate(_explicit(CHECKED), 4096, 0), np.int64, False, False),
 }
 
 
 def _spy_kernel(monkeypatch) -> list:
     """Per :func:`_rotated` call: the steps' dtype, whether ``wide`` was
-    given, and the dtype of the positions it returned."""
+    given, the dtype of the positions it returned, and whether it took the
+    unit-step route.  Every argument passes through to the kernel."""
     calls = []
     kernel = wk._rotated
+    signature = inspect.signature(kernel)
 
-    def spy(steps, codes, out, wide=None, limit=0):
-        uv = kernel(steps, codes, out, wide, limit)
-        calls.append((steps.dtype, wide is not None, uv.dtype))
+    def spy(*args, **kwargs):
+        uv = kernel(*args, **kwargs)
+        call = signature.bind(*args, **kwargs)
+        call.apply_defaults()
+        a = call.arguments
+        calls.append((a["steps"].dtype, a["wide"] is not None, uv.dtype, a["unit"]))
         return uv
 
     monkeypatch.setattr(wk, "_rotated", spy)
@@ -685,16 +700,18 @@ def _spy_kernel(monkeypatch) -> list:
 
 class TestKernelSteps:
     """A guard on the fast paths: each walk reaches the kernel on the dtype
-    the narrowing rule gives it, so a silent fall back to int64 fails here."""
+    the narrowing rule gives it, and on the unit-step route exactly when its
+    steps are all 1, so a silent fall back to int64 or to the multiply fails
+    here."""
 
     @pytest.mark.parametrize("case", sorted(KERNEL_STEPS))
     def test_kernel_gets_the_narrowed_steps(self, monkeypatch, mc_long_plan, case):
-        run, dtype, checked = KERNEL_STEPS[case]
+        run, dtype, checked, unit = KERNEL_STEPS[case]
         calls = _spy_kernel(monkeypatch)
         run(mc_long_plan)
         assert calls
-        for steps_dtype, wide, walked in calls:
-            assert (steps_dtype, wide) == (dtype, checked)
+        for steps_dtype, wide, walked, route in calls:
+            assert (steps_dtype, wide, route) == (dtype, checked, unit)
             assert walked == dtype  # none was walked twice
         if case in ("int32-edge", "int64-edge"):
             assert len(calls) == 2  # one batch per chunk of 300 trials
@@ -723,7 +740,10 @@ class TestCheckedInt32Walk:
             lambda batch, uv: wk._hits(uv, rotated), codes_of=lambda reader, t: codes(t),
         )
         assert got == want
-        assert calls == [(np.int32, True, np.int32), (np.int32, True, np.int64), (np.int32, True, np.int32)]
+        assert calls == [
+            (np.int32, True, np.int32, False), (np.int32, True, np.int64, False),
+            (np.int32, True, np.int32, False),
+        ]
 
     def test_a_wrap_inside_the_range_is_walked_again(self, monkeypatch):
         # steps of 2**20 + 1 all along +e1 pass 2**31 by 2048, which int32 wraps
@@ -738,7 +758,7 @@ class TestCheckedInt32Walk:
             lambda batch, uv: wk._hits(uv, far), codes_of=lambda reader, t: east,
         )
         assert got == 16
-        assert calls == [(np.int32, True, np.int64)]
+        assert calls == [(np.int32, True, np.int64, False)]
 
     @pytest.mark.parametrize("target", [(0, 0), (1 << 32, 0), (1 << 20, -(1 << 20))])
     def test_random_codes_match_a_python_walk(self, target):

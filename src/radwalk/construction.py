@@ -43,7 +43,7 @@ from . import rng as _rng
 from .errors import CoprimalityError, ExhaustionError, ParameterError, _digit_limit, _int_param
 from .rng import json_decode, json_encode, wilson_interval
 from .sequences import INT64_STEP_SUM, StepSequence, _read_values
-from .walk import _hit_counter, _trial_params, _walk_trials
+from .walk import _returns, _trial_params, _walk_trials
 
 
 @dataclass(frozen=True)
@@ -318,7 +318,7 @@ def estimate_N0(
     nsteps = period * horizon_cap
     grid_arr = np.array(grid, dtype=np.int64)
 
-    def score(batch: range, uv: np.ndarray) -> np.ndarray:
+    def score(uv: np.ndarray) -> np.ndarray:
         # [t, g]: trials of the batch hitting target t by grid[g] periods
         ends = uv[:, period - 1 :: period]  # positions after whole periods
         first = _first_visits(ends[..., 0], ends[..., 1], targets, radius, nsteps + 1)
@@ -454,7 +454,7 @@ def _realized_radius(plan_rounds: list[RoundPlan], n_k: int, master_seed) -> int
     if n_k == 0:
         return 0
 
-    def score(batch: range, uv: np.ndarray) -> int:
+    def score(uv: np.ndarray) -> int:
         # x^2 + y^2 = (u^2 + v^2) / 2
         return max(math.isqrt((su * su + sv * sv) // 2) + 1 for su, sv in uv[:, -1].tolist())
 
@@ -585,10 +585,8 @@ def evaluate_plan(
         raise ParameterError("plan has no rounds to evaluate")
     bounds = [(rp.n_start, rp.n_end) for rp in plan.rounds]
 
-    hits = _hit_counter(np.zeros(2, dtype=np.int64))
-
-    def score(batch: range, uv: np.ndarray) -> np.ndarray:
-        return np.array([hits(uv[:, lo:hi]) for lo, hi in bounds])
+    def score(uv: np.ndarray) -> np.ndarray:
+        return np.array([_returns(uv[:, lo:hi]) for lo, hi in bounds])
 
     totals = _walk_trials(
         plan.n_end, lambda: _plan_steps(plan.rounds), trials, master_seed, score, workers=workers

@@ -41,7 +41,7 @@ from . import rng as _rng
 from .errors import ParameterError, PreconditionError, _int_param
 from .rng import ConfidenceInterval, json_encode, wilson_interval
 from .sequences import INT64_STEP_SUM
-from .walk import _hit_counter, _hits, _trial_params, _walk_trials
+from .walk import _returns, _trial_params, _walk_trials
 
 #: Value assigned to the log potential at the origin.
 ORIGIN_POTENTIAL = -5.0
@@ -477,9 +477,11 @@ def hitting_time_experiment(
     lattice.  The start is the deterministic axis point (ceil(r)*step, 0) by
     default; ``start_mode="ring"`` instead draws, per trial, a uniform lattice
     point with norm in [r, r+1) (one extra draw ahead of the direction
-    stream).  For axis starts with r <= :data:`EXACT_RADIUS_CAP` the exact value
-    is also computed by :func:`radwalk.exact.hit_probability_2d` and returned
-    for cross-checking.
+    stream).  Each trial walks unit steps from its start, in units of
+    ``step``, and counts as a hit when it returns to the origin
+    (:func:`radwalk.walk._returns`).  For axis starts with r <=
+    :data:`EXACT_RADIUS_CAP` the exact value is also computed by
+    :func:`radwalk.exact.hit_probability_2d` and returned for cross-checking.
     """
     trials, workers = _trial_params(trials, master_seed, workers, level)
     if not math.isfinite(r):
@@ -502,26 +504,16 @@ def hitting_time_experiment(
     if start_mode == "axis" and r <= EXACT_RADIUS_CAP and not at_origin:
         # hitting the origin from (s, 0) is, by symmetry, hitting (s, 0) from the origin
         exact = _exact.hit_probability_2d([1] * horizon, (start_units, 0), horizon)
-    # The walk from (x0, y0) is at the origin when u = -(x0+y0), v = -(x0-y0).
-    # A ring trial's pair is stored and taken by the chunk that walks it.
-    origin: dict[int, tuple[int, int]] = {}
 
-    def ring_codes(reader: _rng.CodeReader, t: int) -> np.ndarray:
+    def ring_codes(reader: _rng.CodeReader, t: int) -> tuple[np.ndarray, int]:
         reader.seek(t)  # the trial_generator(master_seed, t) draws, on the chunk's Philox
-        gen = reader.generator
-        x0, y0 = ring[int(gen.integers(0, len(ring)))]
-        origin[t] = (-(x0 + y0), -(x0 - y0))
-        return gen.integers(0, _rng.NUM_DIRECTIONS, size=horizon, dtype=np.int64)
-
-    axis_hits = _hit_counter(np.array([-start_units, -start_units]))
-
-    def score(batch: range, uv: np.ndarray) -> int:
-        if ring is None:
-            return axis_hits(uv)
-        return _hits(uv, np.array([origin.pop(t) for t in batch]))  # one target per row
+        gen = reader.generator  # the index of the trial's start, then its codes
+        pick = int(gen.integers(0, len(ring)))
+        return gen.integers(0, _rng.NUM_DIRECTIONS, size=horizon, dtype=np.int64), pick
 
     successes = trials if at_origin else _walk_trials(
-        horizon, lambda: np.ones(horizon, dtype=np.int64), trials, master_seed, score,
+        horizon, lambda: np.ones(horizon, dtype=np.int64), trials, master_seed, _returns,
+        start=(start_units, 0) if ring is None else ring,
         workers=workers, codes_of=None if ring is None else ring_codes,
     )
     return HittingTimeResult(

@@ -28,22 +28,18 @@ its visitor once per read of :data:`STREAM_CHUNK` codes, the visitor with a
 :class:`WalkBlock` of consecutive steps: their exact positions, step sizes and
 direction codes.  Every Monte Carlo estimate runs its trials through one loop,
 :func:`_walk_trials`, which calls the kernel once per batch of at most
-:data:`BATCH_STEPS` steps and reduces each to a score, most often a count of
-the paths that hit a point (:func:`_hits`).  That loop decodes each batch's
-codes at once (:meth:`~radwalk.rng.CodeReader.fill`; a batch of one long
-row straight from its trial's raw draw).  It decides once per call whether
-every step is 1; if so, the kernel copies the step signs instead of
-multiplying them by ones.  It walks int64 steps on int32, so the kernel
-moves half the bytes and :func:`_hits` compares each ``(u, v)`` pair as one
-64-bit word, in two cases:
-
-- proved: the steps sum below ``2**31``, which bounds every ``|u|`` and
-  ``|v|``;
-- checked: ``max(a) + SPREAD_SIGMAS * sqrt(sum(a**2)) < 2**31``, growing
-  steps whose walks spread far less than their sum.  Each batch is checked
-  to stay within ``+-(2**31 - 1 - max(a))`` and, if it does not, walked
-  again on int64 from the same codes, so every count stays exact.
-
+:data:`BATCH_STEPS` steps and reduces each to a score, most often the number
+of paths that return to the origin (:func:`_returns`).  Steps do not depend
+on the position, so visiting ``z`` from the origin is returning to the origin
+from ``-z``: a walk starts at its start point, and every hit test compares
+with 0.  The loop decodes each batch's codes at once
+(:meth:`~radwalk.rng.CodeReader.fill`; a batch of one long row straight from
+its trial's raw draw).  It decides once per call whether every step is 1; if
+so, the kernel copies the step signs instead of multiplying them by ones.
+It walks int64 steps on int32, so the kernel moves half the bytes and
+:func:`_returns` compares each ``(u, v)`` pair as one 64-bit word, when the
+steps' sum and the start prove, or a check per batch keeps, every position
+inside int32 (see :func:`_walk_trials`); every count stays exact.
 :func:`simulate` stays on int64.
 
 Every Monte Carlo entry, here and in :mod:`radwalk.construction` and
@@ -52,10 +48,13 @@ Every Monte Carlo entry, here and in :mod:`radwalk.construction` and
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+from math import isfinite
+from numbers import Rational
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -255,7 +254,7 @@ SPREAD_SIGMAS = 8
 
 
 def _rotated(
-    steps: np.ndarray, codes: np.ndarray, out: np.ndarray, wide=None, limit=0, unit: bool = False
+    steps: np.ndarray, codes: np.ndarray, out: np.ndarray, start=None, limit=0, unit: bool = False
 ) -> np.ndarray:
     """The walk kernel: the ``(rows, n, 2)`` positions ``out[r, k] = (u, v) =
     (x + y, x - y)`` after step ``k + 1`` of each row of ``codes``, a
@@ -269,12 +268,17 @@ def _rotated(
     interleaved, one cumsum along the steps adds both at once, about four
     times faster than numpy's dependent loop over each row on its own.
 
-    ``wide``, the int64 steps that int32 ``steps`` narrow, asks for the
-    checked walk: one max and one min check the positions against
-    ``+-limit``, ``limit = 2**31 - 1 - max(a)``, and a batch that leaves
-    that range is walked again on ``wide`` from the same codes and returned
-    as int64.  Inside it no int32 position can have wrapped, as each is the
-    exact one before it plus at most ``max(a)``.
+    ``start``, the rotated start ``(x0 + y0, x0 - y0)`` of every row as a
+    ``(2,)`` array, or of each row as a ``(rows, 2)`` one, is added to each
+    row's first step before the cumsum; None starts every row at the origin.
+
+    ``limit`` > 0 asks for the checked walk of int32 ``steps``: one max and
+    one min check the positions against ``+-limit``, ``limit = 2**31 - 1 -
+    max(a)``, and a batch that leaves that range is walked again on
+    ``steps.astype(int64)`` from the same codes and start and returned as
+    int64.  Inside it no int32 position can have wrapped, as each is the
+    exact one before it (or the start, which the caller keeps within
+    ``limit``) plus at most ``max(a)``.
 
     ``unit`` says every step is 1: the signs are then the moves, and are
     copied into ``out`` instead of multiplied by ones (the whole kernel on
@@ -292,75 +296,35 @@ def _rotated(
         else:
             np.multiply(a, su, out=b[..., 0])
             np.multiply(a, sv, out=b[..., 1])
+        if start is not None:
+            b[:, :1] += start.reshape(-1, 1, 2)  # a slice, so n = 0 walks too
         return np.cumsum(b, axis=1, out=b)
 
     out = walk(steps, out)
-    if wide is not None and (out.max() > limit or out.min() < -limit):
-        out = walk(wide, np.empty(out.shape, dtype=np.int64))
+    if limit and (out.max() > limit or out.min() < -limit):
+        out = walk(steps.astype(np.int64), np.empty(out.shape, dtype=np.int64))
     return out
 
 
-def _hits(uv: np.ndarray, target: np.ndarray) -> int:
-    """The number of paths (rows of a :func:`_rotated` ``uv``) that pass
-    through the rotated point ``target``: a ``(2,)`` array ``(tu, tv)``, or one
-    such row per path as a ``(rows, 2)`` array, int64 or exact objects.  For a
-    fixed target, :func:`_hit_counter` builds the compare key once.
+def _returns(uv: np.ndarray) -> int:
+    """The number of paths (rows of a :func:`_rotated` ``uv``, or of a slice
+    of its steps) that are at the origin, ``(u, v) = (0, 0)``, after one of
+    their steps.  A walk that visits ``z`` is one from ``-z`` that returns.
 
     A compare on ``uv[..., 0]`` alone reads every other element, and costs
     3-4 times one on contiguous data, so neither case makes one:
 
-    - int32 positions: each ``(u, v)`` pair is one int64 word, compared with
-      the target packed the same way (65 paths x 1000 steps: 0.118 -> 0.015
-      ms, 1 x 49152: 0.089 -> 0.013 ms; best of 60-80, numpy 2.4.6, 2-vCPU
-      host).  Packing would wrap a coordinate outside int32, so it packs
-      ``-2**31`` instead, which no int32 walk reaches: a proved one has
-      ``|u|, |v| <= sum(a) < 2**31``, and a checked one is returned as int32
-      only within ``2**31 - 1 - max(a)``.
-    - int64 or exact positions: one compare of the whole buffer, each step's
-      pair of bools read as one uint16, both true when it is 0x0101.  A
-      target with ``tu == tv`` (the origin) is compared as a scalar; any other
-      is repeated along the steps first, as a ``(2,)`` target broadcast over
-      the pairs runs numpy's inner loop two elements at a time, 3-6 times
-      slower (1 x 10**5 at the origin: 0.062 ms, against 0.185 ms coordinate
-      by coordinate and 0.66 ms broadcast; off the diagonal at 65 x 1000:
-      0.08 ms, against 0.20 ms coordinate by coordinate).  numpy compares
-      mixed dtypes without wrapping.
+    - int32 positions: each ``(u, v)`` pair is one int64 word, 0 exactly
+      when both are (65 paths x 1000 steps: 0.118 -> 0.015 ms, 1 x 49152:
+      0.089 -> 0.013 ms; best of 60-80, numpy 2.4.6, 2-vCPU host).
+    - int64 or exact positions: one compare of the whole buffer with 0, each
+      step's pair of bools read as one uint16, both true when it is 0x0101
+      (1 x 10**5: 0.062 ms, against 0.185 ms coordinate by coordinate).
     """
-    return _count_hits(uv, _hit_key(uv, target))
-
-
-def _hit_key(uv: np.ndarray, target: np.ndarray):
-    """What :func:`_hits` compares paths like ``uv`` with: the packed int32
-    word, the scalar of a target on the diagonal, or the target repeated
-    along the steps."""
-    t = target
     if uv.dtype == np.int32:
-        t = np.where((t > -(1 << 31)) & (t < 1 << 31), t, -(1 << 31)).astype(np.int32)
-        return t.view(np.int64)  # (1,), or (rows, 1)
-    return t[0] if t.ndim == 1 and t[0] == t[1] else np.tile(t, uv.shape[1])
-
-
-def _count_hits(uv: np.ndarray, key) -> int:
-    if uv.dtype == np.int32:
-        return int((uv.view(np.int64)[..., 0] == key).any(axis=1).sum())
+        return int((uv.view(np.int64)[..., 0] == 0).any(axis=1).sum())
     rows, n = uv.shape[:2]
-    return int(((uv.reshape(rows, 2 * n) == key).view(np.uint16) == 0x0101).any(axis=1).sum())
-
-
-def _hit_counter(target: np.ndarray) -> Callable[[np.ndarray], int]:
-    """``uv -> _hits(uv, target)`` for one ``(2,)`` target, its key built once
-    for each dtype and path length it meets (a checked walk returns int32 and,
-    rarely, int64 batches).  Threads sharing it may at worst build a key
-    twice."""
-    keys = {}
-
-    def hits(uv: np.ndarray) -> int:
-        form = (uv.dtype, uv.shape[1])
-        if form not in keys:
-            keys[form] = _hit_key(uv, target)
-        return _count_hits(uv, keys[form])
-
-    return hits
+    return int(((uv.reshape(rows, 2 * n) == 0).view(np.uint16) == 0x0101).any(axis=1).sum())
 
 
 def _trial_params(trials, master_seed, workers, level: float) -> tuple[int, int]:
@@ -376,13 +340,16 @@ def _trial_params(trials, master_seed, workers, level: float) -> tuple[int, int]
 
 def _walk_trials(
     n: int, steps: Callable[[], np.ndarray], trials: int, master_seed, score: Callable,
-    *, workers: int = 1, codes_of: Callable | None = None, combine: Callable = sum,
+    *, start=None, workers: int = 1, codes_of: Callable | None = None, combine: Callable = sum,
 ):
-    """The one Monte Carlo trial loop: ``combine`` of ``score(batch, uv)`` over
+    """The one Monte Carlo trial loop: ``combine`` of ``score(uv)`` over
     batches of trials ``0..trials-1``, ``uv`` being the :func:`_rotated`
     positions of the batch's walks on the ``n`` steps ``steps()`` builds.
-    Trial ``t`` walks ``codes_of(reader, t)`` on its chunk's reader, by
-    default its first ``n`` direction codes.  ``combine`` folds a chunk's
+    Trial ``t`` walks its first ``n`` direction codes from ``start``, a point
+    ``(x0, y0)`` (None: the origin).  With a ``codes_of``, ``start`` is a
+    list of points instead, and ``codes_of(reader, t)`` returns trial ``t``'s
+    codes, drawn on its chunk's reader, and the index of its start in that
+    list (any int when ``start`` is None).  ``combine`` folds a chunk's
     scores, then the chunks' results in order, so ``workers`` cannot change
     the result.  Arrays too large to allocate raise :class:`ParameterError`.
 
@@ -393,32 +360,43 @@ def _walk_trials(
     decoded a batch at a time by the reader's
     :meth:`~radwalk.rng.CodeReader.fill`; a ``codes_of`` runs per trial.
     Steps that are all 1 take the kernel's ``unit`` route, decided here once.
-    int64 steps walk as int32, which halves the memory the kernel and the
-    scores move, in two cases.  Proved: they sum below ``2**31``, so every
-    partial sum has ``|u_k|, |v_k| <= sum(steps)``.  Checked:
-    ``max(a) + SPREAD_SIGMAS * sqrt(sum(a**2)) < 2**31``; the kernel then
-    walks a batch again on int64 when it leaves ``+-(2**31 - 1 - max(a))``.
-    Either way every score sees exact positions.  ``trials`` and ``workers``
-    come checked, from :func:`_trial_params`.
+    With ``s`` the largest ``|x0| + |y0|`` of the starts, which bounds
+    ``|u|`` and ``|v|`` at the start, int64 steps walk as int32, which halves
+    the memory the kernel and the scores move, in two cases.  Proved:
+    ``s + sum(steps) < 2**31``, so every partial sum has ``|u_k|, |v_k| <= s
+    + sum(steps)``.  Checked: ``s + max(a) + SPREAD_SIGMAS * sqrt(sum(a**2))
+    < 2**31``; the kernel then walks a batch again on int64 when it leaves
+    ``+-(2**31 - 1 - max(a))``.  int64 steps with ``s + sum(steps) >= 2**63``
+    walk as exact objects.  Either way every score sees exact positions.
+    ``trials`` and ``workers`` come checked, from :func:`_trial_params`.
     """
     key = _rng._philox_key(master_seed)
     try:
-        walked, wide, limit = steps(), None, 0
+        walked, limit = steps(), 0
         unit = bool((walked == 1).all())
+        points = [] if start is None else list(start) if codes_of else [start]
+        rotated = [(x + y, x - y) for x, y in points]
+        reach = max((abs(c) for p in rotated for c in p), default=0)
         if walked.dtype == np.int64:
-            if int(walked.sum()) < 1 << 31:
+            total = reach + int(walked.sum())
+            if total < 1 << 31:
                 walked = walked.astype(np.int32)
+            elif total >= 1 << 63:
+                walked = walked.astype(object)
             else:
                 sigma = float(np.square(walked, dtype=np.float64).sum()) ** 0.5  # of u_n, v_n
                 top = int(walked.max())
-                if top + SPREAD_SIGMAS * sigma < 1 << 31:
-                    walked, wide, limit = walked.astype(np.int32), walked, (1 << 31) - 1 - top
+                if reach + top + SPREAD_SIGMAS * sigma < 1 << 31:
+                    walked, limit = walked.astype(np.int32), (1 << 31) - 1 - top
+        starts = np.array(rotated, dtype=walked.dtype) if points else None
 
         def run_chunk(chunk: range):
             reader = _rng.CodeReader(key)  # not thread-safe: one per chunk
             rows = max(1, min(len(chunk), BATCH_STEPS // max(n, 1)))
             codes = np.empty((rows, n), dtype=np.uint8)
             uv = np.empty((rows, n, 2), dtype=walked.dtype)
+            picks = np.empty(rows, dtype=np.intp)
+            at = None if starts is None else starts[0]
             scores = []
             for lo in range(chunk.start, chunk.stop, rows):
                 batch = range(lo, min(lo + rows, chunk.stop))
@@ -427,8 +405,9 @@ def _walk_trials(
                     reader.fill(batch, c)
                 else:
                     for r, t in enumerate(batch):
-                        c[r] = codes_of(reader, t)
-                scores.append(score(batch, _rotated(walked, c, uv[: len(batch)], wide, limit, unit)))
+                        c[r], picks[r] = codes_of(reader, t)
+                    at = None if starts is None else starts[picks[: len(batch)]]
+                scores.append(score(_rotated(walked, c, uv[: len(batch)], at, limit, unit)))
             return combine(scores)
 
         return _rng.map_trial_chunks(trials, run_chunk, combine, workers)
@@ -518,6 +497,12 @@ def simulate_recording(
     return simulate(seq, n, master_seed, rec, trial=trial, width_bits=width_bits), rec
 
 
+#: Per thread, :func:`visit_statistics`' two int64 buffers, kept: freed ones
+#: let malloc return their pages, which the next call faults in again (20 000
+#: steps: 0.9-1.6 ms and 203-241 minor faults a call, against 0.5-0.8 and none).
+_VISIT_BUFFERS = threading.local()
+
+
 def visit_statistics(
     seq: StepSequence,
     n: int,
@@ -531,17 +516,18 @@ def visit_statistics(
     tlist = [(t[0], t[1]) for t in targets]
     # per target: count, first hit, last hit, least squared distance
     acc = {t: [0, None, None, None] for t in tlist}
-    # int64 squared distances go into two buffers made once per call: fresh
-    # temporaries per target and block cost page faults whenever malloc
-    # hands arrays of their size back to the system
-    buffers = []
+    buffers = _VISIT_BUFFERS.__dict__.setdefault("pair", [])
 
     def visitor(block: WalkBlock) -> None:
         x, y = block.x, block.y
+        # the block's extents, once for all targets: int64 squares cannot
+        # wrap while every offset is below 2**31
+        exact = x.dtype != np.int64
+        if not exact:
+            x_lo, x_hi, y_lo, y_hi = int(x.min()), int(x.max()), int(y.min()), int(y.max())
         for (tx, ty), a in acc.items():
-            # int64 squares cannot wrap while every offset is below 2**31
-            small = x.dtype == np.int64 and type(tx) is int and type(ty) is int and max(
-                int(x.max()) - tx, tx - int(x.min()), int(y.max()) - ty, ty - int(y.min())
+            small = not exact and type(tx) is int and type(ty) is int and max(
+                x_hi - tx, tx - x_lo, y_hi - ty, ty - y_lo
             ) < 1 << 31
             if small:
                 if not buffers or len(buffers[0]) < len(x):
@@ -581,6 +567,20 @@ class MonteCarloEstimate:
     to_json_dict = _rng.json_encode
 
 
+def _target_param(target) -> tuple:
+    """``target``'s two coordinates: ints, Fractions or finite floats, not bools."""
+    try:
+        x, y = target
+    except (TypeError, ValueError):
+        x = y = None
+    for c in (x, y):
+        if not (isinstance(c, Rational) and not isinstance(c, bool) or isinstance(c, float) and isfinite(c)):
+            raise ParameterError(
+                f"target must be a point (x, y) of ints, Fractions or finite floats, got {target!r}"
+            )
+    return x, y
+
+
 def monte_carlo_return(
     seq: StepSequence,
     n: int,
@@ -593,17 +593,18 @@ def monte_carlo_return(
 ) -> MonteCarloEstimate:
     """Estimate the probability of visiting ``target`` at some step 1..n.
 
-    The walk runs on the steps' lattice ints; a target off that lattice is
-    never visited."""
+    The walk runs on the steps' lattice ints from ``-target``, so a visit of
+    ``target`` is a return to the origin (:func:`_returns`).  A target off
+    that lattice, or farther than the steps' sum, is never visited: its walks
+    run from the origin and score 0."""
     trials, workers = _trial_params(trials, master_seed, workers, level)
+    tx, ty = _target_param(target)
     walked, scale = seq.lattice(n)
-    tu, tv = (Fraction(t) * scale for t in (target[0] + target[1], target[0] - target[1]))
-    on_lattice = tu.denominator == tv.denominator == 1
-    wide = max(abs(tu), abs(tv)) >= 1 << 63  # int64 would not hold it
-    hits = _hit_counter(np.array([int(tu), int(tv)], dtype=object if wide else np.int64))
+    x0, y0 = -Fraction(tx) * scale, -Fraction(ty) * scale
+    reachable = x0.denominator == y0.denominator == 1 and abs(x0) + abs(y0) <= int(walked.sum())
     successes = _walk_trials(
-        n, lambda: walked, trials, master_seed,
-        lambda batch, uv: hits(uv) if on_lattice else 0, workers=workers,
+        n, lambda: walked, trials, master_seed, _returns if reachable else lambda uv: 0,
+        start=(int(x0), int(y0)) if reachable else None, workers=workers,
     )
     ci = wilson_interval(successes, trials, level)
     params = {"horizon": n, "target": list(target), "sequence": seq.to_config()}

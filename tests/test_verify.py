@@ -384,8 +384,8 @@ class TestHittingTime:
         assert a.successes == b.successes
 
     def test_ring_starts_under_thread_switches(self):
-        # pool threads share the ring trials' stored origins: each must be
-        # taken by the chunk that drew it, whatever the interleaving
+        # each ring trial's start comes back with its codes on its chunk's
+        # reader, so no interleaving of pool threads can swap two starts
         def run(workers):
             return vf.hitting_time_experiment(
                 2, trials=3000, master_seed=8, workers=workers, start_mode="ring"
